@@ -2,14 +2,7 @@
 programs ``min f(x) + g(y) s.t. A x + B y = b`` where f has a cheap
 structured prox and g is smooth with a known gradient Lipschitz bound."""
 
-from .linalg import (
-    NotPositiveDefiniteError,
-    SpdFactorization,
-    SpectralNormError,
-    spd_factorize,
-    spd_solve,
-    spectral_norm_sq,
-)
+from .linalg import SpectralNormError, spectral_norm_sq
 from .operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
 from .problem import (
     Coupling,
@@ -43,12 +36,10 @@ __all__ = [
     "DivergenceError",
     "IterateState",
     "MetricH",
-    "NotPositiveDefiniteError",
     "ProxBlock",
     "SmoothBlock",
     "SolveReport",
     "SolverConfig",
-    "SpdFactorization",
     "SpectralNormError",
     "TwoBlockProblem",
     "VariantKind",
@@ -65,8 +56,6 @@ __all__ = [
     "shrink",
     "solve",
     "solve_l1_subproblem",
-    "spd_factorize",
-    "spd_solve",
     "spectral_norm_sq",
     "step",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, spectral_norm_sq
+from .linalg import spectral_norm_sq
 from .operators import AffineProjector, solve_l1_subproblem
 from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem
 
@@ -63,7 +63,7 @@ def generate(n, m, s, seed):
         b = A @ xhat
         try:
             AffineProjector(A, b)
-        except NotPositiveDefiniteError:
+        except np.linalg.LinAlgError:
             continue
         return BasisPursuitInstance(A=A, b=b, xhat=xhat, s=int(s), seed=int(seed))
     raise RuntimeError("could not draw a full-row-rank matrix in 3 attempts")

@@ -41,7 +41,6 @@ class SolveOverrides:
     alpha: float = 5e-4
     beta: float = 5e-2
     monitor: bool = False
-    record_history: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ def _solve_bp(inst, variant, ov):
         tol=ov.tol,
         max_iters=ov.max_iters,
         monitor_certificate=ov.monitor,
-        record_history=ov.record_history,
     )
     report = solve(problem, config)
     coef = report.state.x
@@ -105,7 +103,6 @@ def _solve_fused(inst, variant, ov):
         max_iters=ov.max_iters,
         safety=ov.safety,
         monitor_certificate=ov.monitor,
-        record_history=ov.record_history,
     )
     coef = report.state.x[: inst.n]
     l0, tv0 = fl.sparsity_report(coef)
@@ -260,7 +257,6 @@ def cmd_bench(args):
         alpha=args.alpha,
         beta=args.beta,
         monitor=args.monitor_lemma,
-        record_history=True,
     )
     expected = 3 if args.problem == "bp" else 2
     dims = []

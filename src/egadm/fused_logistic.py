@@ -271,7 +271,6 @@ def solve_fused(
     max_iters=20000,
     safety=0.9,
     monitor_certificate=False,
-    record_history=False,
 ):
     """Run the solver on the fused logistic program.
 
@@ -288,7 +287,6 @@ def solve_fused(
         tol=tol,
         max_iters=max_iters,
         monitor_certificate=monitor_certificate,
-        record_history=record_history,
     )
 
     def stop(info):

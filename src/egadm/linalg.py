@@ -1,9 +1,6 @@
-"""Dense linear-algebra kernels: spectral-norm estimation and SPD solves."""
-
-from dataclasses import dataclass
+"""Dense linear-algebra kernel: spectral-norm estimation by power iteration."""
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class SpectralNormError(RuntimeError):
@@ -12,14 +9,6 @@ class SpectralNormError(RuntimeError):
     def __init__(self, message, estimate):
         super().__init__(message)
         self.estimate = estimate
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky factorization hit a non-positive pivot."""
-
-    def __init__(self, pivot):
-        super().__init__(f"matrix is not positive definite (pivot {pivot})")
-        self.pivot = pivot
 
 
 def spectral_norm_sq(mat, tol=1e-10, max_iters=5000):
@@ -68,63 +57,3 @@ def spectral_norm_sq(mat, tol=1e-10, max_iters=5000):
     raise SpectralNormError(
         f"power iteration did not converge within {max_iters} iterations", est
     )
-
-
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
-
-    dim: int
-    lower: np.ndarray
-
-
-def spd_factorize(mat):
-    """Cholesky-factorize a symmetric positive definite matrix.
-
-    The input must be symmetric to an absolute tolerance of
-    ``1e-12 * max(1, |mat|_max)``; it is symmetrized before factoring so
-    round-off asymmetry from Gram products does not leak into the factor.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        With the index of the first non-positive pivot.
-    """
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    sym = 0.5 * (m + m.T)
-    try:
-        lower = np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_bad_pivot(sym)) from None
-    return SpdFactorization(dim=m.shape[0], lower=lower)
-
-
-def _first_bad_pivot(sym):
-    # Reference column-by-column factorization, run only after the fast
-    # path failed, to name the offending pivot.
-    a = sym.copy()
-    n = a.shape[0]
-    for j in range(n):
-        d = a[j, j] - a[j, :j] @ a[j, :j]
-        if d <= 0.0:
-            return j
-        a[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / a[j, j]
-    return n - 1
-
-
-def spd_solve(fact, rhs):
-    """Solve ``M v = rhs`` given the factorization of M."""
-    r = np.asarray(rhs, dtype=float)
-    if r.shape != (fact.dim,):
-        raise ValueError(f"rhs has length {r.shape}, expected ({fact.dim},)")
-    half = solve_triangular(fact.lower, r, lower=True)
-    return solve_triangular(fact.lower.T, half, lower=False)

@@ -6,8 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import spd_factorize, spd_solve
-
 
 def shrink(z, tau):
     """Soft-threshold ``z`` componentwise at level ``tau``.
@@ -58,9 +56,15 @@ class MetricH:
 class AffineProjector:
     """Euclidean projection onto ``{w : A w = rhs}`` for full-row-rank A.
 
-    ``A A^T`` is factorized once at construction; each call costs two
-    matvecs plus a pair of triangular solves.  Rank deficiency surfaces
-    here as a NotPositiveDefiniteError, not per call.
+    Everything is computed once at construction: the Cholesky factor L of
+    ``A A^T``, ``M = A^T (A A^T)^{-1}`` and ``c = M rhs``.  Each call
+    returns ``w - M (A w) + c``, two m x n matvecs and no triangular
+    solves.
+
+    Raises ValueError at construction if the shapes disagree or A or rhs
+    has a non-finite entry, and ``np.linalg.LinAlgError`` (a ValueError
+    subclass) if A is rank deficient, so that ``A A^T`` has no Cholesky
+    factor.
     """
 
     def __init__(self, A, rhs):
@@ -68,12 +72,17 @@ class AffineProjector:
         rhs = np.asarray(rhs, dtype=float)
         if A.ndim != 2 or rhs.shape != (A.shape[0],):
             raise ValueError("A must be a matrix with one rhs entry per row")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+            raise ValueError("A and rhs must have finite entries")
         self.A = A
-        self.rhs = rhs
-        self._gram = spd_factorize(A @ A.T)
+        # M^T = (A A^T)^{-1} A = L^{-T} L^{-1} A.  Inverting the m x m
+        # factor once is cheaper here than two solves with n right-hand sides.
+        inv_lower = np.linalg.inv(np.linalg.cholesky(A @ A.T))
+        self._M = (inv_lower.T @ (inv_lower @ A)).T
+        self._c = self._M @ rhs
 
     def __call__(self, w):
-        return w + self.A.T @ spd_solve(self._gram, self.rhs - self.A @ w)
+        return w - self._M @ (self.A @ w) + self._c
 
 
 def solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=None):

@@ -22,6 +22,7 @@ complexity bound speaks about.  For GL/GAL the sums accumulate
 """
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -120,6 +121,7 @@ class StepInfo:
     """Per-iteration diagnostics used by stop rules and monitors."""
 
     residual: np.ndarray
+    residual_norm: float      # 2-norm of ``residual``
     movement: float
     certificate: Optional[float] = None
 
@@ -209,20 +211,19 @@ def _advance(problem, config, state, gamma):
         stop_resid = resid_next
 
     k_next = state.k + 1
-    finite = (
-        np.all(np.isfinite(x_next))
-        and np.all(np.isfinite(y_next))
-        and np.all(np.isfinite(lam_next))
-        and np.all(np.isfinite(stop_resid))
-    )
-    if not finite or float(np.linalg.norm(stop_resid)) > DIVERGENCE_LIMIT:
-        raise DivergenceError(variant, k_next)
-
+    resid_norm = float(np.linalg.norm(stop_resid))
     movement = float(
         np.sqrt(
             np.linalg.norm(y_next - y) ** 2 + np.linalg.norm(lam_next - lam) ** 2
         )
     )
+    # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
+    # scalars, and NaN fails every comparison.
+    if not (
+        resid_norm <= DIVERGENCE_LIMIT
+        and math.isfinite(movement + float(np.sum(x_next)))
+    ):
+        raise DivergenceError(variant, k_next)
 
     certificate = None
     if config.monitor_certificate and variant.extragradient:
@@ -242,7 +243,10 @@ def _advance(problem, config, state, gamma):
         sum_lam=state.sum_lam + acc[2],
     )
     return new_state, StepInfo(
-        residual=stop_resid, movement=movement, certificate=certificate
+        residual=stop_resid,
+        residual_norm=resid_norm,
+        movement=movement,
+        certificate=certificate,
     )
 
 
@@ -337,7 +341,7 @@ def solve(problem, config, init=None, stop_rule=None):
     for _ in range(config.max_iters):
         state, info = _advance(problem, config, state, gamma)
         if config.record_history:
-            residual_history.append(float(np.linalg.norm(info.residual)))
+            residual_history.append(info.residual_norm)
         if info.certificate is not None:
             certificate_history.append(info.certificate)
             if info.certificate > CERTIFICATE_SLACK:
@@ -345,10 +349,7 @@ def solve(problem, config, init=None, stop_rule=None):
         if stop_rule is not None:
             stopped = bool(stop_rule(info))
         else:
-            stopped = (
-                float(np.linalg.norm(info.residual)) < config.tol
-                and info.movement < config.tol
-            )
+            stopped = info.residual_norm < config.tol and info.movement < config.tol
         if stopped:
             converged = True
             break

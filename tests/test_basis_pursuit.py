@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from egadm import basis_pursuit as bp
+from egadm.linalg import spectral_norm_sq
 from egadm.problem import kkt_lipschitz_bound, kkt_map
 from egadm.solver import SolverConfig, VariantKind, initial_state, solve, step
 from oracles import jacobi_eigenvalues
@@ -26,6 +27,24 @@ def test_generate_is_deterministic():
     assert np.array_equal(a.xhat, b.xhat)
     c = bp.generate(50, 10, 3, 124)
     assert not np.array_equal(a.A, c.A)
+
+
+def test_generate_retries_a_rank_deficient_draw(monkeypatch):
+    calls = []
+    real = bp.AffineProjector
+
+    def flaky(A, rhs):
+        calls.append(A)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(A, rhs)
+
+    monkeypatch.setattr(bp, "AffineProjector", flaky)
+    inst = bp.generate(50, 10, 3, 123)
+    assert len(calls) == 2
+    retry = np.random.default_rng([123, 1]).standard_normal((10, 50))
+    assert np.array_equal(inst.A, retry / np.sqrt(spectral_norm_sq(retry)))
+    assert not np.array_equal(inst.A, calls[0])
 
 
 def test_generate_unit_spectral_norm_against_oracle():

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import (
-    NotPositiveDefiniteError,
-    SpectralNormError,
-    spd_factorize,
-    spd_solve,
-    spectral_norm_sq,
-)
+from egadm.linalg import SpectralNormError, spectral_norm_sq
 from oracles import jacobi_eigenvalues
 
 
@@ -71,72 +65,3 @@ def test_spectral_norm_input_validation():
         spectral_norm_sq(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         spectral_norm_sq(np.eye(2), tol=0.0)
-
-
-def test_factorize_identity():
-    fact = spd_factorize(np.eye(4))
-    assert np.allclose(fact.lower, np.eye(4))
-
-
-def test_factorize_diagonal():
-    fact = spd_factorize(np.diag([4.0, 9.0]))
-    assert np.allclose(fact.lower, np.diag([2.0, 3.0]))
-
-
-def test_factorize_reconstructs_gram_matrix():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((15, 40))
-    gram = a @ a.T
-    fact = spd_factorize(gram)
-    recon = fact.lower @ fact.lower.T
-    assert np.max(np.abs(recon - gram)) <= 1e-10 * np.max(np.abs(gram))
-
-
-def test_factorize_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        spd_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_factorize_reports_bad_pivot():
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        spd_factorize(np.diag([1.0, -1.0]))
-    assert exc.value.pivot == 1
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        spd_factorize(np.array([[-1.0]]))
-    assert exc.value.pivot == 0
-
-
-def test_spd_solve_identity_and_diagonal():
-    ident = spd_factorize(np.eye(3))
-    rhs = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(spd_solve(ident, rhs), rhs)
-    diag = spd_factorize(np.diag([4.0, 9.0]))
-    assert np.allclose(spd_solve(diag, np.array([4.0, 9.0])), np.ones(2))
-
-
-def test_spd_solve_residual():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((30, 60))
-    gram = a @ a.T
-    fact = spd_factorize(gram)
-    rhs = rng.standard_normal(30)
-    v = spd_solve(fact, rhs)
-    assert np.linalg.norm(gram @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-
-def test_spd_solve_dimension_mismatch():
-    fact = spd_factorize(np.eye(3))
-    with pytest.raises(ValueError):
-        spd_solve(fact, np.ones(4))
-
-
-def test_solve_after_factorize_left_inverse_up_to_dim_200():
-    rng = np.random.default_rng(5)
-    for dim in (5, 50, 200):
-        a = rng.standard_normal((dim, dim + 10))
-        gram = a @ a.T + 0.1 * np.eye(dim)
-        fact = spd_factorize(gram)
-        w = rng.standard_normal(dim)
-        rhs = gram @ w
-        v = spd_solve(fact, rhs)
-        assert np.linalg.norm(gram @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import NotPositiveDefiniteError
 from egadm.operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
 from oracles import grid_prox_scalar
 
@@ -88,8 +87,20 @@ def test_projector_nonexpansive():
 
 def test_projector_rank_deficient_rejected_at_construction():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(np.linalg.LinAlgError):
         AffineProjector(A, np.zeros(2))
+
+
+def test_projector_rejects_nan_in_matrix():
+    A = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        AffineProjector(A, np.zeros(2))
+
+
+def test_projector_rejects_inf_in_rhs():
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        AffineProjector(A, np.array([1.0, np.inf]))
 
 
 def test_metric_validation():
