@@ -6,10 +6,12 @@ from .linalg import SpectralNormError, spectral_norm_sq
 from .operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
 from .problem import (
     Coupling,
+    LinearMap,
     ProxBlock,
     SmoothBlock,
     TwoBlockProblem,
     augmented_lagrangian,
+    identity_map,
     kkt_lipschitz_bound,
     kkt_map,
     lagrangian,
@@ -35,6 +37,7 @@ __all__ = [
     "Coupling",
     "DivergenceError",
     "IterateState",
+    "LinearMap",
     "MetricH",
     "ProxBlock",
     "SmoothBlock",
@@ -48,6 +51,7 @@ __all__ = [
     "ergodic_checkpoints",
     "extragradient_certificate",
     "gap_surrogate",
+    "identity_map",
     "initial_state",
     "kkt_lipschitz_bound",
     "kkt_map",

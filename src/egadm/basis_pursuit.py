@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import spectral_norm_sq
 from .operators import AffineProjector, solve_l1_subproblem
-from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem
+from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def as_problem(inst):
         project=projector,
         member=feasible,
     )
-    coupling = Coupling(A=np.eye(n), B=-np.eye(n), b=np.zeros(n))
+    coupling = Coupling(A=identity_map(n), B=identity_map(n, -1.0), b=np.zeros(n))
     return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
 
 

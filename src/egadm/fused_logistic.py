@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import spectral_norm_sq
 from .operators import shrink
-from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem
+from .problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
 from .solver import SolverConfig, VariantKind, solve
 
 
@@ -105,24 +105,25 @@ def logistic_lipschitz(aux):
     return spectral_norm_sq(augmented) / (4.0 * aux.m)
 
 
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Forward-difference operator: ``(L v)_j = v_j - v_{j+1}``, shape
-    (n-1) x n."""
+def fused_coupling(n):
+    """``B = -[I 0; L 0]`` of the split x = y, w = L y, shape (2n-1) x (n+1),
+    with ``(L v)_j = v_j - v_{j+1}`` and a zero intercept column.
 
-    n: int
+    lmax(B^T B) = 1 + lmax(L^T L) = 3 + 2cos(pi/n): L^T L is the path
+    Laplacian, eigenvalues 2 - 2cos(k pi/n) for k < n (Strang, "The
+    Discrete Cosine Transform", SIAM Review 1999)."""
 
-    def apply(self, v):
-        return v[:-1] - v[1:]
+    def matvec(z):
+        return np.concatenate([-z[:n], z[1:n] - z[: n - 1]])
 
-    def apply_t(self, w):
-        out = np.zeros(self.n)
-        out[:-1] += w
-        out[1:] -= w
+    def rmatvec(v):
+        out = np.zeros((n + 1,) + v.shape[1:])
+        out[:n] = -v[:n]
+        out[1:n] += v[n:]
+        out[: n - 1] -= v[n:]
         return out
 
-    def dense(self):
-        return np.eye(self.n - 1, self.n) - np.eye(self.n - 1, self.n, k=1)
+    return LinearMap((2 * n - 1, n + 1), matvec, rmatvec, 3.0 + 2.0 * np.cos(np.pi / n))
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,11 @@ def as_problem(inst, cfg):
     The nonsmooth block stacks (x, w) with separable shrinks; the smooth
     block stacks (y, c) with the logistic gradient and no constraint
     (projection is the identity).  The coupling enforces x = y and
-    w = L y; the intercept column of B is zero.
+    w = L y through A = I and ``B = fused_coupling(n)``, two structured
+    maps, so nothing of size n^2 is stored.
     """
     n = inst.n
     aux = LogisticAux.from_data(inst.A, inst.labels)
-    diff = DifferenceMatrix(n)
     p = 2 * n - 1
 
     def prox_solve(x_prev, offset, lam, gamma, metric):
@@ -183,10 +184,7 @@ def as_problem(inst, cfg):
         project=lambda z: z,
     )
 
-    B = np.zeros((p, n + 1))
-    B[:n, :n] = -np.eye(n)
-    B[n:, :n] = -diff.dense()
-    coupling = Coupling(A=np.eye(p), B=B, b=np.zeros(p))
+    coupling = Coupling(A=identity_map(p), B=fused_coupling(n), b=np.zeros(p))
     return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
 
 

@@ -3,7 +3,8 @@ linear coupling ``A x + B y = b`` between them.
 
 The solver core only touches the nonsmooth block through its structured
 proximal subproblem and the smooth block through its gradient, so both are
-supplied as callables bundled with their dimensions.
+supplied as callables bundled with their dimensions.  The coupling's A
+and B are dense matrices or ``LinearMap``s that declare their own norm.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import SpectralNormError, spectral_norm_sq
+from .linalg import spectral_norm_sq
 
 
 @dataclass(frozen=True)
@@ -51,49 +52,65 @@ class SmoothBlock:
     member: Optional[Callable[[np.ndarray], bool]] = None
 
 
-def _is_identity(m):
-    n = m.shape[0]
-    return m.shape[1] == n and np.array_equal(m, np.eye(n))
+@dataclass(frozen=True)
+class LinearMap:
+    """A matrix M given by its products ``M @ v`` and ``M.T @ w`` and a
+    declared upper bound ``norm_sq`` on ``lmax(M^T M)``.  The products also
+    take a matrix of columns, so ``np.asarray(M)`` is ``M @ I``."""
+
+    shape: tuple
+    matvec: Callable[[np.ndarray], np.ndarray]
+    rmatvec: Callable[[np.ndarray], np.ndarray]
+    norm_sq: float
+
+    def __matmul__(self, v):
+        return self.matvec(v)
+
+    @property
+    def T(self):
+        return LinearMap(self.shape[::-1], self.rmatvec, self.matvec, self.norm_sq)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.matvec(np.eye(self.shape[1])), dtype=dtype)
 
 
-def _is_neg_identity(m):
-    n = m.shape[0]
-    return m.shape[1] == n and np.array_equal(m, -np.eye(n))
+def identity_map(n, sign=1.0):
+    """``sign * I`` of size n, sign +1 or -1: products return v or np.negative(v)."""
+    op = {1.0: lambda v: v, -1.0: np.negative}[sign]
+    return LinearMap((n, n), op, op, 1.0)
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Linear constraint data ``A x + B y = b`` (dense)."""
+    """Linear constraint data ``A x + B y = b``; A and B are dense or ``LinearMap``s.
 
-    A: np.ndarray
-    B: np.ndarray
+    Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
+    B declares and a dense B gets from one power iteration."""
+
+    A: np.ndarray | LinearMap
+    B: np.ndarray | LinearMap
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        A, B = (m if isinstance(m, LinearMap) else np.asarray(m, dtype=float)
+                for m in (self.A, self.B))
         b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or B.ndim != 2 or b.ndim != 1:
+        if len(A.shape) != 2 or len(B.shape) != 2 or b.ndim != 1:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "b", b)
-        # Identity couplings are common (both bundled specializations use
-        # A = I); skip the dense matvec for them.  The fast paths are
-        # bitwise-equivalent to the dense product.
-        object.__setattr__(self, "_a_ident", _is_identity(A))
-        object.__setattr__(self, "_b_neg_ident", _is_neg_identity(B))
+        lmax = B.norm_sq if isinstance(B, LinearMap) else spectral_norm_sq(B)
+        for name, value in zip(("A", "B", "b", "Bt", "lmax_btb"), (A, B, b, B.T, lmax)):
+            object.__setattr__(self, name, value)
 
     def apply_a(self, x):
-        return x if self._a_ident else self.A @ x
+        return self.A @ x
 
     def apply_b(self, y):
-        return -y if self._b_neg_ident else self.B @ y
+        return self.B @ y
 
     def apply_bt(self, v):
-        return -v if self._b_neg_ident else self.B.T @ v
+        return self.Bt @ v
 
     def residual(self, x, y):
         """Primal residual ``A x + B y - b``."""
@@ -147,18 +164,11 @@ def kkt_map(problem, x, y, lam):
 def kkt_lipschitz_bound(problem):
     """Lipschitz constant of the stacked map in (y, lam).
 
-    Equals ``sqrt(max(2 Lg^2 + lmax(B^T B), 2 lmax(B^T B)))`` where Lg is
-    the smooth block's declared gradient Lipschitz constant.  The step
-    size must satisfy ``gamma <= 1 / (2 * bound)`` for the extragradient
-    contraction certificate to hold.
+    Equals ``sqrt(max(2 Lg^2 + lmax, 2 lmax))``: Lg is the smooth block's
+    declared gradient Lipschitz constant, lmax = lmax(B^T B) the coupling's
+    ``lmax_btb`` (a ``LinearMap``'s declared ``norm_sq``, else one power
+    iteration).  The certificate needs ``gamma <= 1 / (2 * bound)``.
     """
     lg = problem.smooth_block.lipschitz_constant
-    try:
-        lmax = spectral_norm_sq(problem.coupling.B)
-    except SpectralNormError as err:
-        # Spectra whose edge spacing shrinks like 1/n^2 (the chain
-        # difference operator) cannot meet the change tolerance within
-        # the iteration budget; the carried estimate is a tight lower
-        # bound there and the step-size safety factor absorbs the gap.
-        lmax = err.estimate
+    lmax = problem.coupling.lmax_btb
     return float(np.sqrt(max(2.0 * lg * lg + lmax, 2.0 * lmax)))

@@ -171,11 +171,9 @@ def initial_state(problem):
 def _grad_dual(problem, gamma, resid, y, lam, augmented):
     """grad_y of the (augmented) Lagrangian at fixed x; ``resid`` is the
     already-computed primal residual at (x, y)."""
-    c = problem.coupling
-    g = problem.smooth_block.gradient(y) - c.apply_bt(lam)
     if augmented:
-        g = g + gamma * c.apply_bt(resid)
-    return g
+        lam = lam - gamma * resid
+    return problem.smooth_block.gradient(y) - problem.coupling.apply_bt(lam)
 
 
 def _advance(problem, config, state, gamma):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,21 +112,13 @@ def test_logistic_lipschitz_row_scaling():
     assert big >= spectral_norm_sq(2.0 * aux.signed) / (4.0 * aux.m) - 1e-12
 
 
-def test_difference_matrix_consistency():
-    diff = fl.DifferenceMatrix(6)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(6)
-    w = rng.standard_normal(5)
-    dense = diff.dense()
-    assert np.allclose(diff.apply(v), dense @ v, atol=1e-15)
-    assert np.allclose(diff.apply_t(w), dense.T @ w, atol=1e-15)
-    assert diff.apply(v) @ w == pytest.approx(v @ diff.apply_t(w), rel=1e-12)
-
-
-def test_difference_matrix_nonpositive_on_monotone_input():
-    diff = fl.DifferenceMatrix(7)
+def test_fused_coupling_difference_rows_on_monotone_input():
+    # rows n.. of B z are -(L y) = y_{j+1} - y_j, nonnegative for increasing y
+    B = fl.fused_coupling(7)
     v = np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 2.5, 9.0])
-    assert np.all(diff.apply(v) <= 0.0)
+    out = B @ np.concatenate([v, [5.0]])
+    assert np.array_equal(out[:7], -v)
+    assert np.all(out[7:] >= 0.0)
 
 
 def test_generate_simple_pattern_support():
@@ -177,7 +171,8 @@ def test_sparsity_report_on_planted_blocks():
 def test_problem_coupling_spectrum_small_case():
     inst = _tiny_instance(m=4, n=3)
     prob = fl.as_problem(inst, fl.FusedLogisticConfig())
-    lmax = jacobi_eigenvalues(prob.coupling.B.T @ prob.coupling.B)[-1]
+    B = np.asarray(prob.coupling.B)
+    lmax = jacobi_eigenvalues(B.T @ B)[-1]
     assert lmax == pytest.approx(4.0, rel=1e-10)
     lg = prob.smooth_block.lipschitz_constant
     assert kkt_lipschitz_bound(prob) == pytest.approx(
@@ -264,6 +259,20 @@ def test_block_pattern_sparsity_counts_in_range():
     l0, tv0 = fl.sparsity_report(rep.state.x[: inst.n])
     assert 20 <= l0 <= 120
     assert 6 <= tv0 <= 120
+
+
+def test_as_problem_memory_is_linear_in_n():
+    # a dense identity A alone would take 8 * (2n-1)^2 bytes = 3.2 GB here
+    inst = fl.generate_block_pattern(10_000, 10, 0)
+    tracemalloc.start()
+    try:
+        fl.as_problem(inst, fl.FusedLogisticConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    rep = fl.solve_fused(inst, fl.FusedLogisticConfig(), max_iters=3)
+    assert rep.iterations == 3 and np.all(np.isfinite(rep.state.x))
 
 
 def test_config_validation():

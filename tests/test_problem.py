@@ -9,6 +9,7 @@ from egadm.problem import (
     SmoothBlock,
     TwoBlockProblem,
     augmented_lagrangian,
+    identity_map,
     kkt_lipschitz_bound,
     kkt_map,
     lagrangian,
@@ -161,7 +162,8 @@ def test_lipschitz_bound_fused_coupling_matches_oracle():
     labels = np.where(A @ xh + 0.2 >= 0, 1.0, -1.0)
     inst = fl.FusedLogisticInstance(A=A, labels=labels, xhat=xh, c_true=0.2, seed=0)
     prob = fl.as_problem(inst, fl.FusedLogisticConfig())
-    lmax = jacobi_eigenvalues(prob.coupling.B.T @ prob.coupling.B)[-1]
+    B = np.asarray(prob.coupling.B)
+    lmax = jacobi_eigenvalues(B.T @ B)[-1]
     lg = prob.smooth_block.lipschitz_constant
     expected = np.sqrt(max(2 * lg * lg + lmax, 2 * lmax))
     assert kkt_lipschitz_bound(prob) == pytest.approx(expected, rel=1e-8)
@@ -226,6 +228,33 @@ def test_coupling_fast_paths_match_dense_products():
     assert np.array_equal(dense.apply_b(y), dense.B @ y)
     assert np.array_equal(dense.apply_bt(v), dense.B.T @ v)
     assert np.allclose(dense.residual(x, y), dense.A @ x + dense.B @ y - dense.b)
+
+    # identity maps return x itself and -x, bit for bit
+    plus, minus = identity_map(n), identity_map(n, -1.0)
+    assert plus @ x is x and plus.T @ x is x
+    assert np.array_equal(minus @ x, -x) and np.array_equal(minus.T @ x, -x)
+    assert np.array_equal(np.asarray(minus), -np.eye(n))
+    bp_coupling = bp.as_problem(bp.generate(n, 3, 1, 0)).coupling
+    assert bp_coupling.apply_a(x) is x
+    assert np.array_equal(bp_coupling.apply_b(x), -x)
+    assert np.array_equal(bp_coupling.apply_bt(x), -x)
+
+    # the fused map against a dense -[I 0; L 0] built from identity blocks
+    for m in (2, 3, 7, 50, 500):
+        B = fl.fused_coupling(m)
+        ref = np.zeros((2 * m - 1, m + 1))
+        ref[:m, :m] = -np.eye(m)
+        ref[m:, :m] = np.eye(m - 1, m, k=1) - np.eye(m - 1, m)
+        assert B.shape == ref.shape and B.T.shape == ref.T.shape
+        assert np.array_equal(np.asarray(B), ref) and np.array_equal(np.asarray(B.T), ref.T)
+        z, v = rng.standard_normal(m + 1), rng.standard_normal(2 * m - 1)
+        assert np.allclose(B @ z, ref @ z, rtol=0, atol=1e-14)
+        assert np.allclose(B.T @ v, ref.T @ v, rtol=0, atol=1e-14)
+        assert (B @ z) @ v == pytest.approx(z @ (B.T @ v), rel=1e-12)
+        lmax = np.linalg.eigvalsh(ref.T @ ref)[-1]
+        assert B.norm_sq == pytest.approx(lmax, rel=1e-12)
+        coupling = Coupling(A=identity_map(2 * m - 1), B=B, b=np.zeros(2 * m - 1))
+        assert coupling.lmax_btb == B.norm_sq
 
 
 def test_problem_dimension_validation():
