@@ -112,7 +112,23 @@ def test_logistic_lipschitz_row_scaling():
     assert big >= spectral_norm_sq(2.0 * aux.signed) / (4.0 * aux.m) - 1e-12
 
 
-def test_fused_coupling_difference_rows_on_monotone_input():
+def test_difference_matrix_consistency():
+    # the difference rows of the fused map against a dense L built from np.eye
+    n = 6
+    B = fl.fused_coupling(n)
+    L = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(n)
+    w = rng.standard_normal(n - 1)
+    z = np.concatenate([v, [0.0]])
+    u = np.concatenate([np.zeros(n), w])
+    assert np.allclose(B @ z, np.concatenate([-v, -(L @ v)]), atol=1e-15)
+    assert np.allclose((B.T @ u)[:n], -(L.T @ w), atol=1e-15)
+    assert (B.T @ u)[n] == 0.0
+    assert (B @ z) @ u == pytest.approx(z @ (B.T @ u), rel=1e-12)
+
+
+def test_difference_matrix_nonpositive_on_monotone_input():
     # rows n.. of B z are -(L y) = y_{j+1} - y_j, nonnegative for increasing y
     B = fl.fused_coupling(7)
     v = np.array([-3.0, -1.0, 0.0, 0.0, 2.0, 2.5, 9.0])
