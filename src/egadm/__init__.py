@@ -2,7 +2,7 @@
 programs ``min f(x) + g(y) s.t. A x + B y = b`` where f has a cheap
 structured prox and g is smooth with a known gradient Lipschitz bound."""
 
-from .linalg import SpectralNormError, spectral_norm_sq
+from .linalg import spectral_norm_sq
 from .operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
 from .problem import (
     Coupling,
@@ -43,7 +43,6 @@ __all__ = [
     "SmoothBlock",
     "SolveReport",
     "SolverConfig",
-    "SpectralNormError",
     "TwoBlockProblem",
     "VariantKind",
     "augmented_lagrangian",

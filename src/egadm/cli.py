@@ -152,15 +152,6 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    ov = SolveOverrides(
-        gamma=args.gamma,
-        safety=args.safety,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        alpha=args.alpha,
-        beta=args.beta,
-        monitor=args.monitor_lemma,
-    )
     variant = VariantKind(args.variant)
     inst = storage.load_instance(args.instance)
     if isinstance(inst, bp.BasisPursuitInstance):
@@ -169,7 +160,7 @@ def cmd_solve(args):
     else:
         kind = "fused_logistic"
         problem_id = _fused_problem_id(inst.pattern, inst.m, inst.n)
-    row, coef, failed = _run_cell(kind, inst, problem_id, variant, ov)
+    row, coef, failed = _run_cell(kind, inst, problem_id, variant, _overrides(args))
     if args.emit_coef and coef is not None:
         with open(args.emit_coef, "w", encoding="utf-8") as fh:
             for val in coef:
@@ -249,15 +240,6 @@ def write_csv(path, rows, summaries):
 
 
 def cmd_bench(args):
-    ov = SolveOverrides(
-        gamma=args.gamma,
-        safety=args.safety,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        alpha=args.alpha,
-        beta=args.beta,
-        monitor=args.monitor_lemma,
-    )
     expected = 3 if args.problem == "bp" else 2
     dims = []
     for spec_str in args.dims:
@@ -275,7 +257,7 @@ def cmd_bench(args):
         variants=variants,
         seed_base=args.seed_base,
         pattern=args.pattern,
-        overrides=ov,
+        overrides=_overrides(args),
     )
     rows, summaries = run_bench(spec)
     write_csv(args.out, rows, summaries)
@@ -291,6 +273,19 @@ def _add_solver_flags(p):
     p.add_argument("--alpha", type=float, default=5e-4, help="l1 weight (fused problems)")
     p.add_argument("--beta", type=float, default=5e-2, help="fusion weight (fused problems)")
     p.add_argument("--monitor-lemma", action="store_true", help="record the extragradient certificate and count violations")
+
+
+def _overrides(args):
+    """The ``_add_solver_flags`` values of a parsed ``solve`` or ``bench``."""
+    return SolveOverrides(
+        gamma=args.gamma,
+        safety=args.safety,
+        tol=args.tol,
+        max_iters=args.max_iters,
+        alpha=args.alpha,
+        beta=args.beta,
+        monitor=args.monitor_lemma,
+    )
 
 
 def build_parser():

@@ -99,7 +99,8 @@ def logistic_lipschitz(aux):
 
     The sigmoid's derivative never exceeds 1/4, so the Hessian is
     dominated by ``M^T M / (4m)`` with M the signed feature matrix
-    augmented by the label column (the intercept direction).
+    augmented by the label column (the intercept direction); the bound is
+    ``lmax(M^T M) / (4m)``, with lmax exact from ``spectral_norm_sq``.
     """
     augmented = np.hstack([aux.signed, aux.labels[:, None]])
     return spectral_norm_sq(augmented) / (4.0 * aux.m)

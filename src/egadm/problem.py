@@ -8,7 +8,7 @@ and B are dense matrices or ``LinearMap``s that declare their own norm.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,14 +26,12 @@ class ProxBlock:
              + (1/2) ||x - x_prev||_H^2
 
     where ``offset`` stands for ``B y - b`` at the current y and H is
-    described by ``metric``.  ``member``, when given, is a test-time
-    predicate for X membership; solvers never call it.
+    described by ``metric``.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], float]
     solve_subproblem: Callable
-    member: Optional[Callable[[np.ndarray], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,6 @@ class SmoothBlock:
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
     project: Callable[[np.ndarray], np.ndarray]
-    member: Optional[Callable[[np.ndarray], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class Coupling:
     """Linear constraint data ``A x + B y = b``; A and B are dense or ``LinearMap``s.
 
     Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
-    B declares and a dense B gets from one power iteration."""
+    B declares and a dense B gets exactly from ``spectral_norm_sq``."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
@@ -166,8 +163,9 @@ def kkt_lipschitz_bound(problem):
 
     Equals ``sqrt(max(2 Lg^2 + lmax, 2 lmax))``: Lg is the smooth block's
     declared gradient Lipschitz constant, lmax = lmax(B^T B) the coupling's
-    ``lmax_btb`` (a ``LinearMap``'s declared ``norm_sq``, else one power
-    iteration).  The certificate needs ``gamma <= 1 / (2 * bound)``.
+    ``lmax_btb`` (a ``LinearMap``'s declared ``norm_sq``, else the exact
+    ``spectral_norm_sq``), so the bound is never an estimate from below.
+    The certificate needs ``gamma <= 1 / (2 * bound)``.
     """
     lg = problem.smooth_block.lipschitz_constant
     lmax = problem.coupling.lmax_btb

@@ -50,7 +50,7 @@ def test_generate_retries_a_rank_deficient_draw(monkeypatch):
 def test_generate_unit_spectral_norm_against_oracle():
     inst = bp.generate(60, 12, 2, 5)
     top = jacobi_eigenvalues(inst.A @ inst.A.T)[-1]
-    assert np.sqrt(top) == pytest.approx(1.0, abs=1e-6)
+    assert np.sqrt(top) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generate_validates_dimensions():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from egadm import fused_logistic as fl
 from egadm import storage
 from egadm.cli import CSV_COLUMNS, main
 
@@ -70,6 +71,15 @@ def test_solve_capped_run_exits_two(tmp_path, capsys):
 def test_solve_missing_instance_exits_one(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope"), "--variant", "egl"])
     assert rc == 1
+
+
+def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
+    inst = fl.generate_block_pattern(500, 100, 0)
+    inst.A[3, 7] = np.nan
+    storage.save_fused_instance(inst, tmp_path / "nan")
+    rc = main(["solve", str(tmp_path / "nan")])
+    assert rc == 1
+    assert "non-finite entries" in capsys.readouterr().err
 
 
 def test_solve_divergence_exits_one(tmp_path, capsys):

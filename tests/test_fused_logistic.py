@@ -86,6 +86,16 @@ def test_logistic_lipschitz_rank_one():
     assert fl.logistic_lipschitz(aux) == pytest.approx((25.0 + 1.0) / 4.0, rel=1e-9)
 
 
+def test_logistic_lipschitz_is_exact_not_a_lower_estimate():
+    # the step-size rule needs an upper bound, so the constant must not
+    # fall short of the augmented matrix's squared top singular value
+    inst = fl.generate_simple_pattern(1000, 1, m=500)
+    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+    augmented = np.hstack([aux.signed, aux.labels[:, None]])
+    expected = np.linalg.svd(augmented, compute_uv=False)[0] ** 2 / (4.0 * aux.m)
+    assert fl.logistic_lipschitz(aux) == pytest.approx(expected, rel=1e-12)
+
+
 def test_logistic_lipschitz_bounds_sampled_gradient_differences():
     rng = np.random.default_rng(4)
     inst = _tiny_instance(m=20, n=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import SpectralNormError, spectral_norm_sq
+from egadm.linalg import spectral_norm_sq
 from oracles import jacobi_eigenvalues
 
 
@@ -13,11 +13,17 @@ def test_spectral_norm_diagonal():
     assert spectral_norm_sq(np.diag([2.0, 1.0])) == pytest.approx(4.0, rel=1e-12)
 
 
+# The Jacobi oracle stops once its off-diagonal Frobenius norm is below
+# 1e-13 * max(1, max diagonal), which by Weyl's inequality moves no
+# eigenvalue of these lmax >= 1 Gram matrices by more than 1.5e-13
+# relative; rel=1e-12 leaves room for rounding.
+
+
 def test_spectral_norm_matches_jacobi_oracle():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 8))
     expected = jacobi_eigenvalues(m.T @ m)[-1]
-    assert spectral_norm_sq(m) == pytest.approx(expected, rel=1e-8)
+    assert spectral_norm_sq(m) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_transpose_symmetry():
@@ -26,42 +32,38 @@ def test_spectral_norm_transpose_symmetry():
         m = rng.standard_normal((rng.integers(2, 12), rng.integers(2, 12)))
         a = spectral_norm_sq(m)
         b = spectral_norm_sq(m.T)
-        assert a == pytest.approx(b, rel=1e-8)
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_spectral_norm_difference_operator():
-    # the all-ones direction is annihilated by the forward-difference
-    # operator; the estimate must still find the dominant eigenvalue
+    # the all-ones direction is annihilated by the forward-difference operator
     n = 6
     diff = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
     expected = jacobi_eigenvalues(diff.T @ diff)[-1]
-    assert spectral_norm_sq(diff) == pytest.approx(expected, rel=1e-8)
+    assert spectral_norm_sq(diff) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_when_ones_is_a_nondominant_eigenvector():
     # ones is an exact eigenvector of I + D^T D at eigenvalue 1, far below
-    # the top of the spectrum; a pure all-ones start would stall there
+    # the top of the spectrum
     n = 7
     diff = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
     stacked = np.vstack([np.eye(n), diff])
     expected = jacobi_eigenvalues(stacked.T @ stacked)[-1]
-    assert spectral_norm_sq(stacked) == pytest.approx(expected, rel=1e-8)
+    assert spectral_norm_sq(stacked) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_norm_zero_matrix():
     assert spectral_norm_sq(np.zeros((3, 4))) == 0.0
 
 
-def test_spectral_norm_nonconvergence_carries_estimate():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((6, 6))
-    with pytest.raises(SpectralNormError) as exc:
-        spectral_norm_sq(m, tol=1e-14, max_iters=2)
-    assert exc.value.estimate > 0.0
-
-
 def test_spectral_norm_input_validation():
     with pytest.raises(ValueError):
         spectral_norm_sq(np.zeros((0, 3)))
     with pytest.raises(ValueError):
-        spectral_norm_sq(np.eye(2), tol=0.0)
+        spectral_norm_sq(np.ones(3))
+    for bad in (np.nan, np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            spectral_norm_sq(m)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from egadm import basis_pursuit as bp
-from egadm.operators import solve_l1_subproblem
+from egadm.operators import MetricH, solve_l1_subproblem
 from egadm.problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem
 from egadm.solver import (
     DivergenceError,
@@ -332,6 +332,26 @@ def test_auto_step_size_uses_safety_over_lipschitz_bound():
     assert gamma == pytest.approx(0.9 / (2 * np.sqrt(2)), rel=1e-9)
     explicit = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL, gamma=0.05))
     assert explicit == 0.05
+
+
+def test_solve_checks_the_gram_cancelling_metric():
+    # H = tau*I - gamma*A^T A is positive definite only for tau > gamma*lmax(A^T A),
+    # and lmax = 1 for the basis-pursuit coupling A = I
+    inst = bp.BasisPursuitInstance(
+        A=np.array([[1.0, 0.0]]), b=np.array([1.0]), xhat=np.array([1.0, 0.0]),
+        s=1, seed=0,
+    )
+    prob = bp.as_problem(inst)
+    gamma = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL))
+    with pytest.raises(ValueError, match="tau"):
+        solve(prob, SolverConfig(
+            variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(gamma)
+        ))
+    rep = solve(prob, SolverConfig(
+        variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(2 * gamma)
+    ))
+    assert rep.converged
+    assert np.linalg.norm(rep.state.x - np.array([1.0, 0.0])) <= 1e-3
 
 
 def test_solver_config_validation():
