@@ -11,17 +11,12 @@ step size keeps every value below zero; deliberately taking a 50x step
 produces positive values within a few iterations and then divergence.
 """
 
+import itertools
+
 import numpy as np
 
 from egadm import basis_pursuit as bp
-from egadm.solver import (
-    DivergenceError,
-    SolverConfig,
-    VariantKind,
-    _advance,
-    initial_state,
-    solve,
-)
+from egadm.solver import DivergenceError, SolverConfig, VariantKind, iterate, solve
 
 inst = bp.generate(100, 20, 2, 0)
 problem = bp.as_problem(inst)
@@ -35,11 +30,9 @@ print(f"admissible step size: {report.iterations} iterations, "
 
 gamma = 50 / (2 * np.sqrt(2))
 config = SolverConfig(variant=VariantKind.EGL, gamma=gamma, monitor_certificate=True)
-state = initial_state(problem)
 print(f"oversized step size gamma = {gamma:.2f}:")
 try:
-    for k in range(1, 21):
-        state, info = _advance(problem, config, state, gamma)
-        print(f"  iteration {k}: certificate {info.certificate:+.3e}")
+    for state, info in itertools.islice(iterate(problem, config), 20):
+        print(f"  iteration {state.k}: certificate {info.certificate:+.3e}")
 except DivergenceError as exc:
     print(f"  {exc}")

@@ -27,6 +27,7 @@ from .solver import (
     extragradient_certificate,
     gap_surrogate,
     initial_state,
+    iterate,
     resolve_gamma,
     solve,
     step,
@@ -52,6 +53,7 @@ __all__ = [
     "gap_surrogate",
     "identity_map",
     "initial_state",
+    "iterate",
     "kkt_lipschitz_bound",
     "kkt_map",
     "lagrangian",

@@ -7,6 +7,7 @@ supplied as callables bundled with their dimensions.  The coupling's A
 and B are dense matrices or ``LinearMap``s that declare their own norm.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,12 +78,18 @@ def identity_map(n, sign=1.0):
     return LinearMap((n, n), op, op, 1.0)
 
 
+def _norm_sq(M):
+    """lmax(M^T M): a ``LinearMap``'s declared ``norm_sq``, else one exact SVD."""
+    return M.norm_sq if isinstance(M, LinearMap) else spectral_norm_sq(M)
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Linear constraint data ``A x + B y = b``; A and B are dense or ``LinearMap``s.
 
     Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
-    B declares and a dense B gets exactly from ``spectral_norm_sq``."""
+    B declares and a dense B gets exactly from ``spectral_norm_sq``;
+    ``lmax_ata`` = lmax(A^T A) likewise, taken on first use."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
@@ -96,9 +103,13 @@ class Coupling:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
-        lmax = B.norm_sq if isinstance(B, LinearMap) else spectral_norm_sq(B)
+        lmax = _norm_sq(B)
         for name, value in zip(("A", "B", "b", "Bt", "lmax_btb"), (A, B, b, B.T, lmax)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def lmax_ata(self):
+        return _norm_sq(self.A)
 
     def apply_a(self, x):
         return self.A @ x

@@ -1,11 +1,12 @@
 """Variant-parametric iteration engine.
 
-Four variants share one loop.  Every iteration first solves the
-structured x-subproblem at the current (y, lam), then advances the
-(y, lam) pair with projected gradient steps on the Lagrangian (plain or
-augmented).  The plain-gradient variants take a single step; the
-extragradient variants first move to a midpoint and take the final step
-using gradients evaluated there:
+Four variants share one loop body, run by the generator ``iterate``
+that ``solve``, ``step`` and ``ergodic_checkpoints`` consume.  Every
+iteration first solves the structured x-subproblem at the current
+(y, lam), then advances the (y, lam) pair with projected gradient steps
+on the Lagrangian (plain or augmented).  The plain-gradient variants
+take a single step; the extragradient variants first move to a midpoint
+and take the final step using gradients evaluated there:
 
     GL / GAL    y+ = proj(y - gamma * grad_y)           (plain / augmented)
                 lam+ = lam - gamma * (A x+ + B y+ - b)
@@ -22,6 +23,7 @@ complexity bound speaks about.  For GL/GAL the sums accumulate
 """
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import spectral_norm_sq
 from .operators import MetricH
 from .problem import kkt_lipschitz_bound, lagrangian
 
@@ -90,7 +91,6 @@ class SolverConfig:
     max_iters: int = 20000
     tol: float = 1e-4
     monitor_certificate: bool = False
-    record_history: bool = False
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma <= 0:
@@ -128,16 +128,15 @@ class StepInfo:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solve: counts, histories, and final/averaged iterates."""
+    """Outcome of a solve: counts, certificate history, and the final state
+    (whose running sums give ``ergodic_averages``)."""
 
     iterations: int
     converged: bool
-    residual_history: list
     certificate_history: list
     lemma_violations: int
     wall_time: float
     state: IterateState
-    ergodic: Optional[tuple]
 
 
 def resolve_gamma(problem, config):
@@ -168,14 +167,6 @@ def initial_state(problem):
     )
 
 
-def _grad_dual(problem, gamma, resid, y, lam, augmented):
-    """grad_y of the (augmented) Lagrangian at fixed x; ``resid`` is the
-    already-computed primal residual at (x, y)."""
-    if augmented:
-        lam = lam - gamma * resid
-    return problem.smooth_block.gradient(y) - problem.coupling.apply_bt(lam)
-
-
 def _advance(problem, config, state, gamma):
     variant = config.variant
     c = problem.coupling
@@ -186,47 +177,41 @@ def _advance(problem, config, state, gamma):
     x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, config.metric)
     ax_next = c.apply_a(x_next)
     resid_k = ax_next + offset
-
+    # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
+    # lam - gamma * resid for the augmented variants
+    pull = lam - gamma * resid_k if variant.augmented else lam
+    y_mid = sm.project(y - gamma * (sm.gradient(y) - c.apply_bt(pull)))
+    resid_mid = ax_next + c.apply_b(y_mid) - c.b
+    lam_next = lam - gamma * resid_mid
     if variant.extragradient:
-        g = _grad_dual(problem, gamma, resid_k, y, lam, variant.augmented)
-        y_mid = sm.project(y - gamma * g)
         lam_mid = lam - gamma * resid_k
-        resid_mid = ax_next + c.apply_b(y_mid) - c.b
-        g_mid = _grad_dual(problem, gamma, resid_mid, y_mid, lam_mid, variant.augmented)
+        grad_mid = sm.gradient(y_mid)
+        pull = lam_mid - gamma * resid_mid if variant.augmented else lam_mid
+        g_mid = grad_mid - c.apply_bt(pull)
         y_next = sm.project(y - gamma * g_mid)
-        lam_next = lam - gamma * resid_mid
-        acc = (x_next, y_mid, lam_mid)
-        stop_resid = resid_mid
     else:
-        g = _grad_dual(problem, gamma, resid_k, y, lam, variant.augmented)
-        y_next = sm.project(y - gamma * g)
-        resid_next = ax_next + c.apply_b(y_next) - c.b
-        lam_next = lam - gamma * resid_next
-        # No midpoints for the plain-gradient variants; the fields track
-        # the accumulated pair so downstream code has one shape to handle.
-        y_mid, lam_mid = y_next, lam_next
-        acc = (x_next, y_next, lam_next)
-        stop_resid = resid_next
+        # Plain-gradient variants end at (y_mid, lam_next); the midpoint
+        # fields repeat that pair so downstream code has one shape to handle.
+        y_next, lam_mid = y_mid, lam_next
 
-    k_next = state.k + 1
-    resid_norm = float(np.linalg.norm(stop_resid))
-    movement = float(
-        np.sqrt(
-            np.linalg.norm(y_next - y) ** 2 + np.linalg.norm(lam_next - lam) ** 2
-        )
-    )
+    resid_norm = float(np.linalg.norm(resid_mid))
+    dist_sq = np.linalg.norm(y_next - y) ** 2 + np.linalg.norm(lam_next - lam) ** 2
+    movement = float(np.sqrt(dist_sq))
     # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
     # scalars, and NaN fails every comparison.
     if not (
         resid_norm <= DIVERGENCE_LIMIT
         and math.isfinite(movement + float(np.sum(x_next)))
     ):
-        raise DivergenceError(variant, k_next)
+        raise DivergenceError(variant, state.k + 1)
 
     certificate = None
     if config.monitor_certificate and variant.extragradient:
-        certificate = extragradient_certificate(
-            problem, gamma, x_next, (y, lam), (y_mid, lam_mid), (y_next, lam_next)
+        # F(x+, z_mid) from the values above: its bottom is resid_mid, its
+        # top is g_mid without the augmented pull
+        f_top = grad_mid - c.apply_bt(lam_mid) if variant.augmented else g_mid
+        certificate = _certificate(
+            gamma, f_top, resid_mid, (y_mid, lam_mid), (y_next, lam_next), float(dist_sq)
         )
 
     new_state = IterateState(
@@ -235,30 +220,53 @@ def _advance(problem, config, state, gamma):
         lam=lam_next,
         y_mid=y_mid,
         lam_mid=lam_mid,
-        k=k_next,
-        sum_x=state.sum_x + acc[0],
-        sum_y=state.sum_y + acc[1],
-        sum_lam=state.sum_lam + acc[2],
+        k=state.k + 1,
+        sum_x=state.sum_x + x_next,
+        sum_y=state.sum_y + y_mid,
+        sum_lam=state.sum_lam + lam_mid,
     )
     return new_state, StepInfo(
-        residual=stop_resid,
+        residual=resid_mid,
         residual_norm=resid_norm,
         movement=movement,
         certificate=certificate,
     )
 
 
-def step(problem, config, state, gamma=None):
-    """One full iteration of the configured variant.
+def iterate(problem, config, init=None):
+    """Endless generator of ``(state, StepInfo)``, one pair per iteration.
 
-    ``gamma``, when given, overrides the config (callers looping over
-    ``step`` should resolve the automatic step size once instead of per
-    call).  Raises DivergenceError on non-finite iterates.
+    The set-up runs here, when ``iterate`` is called: the step size is
+    resolved, a gram-cancelling metric is checked against it, and the
+    start is ``init`` or ``initial_state(problem)``.  The iteration stops
+    only when the caller does, or with DivergenceError.
     """
-    if gamma is None:
-        gamma = resolve_gamma(problem, config)
-    new_state, _ = _advance(problem, config, state, gamma)
-    return new_state
+    gamma = resolve_gamma(problem, config)
+    _validate_metric(problem, config, gamma)
+    state = initial_state(problem) if init is None else init
+
+    def run(state):
+        while True:
+            state, info = _advance(problem, config, state, gamma)
+            yield state, info
+
+    return run(state)
+
+
+def step(problem, config, state):
+    """One full iteration of the configured variant from ``state``.
+
+    Raises DivergenceError on non-finite iterates; loops should use
+    ``iterate``, which resolves the step size once.
+    """
+    return next(iterate(problem, config, state))[0]
+
+
+def _certificate(gamma, f_top, f_bottom, z_mid, z_next, dist_sq):
+    """``gamma * <F, z_mid - z_next> - dist_sq / 2`` with F = (f_top, f_bottom)."""
+    (y_mid, lam_mid), (y_next, lam_next) = z_mid, z_next
+    inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
+    return gamma * inner - 0.5 * dist_sq
 
 
 def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
@@ -268,20 +276,15 @@ def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
     z_next||^2`` where F stacks the smooth block's dual gradient and the
     primal residual.  Whenever ``gamma <= 1 / (2 * Lhat)`` this value is
     nonpositive up to round-off; positive values beyond a small slack
-    indicate the step size violates the admissible range.
+    indicate the step size violates the admissible range.  The solver
+    evaluates it from its own iteration values, bit for bit equal to this.
     """
     c = problem.coupling
-    y_prev, lam_prev = z_prev
     y_mid, lam_mid = z_mid
-    y_next, lam_next = z_next
     f_top = problem.smooth_block.gradient(y_mid) - c.apply_bt(lam_mid)
     f_bottom = c.apply_a(x_next) + c.apply_b(y_mid) - c.b
-    inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
-    dist_sq = (
-        float(np.linalg.norm(y_prev - y_next) ** 2)
-        + float(np.linalg.norm(lam_prev - lam_next) ** 2)
-    )
-    return gamma * inner - 0.5 * dist_sq
+    dist_sq = sum(float(np.linalg.norm(p - q) ** 2) for p, q in zip(z_prev, z_next))
+    return _certificate(gamma, f_top, f_bottom, z_mid, z_next, dist_sq)
 
 
 def ergodic_averages(state):
@@ -310,7 +313,7 @@ def _validate_metric(problem, config, gamma):
     metric = config.metric
     if metric.kind != "scaled_identity_minus_gram":
         return
-    lmax = spectral_norm_sq(problem.coupling.A)
+    lmax = problem.coupling.lmax_ata
     if metric.tau <= gamma * lmax:
         raise ValueError(
             f"metric tau {metric.tau:g} must exceed gamma * lmax(A^T A) "
@@ -327,41 +330,30 @@ def solve(problem, config, init=None, stop_rule=None):
     the new iterate otherwise.  ``stop_rule``, when given, replaces the
     default; it receives each iteration's StepInfo.  The rule is checked
     every iteration, including the one that would hit the cap.
+    ``wall_time`` covers the iterations only, not the set-up.
     """
-    gamma = resolve_gamma(problem, config)
-    _validate_metric(problem, config, gamma)
+    if stop_rule is None:
+        def stop_rule(info):
+            return info.residual_norm < config.tol and info.movement < config.tol
     state = initial_state(problem) if init is None else init
-    residual_history = []
+    steps = itertools.islice(iterate(problem, config, state), config.max_iters)
     certificate_history = []
-    violations = 0
     converged = False
     start = time.perf_counter()
-    for _ in range(config.max_iters):
-        state, info = _advance(problem, config, state, gamma)
-        if config.record_history:
-            residual_history.append(info.residual_norm)
+    for state, info in steps:
         if info.certificate is not None:
             certificate_history.append(info.certificate)
-            if info.certificate > CERTIFICATE_SLACK:
-                violations += 1
-        if stop_rule is not None:
-            stopped = bool(stop_rule(info))
-        else:
-            stopped = info.residual_norm < config.tol and info.movement < config.tol
-        if stopped:
+        if stop_rule(info):
             converged = True
             break
     wall = time.perf_counter() - start
-    ergodic = ergodic_averages(state) if state.k > 0 else None
     return SolveReport(
         iterations=state.k,
         converged=converged,
-        residual_history=residual_history,
         certificate_history=certificate_history,
-        lemma_violations=violations,
+        lemma_violations=sum(v > CERTIFICATE_SLACK for v in certificate_history),
         wall_time=wall,
         state=state,
-        ergodic=ergodic,
     )
 
 
@@ -371,15 +363,8 @@ def ergodic_checkpoints(problem, config, checkpoints, init=None):
     Returns a list of (x, y, lam) average triples, one per checkpoint,
     in increasing checkpoint order.
     """
-    marks = sorted(set(int(k) for k in checkpoints))
-    if not marks or marks[0] < 1:
+    marks = {int(k) for k in checkpoints}
+    if not marks or min(marks) < 1:
         raise ValueError("checkpoints must be positive iteration counts")
-    gamma = resolve_gamma(problem, config)
-    state = initial_state(problem) if init is None else init
-    out = []
-    wanted = set(marks)
-    for _ in range(marks[-1]):
-        state, _ = _advance(problem, config, state, gamma)
-        if state.k in wanted:
-            out.append(ergodic_averages(state))
-    return out
+    steps = itertools.islice(iterate(problem, config, init), max(marks))
+    return [ergodic_averages(state) for state, _ in steps if state.k in marks]

@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
+from egadm import problem as problem_module
 from egadm.problem import (
     Coupling,
+    LinearMap,
     ProxBlock,
     SmoothBlock,
     TwoBlockProblem,
@@ -255,6 +259,34 @@ def test_coupling_fast_paths_match_dense_products():
         assert B.norm_sq == pytest.approx(lmax, rel=1e-12)
         coupling = Coupling(A=identity_map(2 * m - 1), B=B, b=np.zeros(2 * m - 1))
         assert coupling.lmax_btb == B.norm_sq
+
+
+@dataclass(frozen=True)
+class _TaggedCoupling(Coupling):
+    tag: str = ""
+
+
+def test_coupling_lmax_ata_is_declared_or_exact_and_lazy(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 6))
+    calls = []
+
+    def counted(mat, real=problem_module.spectral_norm_sq):
+        calls.append(np.shape(mat))
+        return real(mat)
+
+    monkeypatch.setattr(problem_module, "spectral_norm_sq", counted)
+    for cls in (Coupling, _TaggedCoupling):
+        calls.clear()
+        dense = cls(A=A, B=identity_map(4, -1.0), b=np.zeros(4))
+        assert calls == []  # B declares its norm; A's SVD waits for first use
+        lmax = np.linalg.eigvalsh(A.T @ A)[-1]
+        assert dense.lmax_ata == pytest.approx(lmax, rel=1e-12)
+        assert dense.lmax_ata == pytest.approx(lmax, rel=1e-12)
+        assert calls == [(4, 6)]
+    doubled = LinearMap((4, 4), lambda v: 2 * v, lambda v: 2 * v, 4.0)
+    assert Coupling(A=doubled, B=-np.eye(4), b=np.zeros(4)).lmax_ata == 4.0
+    assert calls == [(4, 6), (4, 4)]  # the dense B only
 
 
 def test_problem_dimension_validation():

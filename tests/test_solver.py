@@ -1,21 +1,24 @@
-from dataclasses import replace
+import itertools
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from egadm import basis_pursuit as bp
+from egadm import fused_logistic as fl
 from egadm.operators import MetricH, solve_l1_subproblem
-from egadm.problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem
+from egadm.problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem
 from egadm.solver import (
     DivergenceError,
     SolverConfig,
     VariantKind,
-    _advance,
     ergodic_averages,
     ergodic_checkpoints,
     extragradient_certificate,
     gap_surrogate,
     initial_state,
+    iterate,
     resolve_gamma,
     solve,
     step,
@@ -262,11 +265,15 @@ def test_solve_recovers_analytic_l1_minimizer():
 def test_solve_histories_are_deterministic():
     inst = bp.generate(60, 15, 3, 9)
     prob = bp.as_problem(inst)
-    cfg = SolverConfig(variant=VariantKind.EGAL, record_history=True, max_iters=500, tol=0.0)
-    first = solve(prob, cfg)
-    second = solve(prob, cfg)
-    assert first.residual_history == second.residual_history
-    assert len(first.residual_history) == first.iterations
+    cfg = SolverConfig(variant=VariantKind.EGAL, max_iters=500, tol=0.0)
+
+    def residual_norms():
+        steps = itertools.islice(iterate(prob, cfg), cfg.max_iters)
+        return [info.residual_norm for _, info in steps]
+
+    first = residual_norms()
+    assert first == residual_norms()
+    assert len(first) == solve(prob, cfg).iterations
 
 
 def test_divergence_error_names_variant_and_iteration():
@@ -305,11 +312,9 @@ def test_certificate_violations_under_oversized_step():
     prob = bp.as_problem(inst)
     gamma = 50 / (2 * np.sqrt(2))
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=gamma, monitor_certificate=True)
-    state = initial_state(prob)
     vals = []
     with pytest.raises(DivergenceError):
-        for _ in range(50):
-            state, info = _advance(prob, cfg, state, gamma)
+        for _, info in itertools.islice(iterate(prob, cfg), 50):
             vals.append(info.certificate)
     assert any(v > 1e-10 for v in vals)
 
@@ -343,10 +348,15 @@ def test_solve_checks_the_gram_cancelling_metric():
     )
     prob = bp.as_problem(inst)
     gamma = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL))
+    bad = SolverConfig(
+        variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(gamma)
+    )
     with pytest.raises(ValueError, match="tau"):
-        solve(prob, SolverConfig(
-            variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(gamma)
-        ))
+        solve(prob, bad)
+    with pytest.raises(ValueError, match="tau"):
+        step(prob, bad, initial_state(prob))
+    with pytest.raises(ValueError, match="tau"):
+        ergodic_checkpoints(prob, bad, [5])
     rep = solve(prob, SolverConfig(
         variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(2 * gamma)
     ))
@@ -372,3 +382,89 @@ def test_ergodic_checkpoints_validation():
         ergodic_checkpoints(prob, cfg, [0, 5])
     triples = ergodic_checkpoints(prob, cfg, [2, 4])
     assert len(triples) == 2
+
+
+def test_gram_metric_check_reads_the_declared_norm(monkeypatch):
+    # bp's A is identity_map(n), which declares norm_sq = 1; densifying it
+    # into an n x n matrix for an SVD would go through __array__
+    def no_dense(*_args, **_kwargs):
+        raise AssertionError("LinearMap densified")
+
+    monkeypatch.setattr(LinearMap, "__array__", no_dense)
+    prob = bp.as_problem(bp.generate(40, 10, 2, 3))
+    gamma = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGAL))
+    rep = solve(prob, SolverConfig(
+        variant=VariantKind.EGAL, metric=MetricH.scaled_identity_minus_gram(2 * gamma)
+    ))
+    assert rep.converged
+
+
+def _certificate_problems():
+    yield "bp", bp.as_problem(bp.generate(100, 20, 2, 0))
+    inst = fl.generate_block_pattern(500, 100, 0)
+    yield "fused", fl.as_problem(inst, fl.FusedLogisticConfig(alpha=2e-2, beta=5e-2))
+
+
+@pytest.mark.parametrize("variant", [VariantKind.EGL, VariantKind.EGAL])
+def test_monitored_certificate_equals_the_reference_evaluation(variant):
+    cfg = SolverConfig(variant=variant, monitor_certificate=True)
+    for name, prob in _certificate_problems():
+        gamma = resolve_gamma(prob, cfg)
+        prev = initial_state(prob)
+        for state, info in itertools.islice(iterate(prob, cfg), 50):
+            ref = extragradient_certificate(
+                prob, gamma, state.x, (prev.y, prev.lam),
+                (state.y_mid, state.lam_mid), (state.y, state.lam),
+            )
+            assert info.certificate == ref, (name, state.k)
+            prev = state
+
+
+@dataclass(frozen=True)
+class _CountingCoupling(Coupling):
+    calls: Counter = field(default_factory=Counter)
+
+    def apply_a(self, x):
+        self.calls["apply_a"] += 1
+        return super().apply_a(x)
+
+    def apply_b(self, y):
+        self.calls["apply_b"] += 1
+        return super().apply_b(y)
+
+    def apply_bt(self, v):
+        self.calls["apply_bt"] += 1
+        return super().apply_bt(v)
+
+
+def _calls_per_iteration(prob, cfg):
+    c = prob.coupling
+    coupling = _CountingCoupling(A=c.A, B=c.B, b=c.b)
+    calls = coupling.calls
+    gradient = prob.smooth_block.gradient
+
+    def counted_gradient(y):
+        calls["gradient"] += 1
+        return gradient(y)
+
+    counted = replace(
+        prob,
+        coupling=coupling,
+        smooth_block=replace(prob.smooth_block, gradient=counted_gradient),
+    )
+    steps = iterate(counted, cfg)
+    next(steps)
+    calls.clear()
+    next(steps)
+    return dict(calls)
+
+
+def test_monitored_iteration_reuses_the_products_it_computed():
+    prob = bp.as_problem(bp.generate(100, 20, 2, 0))
+    for variant, bt_calls in ((VariantKind.EGL, 2), (VariantKind.EGAL, 3)):
+        cfg = SolverConfig(variant=variant, monitor_certificate=True)
+        assert _calls_per_iteration(prob, cfg) == {
+            "gradient": 2, "apply_a": 1, "apply_b": 2, "apply_bt": bt_calls,
+        }, variant
+    unmonitored = _calls_per_iteration(prob, SolverConfig(variant=VariantKind.EGAL))
+    assert unmonitored["apply_bt"] == 2
