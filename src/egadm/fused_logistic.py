@@ -71,12 +71,10 @@ def _softplus(t):
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # exp(-|t|) never overflows: it is exp(-t) where t >= 0 and exp(t) elsewhere
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def logistic_value(aux, y, c):

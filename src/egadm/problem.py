@@ -27,7 +27,8 @@ class ProxBlock:
              + (1/2) ||x - x_prev||_H^2
 
     where ``offset`` stands for ``B y - b`` at the current y and H is
-    described by ``metric``.
+    described by ``metric``.  It must not write into its arguments: with
+    ``B = identity_map(n)`` and ``b = 0``, ``offset`` is the iterate y itself.
     """
 
     dim: int
@@ -89,7 +90,11 @@ class Coupling:
 
     Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
     B declares and a dense B gets exactly from ``spectral_norm_sq``;
-    ``lmax_ata`` = lmax(A^T A) likewise, taken on first use."""
+    ``lmax_ata`` = lmax(A^T A) likewise, taken on first use.  ``b_is_zero``
+    records whether every entry of b is +0.0, so that subtracting b would
+    return its operand bit for bit (``v - (-0.0)`` turns ``-0.0`` into
+    ``+0.0``, so a negative zero does not count).  b is kept as a read-only
+    copy, so the flag cannot go stale."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
@@ -98,13 +103,17 @@ class Coupling:
     def __post_init__(self):
         A, B = (m if isinstance(m, LinearMap) else np.asarray(m, dtype=float)
                 for m in (self.A, self.B))
-        b = np.asarray(self.b, dtype=float)
+        b = np.array(self.b, dtype=float)  # a read-only copy: b_is_zero stays true to it
+        b.flags.writeable = False
         if len(A.shape) != 2 or len(B.shape) != 2 or b.ndim != 1:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
         lmax = _norm_sq(B)
-        for name, value in zip(("A", "B", "b", "Bt", "lmax_btb"), (A, B, b, B.T, lmax)):
+        b_is_zero = not b.view(np.uint64).any()  # every bit clear: +0.0 only
+        for name, value in zip(
+            ("A", "B", "b", "Bt", "lmax_btb", "b_is_zero"), (A, B, b, B.T, lmax, b_is_zero)
+        ):
             object.__setattr__(self, name, value)
 
     @functools.cached_property

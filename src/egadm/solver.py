@@ -101,9 +101,15 @@ class SolverConfig:
             raise ValueError("max_iters and tol must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterateState:
-    """Current iterates plus midpoints and running ergodic sums."""
+    """Current iterates plus midpoints and running ergodic sums.
+
+    Treat it as immutable: nothing may assign to its fields or write into
+    its arrays.  ``dataclasses.replace`` makes a modified copy.  (It is not
+    ``frozen`` because a frozen ``__init__`` is a measurable part of one
+    iteration.)
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -116,9 +122,10 @@ class IterateState:
     sum_lam: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepInfo:
-    """Per-iteration diagnostics used by stop rules and monitors."""
+    """Per-iteration diagnostics used by stop rules and monitors; like
+    ``IterateState``, never mutated by its readers."""
 
     residual: np.ndarray
     residual_norm: float      # 2-norm of ``residual``
@@ -167,26 +174,37 @@ def initial_state(problem):
     )
 
 
-def _advance(problem, config, state, gamma):
-    variant = config.variant
+def _norm(v):
+    """``np.linalg.norm(v)`` of a contiguous 1-d float array, without its
+    wrapper: the same ``v.dot(v)`` and a correctly rounded square root."""
+    return np.float64(math.sqrt(v.dot(v)))
+
+
+def _advance(problem, config, state, gamma, extragradient, augmented):
     c = problem.coupling
     sm = problem.smooth_block
     x, y, lam = state.x, state.y, state.lam
 
-    offset = c.apply_b(y) - c.b
+    # ``v - 0.0`` is v bit for bit, so a zero b is not subtracted
+    offset = c.apply_b(y)
+    if not c.b_is_zero:
+        offset = offset - c.b
     x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, config.metric)
     ax_next = c.apply_a(x_next)
-    resid_k = ax_next + offset
+    # the residual at the current y; GL never reads it
+    resid_k = ax_next + offset if augmented or extragradient else None
     # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
     # lam - gamma * resid for the augmented variants
-    pull = lam - gamma * resid_k if variant.augmented else lam
+    pull = lam - gamma * resid_k if augmented else lam
     y_mid = sm.project(y - gamma * (sm.gradient(y) - c.apply_bt(pull)))
-    resid_mid = ax_next + c.apply_b(y_mid) - c.b
+    resid_mid = ax_next + c.apply_b(y_mid)
+    if not c.b_is_zero:
+        resid_mid = resid_mid - c.b
     lam_next = lam - gamma * resid_mid
-    if variant.extragradient:
+    if extragradient:
         lam_mid = lam - gamma * resid_k
         grad_mid = sm.gradient(y_mid)
-        pull = lam_mid - gamma * resid_mid if variant.augmented else lam_mid
+        pull = lam_mid - gamma * resid_mid if augmented else lam_mid
         g_mid = grad_mid - c.apply_bt(pull)
         y_next = sm.project(y - gamma * g_mid)
     else:
@@ -194,43 +212,40 @@ def _advance(problem, config, state, gamma):
         # fields repeat that pair so downstream code has one shape to handle.
         y_next, lam_mid = y_mid, lam_next
 
-    resid_norm = float(np.linalg.norm(resid_mid))
-    dist_sq = np.linalg.norm(y_next - y) ** 2 + np.linalg.norm(lam_next - lam) ** 2
-    movement = float(np.sqrt(dist_sq))
+    resid_norm = float(_norm(resid_mid))
+    # ``** 2`` as in ``np.linalg.norm(v) ** 2``: ``r * r`` rounds differently
+    # for about 1 r in 1700
+    dist_sq = _norm(y_next - y) ** 2 + _norm(lam_next - lam) ** 2
+    movement = math.sqrt(dist_sq)
     # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
     # scalars, and NaN fails every comparison.
     if not (
         resid_norm <= DIVERGENCE_LIMIT
-        and math.isfinite(movement + float(np.sum(x_next)))
+        and math.isfinite(movement + float(x_next.sum()))
     ):
-        raise DivergenceError(variant, state.k + 1)
+        raise DivergenceError(config.variant, state.k + 1)
 
     certificate = None
-    if config.monitor_certificate and variant.extragradient:
+    if config.monitor_certificate and extragradient:
         # F(x+, z_mid) from the values above: its bottom is resid_mid, its
         # top is g_mid without the augmented pull
-        f_top = grad_mid - c.apply_bt(lam_mid) if variant.augmented else g_mid
+        f_top = grad_mid - c.apply_bt(lam_mid) if augmented else g_mid
         certificate = _certificate(
             gamma, f_top, resid_mid, (y_mid, lam_mid), (y_next, lam_next), float(dist_sq)
         )
 
     new_state = IterateState(
-        x=x_next,
-        y=y_next,
-        lam=lam_next,
-        y_mid=y_mid,
-        lam_mid=lam_mid,
-        k=state.k + 1,
-        sum_x=state.sum_x + x_next,
-        sum_y=state.sum_y + y_mid,
-        sum_lam=state.sum_lam + lam_mid,
+        x_next,
+        y_next,
+        lam_next,
+        y_mid,
+        lam_mid,
+        state.k + 1,
+        state.sum_x + x_next,
+        state.sum_y + y_mid,
+        state.sum_lam + lam_mid,
     )
-    return new_state, StepInfo(
-        residual=resid_mid,
-        residual_norm=resid_norm,
-        movement=movement,
-        certificate=certificate,
-    )
+    return new_state, StepInfo(resid_mid, resid_norm, movement, certificate)
 
 
 def iterate(problem, config, init=None):
@@ -244,10 +259,12 @@ def iterate(problem, config, init=None):
     gamma = resolve_gamma(problem, config)
     _validate_metric(problem, config, gamma)
     state = initial_state(problem) if init is None else init
+    # the variant's two traits, read once instead of on every step
+    extragradient, augmented = config.variant.extragradient, config.variant.augmented
 
     def run(state):
         while True:
-            state, info = _advance(problem, config, state, gamma)
+            state, info = _advance(problem, config, state, gamma, extragradient, augmented)
             yield state, info
 
     return run(state)
@@ -331,6 +348,10 @@ def solve(problem, config, init=None, stop_rule=None):
     default; it receives each iteration's StepInfo.  The rule is checked
     every iteration, including the one that would hit the cap.
     ``wall_time`` covers the iterations only, not the set-up.
+
+    ``max_iters`` caps the new steps of this call, while the report's
+    ``iterations`` is the final ``state.k``: a run from ``init`` counts
+    ``init.k`` in it too.
     """
     if stop_rule is None:
         def stop_rule(info):
@@ -360,11 +381,15 @@ def solve(problem, config, init=None, stop_rule=None):
 def ergodic_checkpoints(problem, config, checkpoints, init=None):
     """Run without stopping and snapshot ergodic averages at given counts.
 
-    Returns a list of (x, y, lam) average triples, one per checkpoint,
-    in increasing checkpoint order.
+    A checkpoint is an iteration count ``state.k``, which counts the steps
+    already in ``init``: each must exceed ``init.k`` (0 without ``init``),
+    and the run takes ``max(checkpoints) - init.k`` new steps.  Returns a
+    list of (x, y, lam) average triples, one per distinct checkpoint, in
+    increasing checkpoint order.
     """
     marks = {int(k) for k in checkpoints}
-    if not marks or min(marks) < 1:
-        raise ValueError("checkpoints must be positive iteration counts")
-    steps = itertools.islice(iterate(problem, config, init), max(marks))
+    start = 0 if init is None else init.k
+    if not marks or min(marks) <= start:
+        raise ValueError(f"checkpoints must be iteration counts above the start's k = {start}")
+    steps = itertools.islice(iterate(problem, config, init), max(marks) - start)
     return [ergodic_averages(state) for state, _ in steps if state.k in marks]

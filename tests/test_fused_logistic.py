@@ -49,6 +49,24 @@ def test_logistic_value_is_overflow_safe():
         assert np.isfinite(fl.logistic_value(aux, np.full(3, c / 10), c))
 
 
+def _masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def test_sigmoid_equals_the_masked_form_bit_for_bit():
+    special = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0, np.inf, -np.inf]
+    rng = np.random.default_rng(4)
+    for t in (np.array(special), rng.standard_normal(5000) * 40, rng.standard_normal(500)):
+        assert fl._sigmoid(t).tobytes() == _masked_sigmoid(t).tobytes()
+    # a NaN stays NaN; only its sign bit may differ from the masked form
+    assert np.isnan(fl._sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 def test_logistic_gradient_at_origin():
     inst = _tiny_instance(m=8, n=4)
     aux = fl.LogisticAux.from_data(inst.A, inst.labels)

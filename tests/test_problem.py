@@ -289,6 +289,29 @@ def test_coupling_lmax_ata_is_declared_or_exact_and_lazy(monkeypatch):
     assert calls == [(4, 6), (4, 4)]  # the dense B only
 
 
+def test_coupling_b_is_zero_only_for_positive_zeros():
+    def coupling(b, cls=Coupling):
+        return cls(A=np.eye(3), B=identity_map(3, -1.0), b=np.array(b))
+
+    assert coupling([0.0, 0.0, 0.0]).b_is_zero
+    assert coupling([0.0, 0.0, 0.0], _TaggedCoupling).b_is_zero
+    # v - (-0.0) turns v = -0.0 into +0.0, so the subtraction is not a no-op
+    assert not coupling([0.0, -0.0, 0.0]).b_is_zero
+    for b in ([0.0, 1e-300, 0.0], [0.0, 0.0, np.nan], [-1.0, 0.0, 0.0]):
+        assert not coupling(b).b_is_zero
+        assert not coupling(b, _TaggedCoupling).b_is_zero
+    # b is a read-only copy, so the flag cannot go stale
+    b = np.zeros(3)
+    c = coupling(b)
+    b[0] = 1.0
+    assert c.b_is_zero and not c.b.any()
+    with pytest.raises(ValueError):
+        c.b[0] = 1.0
+    assert bp.as_problem(bp.generate(6, 3, 1, 0)).coupling.b_is_zero
+    fused = fl.as_problem(fl.generate_block_pattern(500, 100, 0), fl.FusedLogisticConfig())
+    assert fused.coupling.b_is_zero
+
+
 def test_problem_dimension_validation():
     prob = _quadratic_problem()
     with pytest.raises(ValueError):

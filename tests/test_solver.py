@@ -8,7 +8,9 @@ import pytest
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm.operators import MetricH, solve_l1_subproblem
-from egadm.problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem
+from egadm.problem import (
+    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map,
+)
 from egadm.solver import (
     DivergenceError,
     SolverConfig,
@@ -26,24 +28,30 @@ from egadm.solver import (
 from oracles import bp_midpoint_transcription
 
 
-def _scalar_problem(rhs=0.5):
-    """1-d instance: f = |x|, g = y^2/2, constraint x + y = rhs."""
+def _l1_quadratic_problem(B, b, x_dim=None, A=None):
+    """f = ||.||_1 (x beyond A's columns is left at 0 by the subproblem),
+    g = ||y||^2 / 2 over R^p, coupling A x + B y = b with A = I by default."""
+    m = len(b)
+
+    def solve_subproblem(x_prev, offset, lam, gamma, metric):
+        head = solve_l1_subproblem(1.0, gamma, metric, x_prev[:m], offset, lam)
+        return np.append(head, np.zeros((x_dim or m) - m))
+
     prox = ProxBlock(
-        dim=1,
-        evaluate=lambda x: float(np.abs(x).sum()),
-        solve_subproblem=lambda x_prev, off, lam, gamma, metric: solve_l1_subproblem(
-            1.0, gamma, metric, x_prev, off, lam
-        ),
+        dim=x_dim or m, evaluate=lambda x: float(np.abs(x).sum()),
+        solve_subproblem=solve_subproblem,
     )
     smooth = SmoothBlock(
-        dim=1,
-        evaluate=lambda y: 0.5 * float(y @ y),
-        gradient=lambda y: y.copy(),
-        lipschitz_constant=1.0,
-        project=lambda y: y,
+        dim=np.shape(B)[1], evaluate=lambda y: 0.5 * float(y @ y),
+        gradient=lambda y: y.copy(), lipschitz_constant=1.0, project=lambda y: y,
     )
-    coupling = Coupling(A=np.eye(1), B=np.eye(1), b=np.array([rhs]))
+    coupling = Coupling(A=identity_map(m) if A is None else A, B=B, b=b)
     return TwoBlockProblem(prox, smooth, coupling)
+
+
+def _scalar_problem(rhs=0.5):
+    """1-d instance: f = |x|, g = y^2/2, constraint x + y = rhs."""
+    return _l1_quadratic_problem(np.eye(1), np.array([rhs]))
 
 
 def _state_at(problem, x, y, lam):
@@ -382,6 +390,105 @@ def test_ergodic_checkpoints_validation():
         ergodic_checkpoints(prob, cfg, [0, 5])
     triples = ergodic_checkpoints(prob, cfg, [2, 4])
     assert len(triples) == 2
+
+
+def _counting_subproblem(prob):
+    """``prob`` with a prox block that counts its calls, one per step."""
+    calls = []
+    solve_subproblem = prob.prox_block.solve_subproblem
+
+    def counted(*args):
+        calls.append(None)
+        return solve_subproblem(*args)
+
+    return replace(prob, prox_block=replace(prob.prox_block, solve_subproblem=counted)), calls
+
+
+def test_ergodic_checkpoints_count_from_the_start_state():
+    # checkpoints are values of state.k: from a start with k = 10, mark 20
+    # is 10 new steps away, and marks at or below 10 cannot be reached
+    prob, calls = _counting_subproblem(bp.as_problem(bp.generate(30, 8, 2, 1)))
+    cfg = SolverConfig(variant=VariantKind.EGL)
+    start = replace(initial_state(prob), k=10)
+    triples = ergodic_checkpoints(prob, cfg, [20, 12], init=start)
+    assert len(calls) == 10
+    states = [s for s, _ in itertools.islice(iterate(prob, cfg, start), 10)]
+    for triple, state in zip(triples, (states[1], states[9])):
+        assert all(np.array_equal(a, b) for a, b in zip(triple, ergodic_averages(state)))
+    for marks in ([5, 20], [10]):
+        with pytest.raises(ValueError, match="above the start's k = 10"):
+            ergodic_checkpoints(prob, cfg, marks, init=start)
+
+
+def test_solve_iterations_include_the_start_and_max_iters_caps_new_steps():
+    prob, calls = _counting_subproblem(bp.as_problem(bp.generate(30, 8, 2, 1)))
+    cfg = SolverConfig(variant=VariantKind.EGAL, max_iters=5, tol=0.0)
+    fresh = solve(prob, cfg)
+    assert (fresh.iterations, len(calls)) == (5, 5)
+    calls.clear()
+    rep = solve(prob, cfg, init=replace(initial_state(prob), k=10))
+    assert (rep.iterations, rep.state.k, len(calls), rep.converged) == (15, 15, 5, False)
+    assert np.array_equal(rep.state.x, fresh.state.x)
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_step_info_norms_equal_the_linalg_norm_formulas(variant):
+    # ``r ** 2`` and ``r * r`` differ for about 1 r in 1700, so bp runs
+    # long enough to meet such r
+    cfg = SolverConfig(variant=variant)
+    for name, prob in _certificate_problems():
+        prev = initial_state(prob)
+        for state, info in itertools.islice(iterate(prob, cfg), 2000 if name == "bp" else 50):
+            where = (name, state.k)
+            resid = prob.coupling.residual(state.x, state.y_mid)
+            assert info.residual.tobytes() == resid.tobytes(), where
+            assert info.residual_norm == float(np.linalg.norm(info.residual)), where
+            dist_sq = (
+                np.linalg.norm(state.y - prev.y) ** 2 + np.linalg.norm(state.lam - prev.lam) ** 2
+            )
+            assert info.movement == float(np.sqrt(dist_sq)), where
+            prev = state
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_nonzero_b_is_subtracted_from_the_residual(variant):
+    rng = np.random.default_rng(8)
+    prob = _l1_quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4))
+    assert not prob.coupling.b_is_zero
+    cfg = SolverConfig(variant=variant, monitor_certificate=True)
+    prev = initial_state(prob)
+    for state, info in itertools.islice(iterate(prob, cfg), 40):
+        resid = prob.coupling.residual(state.x, state.y_mid)
+        assert info.residual.tobytes() == resid.tobytes(), state.k
+        if variant.extragradient:
+            ref = extragradient_certificate(
+                prob, resolve_gamma(prob, cfg), state.x, (prev.y, prev.lam),
+                (state.y_mid, state.lam_mid), (state.y, state.lam),
+            )
+            assert info.certificate == ref, state.k
+        prev = state
+
+
+def test_a_nan_only_in_x_plus_is_divergence():
+    # A reads the first two of three x entries, so a NaN in the third one
+    # reaches neither the residual nor (y, lam): only x+ itself carries it
+    A = LinearMap((2, 3), lambda v: v[:2], lambda w: np.append(w, 0.0), 1.0)
+    base = _l1_quadratic_problem(identity_map(2, -1.0), np.array([0.5, -1.0]), x_dim=3, A=A)
+    calls = []
+
+    def nan_at_step_3(*args):
+        calls.append(None)
+        x = base.prox_block.solve_subproblem(*args)
+        if len(calls) == 3:
+            x[2] = np.nan
+        return x
+
+    prob = replace(base, prox_block=replace(base.prox_block, solve_subproblem=nan_at_step_3))
+    for variant in VariantKind:
+        calls.clear()
+        with pytest.raises(DivergenceError) as exc:
+            solve(prob, SolverConfig(variant=variant, tol=0.0, max_iters=10))
+        assert (exc.value.variant, exc.value.iteration) == (variant, 3)
 
 
 def test_gram_metric_check_reads_the_declared_norm(monkeypatch):
