@@ -39,11 +39,11 @@ def generate(n, m, s, seed):
     """Draw a reproducible basis-pursuit instance.
 
     Entries of A are standard Gaussian, rescaled so the largest singular
-    value is 1 (exact to rounding: one SVD).  The s support indices
-    are chosen without replacement and the nonzero values drawn uniform
-    in (0, 1); b is A xhat exactly.  Fully determined by ``seed``; if the
-    drawn matrix is rank deficient the draw is retried (deterministically)
-    up to three times.
+    value is 1 (exact to rounding: the top eigenvalue of ``A A^T``).  The
+    s support indices are chosen without replacement and the nonzero
+    values drawn uniform in (0, 1); b is A xhat exactly.  Fully determined
+    by ``seed``; if the drawn matrix is rank deficient the draw is retried
+    (deterministically) up to three times.
     """
     if not (0 < s <= m <= n):
         raise ValueError("need 0 < s <= m <= n")

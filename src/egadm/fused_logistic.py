@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import spectral_norm_sq
+from .linalg import gram_lmax, spectral_norm_sq
 from .operators import shrink
 from .problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
 from .solver import SolverConfig, VariantKind, solve
@@ -98,10 +98,17 @@ def logistic_lipschitz(aux):
     The sigmoid's derivative never exceeds 1/4, so the Hessian is
     dominated by ``M^T M / (4m)`` with M the signed feature matrix
     augmented by the label column (the intercept direction); the bound is
-    ``lmax(M^T M) / (4m)``, with lmax exact from ``spectral_norm_sq``.
+    ``lmax(M^T M) / (4m)``, exact to rounding: the top eigenvalue of the
+    smaller Gram matrix.  For wide data that is ``M M^T = S S^T + l l^T``
+    (S signed, l labels), formed without copying M.
     """
-    augmented = np.hstack([aux.signed, aux.labels[:, None]])
-    return spectral_norm_sq(augmented) / (4.0 * aux.m)
+    signed, labels = aux.signed, aux.labels
+    if aux.m > signed.shape[1]:  # tall: M^T M is the smaller Gram matrix
+        return spectral_norm_sq(np.hstack([signed, labels[:, None]])) / (4.0 * aux.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = signed @ signed.T
+        gram += np.outer(labels, labels)
+    return gram_lmax(gram) / (4.0 * aux.m)
 
 
 def fused_coupling(n):

@@ -80,8 +80,15 @@ def identity_map(n, sign=1.0):
 
 
 def _norm_sq(M):
-    """lmax(M^T M): a ``LinearMap``'s declared ``norm_sq``, else one exact SVD."""
+    """lmax(M^T M): a ``LinearMap``'s declared ``norm_sq``, else the exact
+    top eigenvalue of the dense matrix's smaller Gram matrix."""
     return M.norm_sq if isinstance(M, LinearMap) else spectral_norm_sq(M)
+
+
+def _frozen_copy(m):
+    out = np.array(m, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -89,22 +96,22 @@ class Coupling:
     """Linear constraint data ``A x + B y = b``; A and B are dense or ``LinearMap``s.
 
     Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
-    B declares and a dense B gets exactly from ``spectral_norm_sq``;
+    B declares and a dense B gets exactly from ``spectral_norm_sq`` (the
+    top eigenvalue of its smaller Gram matrix, exact to rounding);
     ``lmax_ata`` = lmax(A^T A) likewise, taken on first use.  ``b_is_zero``
     records whether every entry of b is +0.0, so that subtracting b would
     return its operand bit for bit (``v - (-0.0)`` turns ``-0.0`` into
-    ``+0.0``, so a negative zero does not count).  b is kept as a read-only
-    copy, so the flag cannot go stale."""
+    ``+0.0``, so a negative zero does not count).  Dense A, B and b are
+    kept as read-only copies, so no cached value can go stale; a
+    ``LinearMap`` is kept as given."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
     b: np.ndarray
 
     def __post_init__(self):
-        A, B = (m if isinstance(m, LinearMap) else np.asarray(m, dtype=float)
-                for m in (self.A, self.B))
-        b = np.array(self.b, dtype=float)  # a read-only copy: b_is_zero stays true to it
-        b.flags.writeable = False
+        A, B = (m if isinstance(m, LinearMap) else _frozen_copy(m) for m in (self.A, self.B))
+        b = _frozen_copy(self.b)
         if len(A.shape) != 2 or len(B.shape) != 2 or b.ndim != 1:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
@@ -184,7 +191,8 @@ def kkt_lipschitz_bound(problem):
     Equals ``sqrt(max(2 Lg^2 + lmax, 2 lmax))``: Lg is the smooth block's
     declared gradient Lipschitz constant, lmax = lmax(B^T B) the coupling's
     ``lmax_btb`` (a ``LinearMap``'s declared ``norm_sq``, else the exact
-    ``spectral_norm_sq``), so the bound is never an estimate from below.
+    ``spectral_norm_sq``, the top eigenvalue of B's smaller Gram matrix),
+    so the bound is never an estimate from below.
     The certificate needs ``gamma <= 1 / (2 * bound)``.
     """
     lg = problem.smooth_block.lipschitz_constant

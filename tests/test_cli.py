@@ -82,6 +82,15 @@ def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
     assert "non-finite entries" in capsys.readouterr().err
 
 
+def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
+    inst = fl.generate_block_pattern(500, 100, 0)
+    inst.A[...] *= 1e200
+    storage.save_fused_instance(inst, tmp_path / "huge")
+    rc = main(["solve", str(tmp_path / "huge")])
+    assert rc == 1
+    assert "overflows float64" in capsys.readouterr().err
+
+
 def test_solve_divergence_exits_one(tmp_path, capsys):
     out = tmp_path / "inst"
     main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "0",

@@ -114,6 +114,21 @@ def test_logistic_lipschitz_is_exact_not_a_lower_estimate():
     assert fl.logistic_lipschitz(aux) == pytest.approx(expected, rel=1e-12)
 
 
+def test_logistic_lipschitz_wide_and_tall_match_the_svd():
+    # wide data takes S S^T + l l^T, tall data the (n+1)-square Gram matrix
+    for m, n in ((4, 9), (8, 8), (9, 8), (20, 5)):
+        inst = _tiny_instance(m=m, n=n)
+        aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+        augmented = np.hstack([aux.signed, aux.labels[:, None]])
+        expected = np.linalg.svd(augmented, compute_uv=False)[0] ** 2 / (4.0 * m)
+        assert fl.logistic_lipschitz(aux) == pytest.approx(expected, rel=1e-12), (m, n)
+        for bad, match in ((np.nan, "non-finite entries"), (1e200, "overflows float64")):
+            broken = aux.signed.copy()
+            broken[1, 2] = bad
+            with pytest.raises(ValueError, match=match):
+                fl.logistic_lipschitz(fl.LogisticAux(signed=broken, labels=aux.labels))
+
+
 def test_logistic_lipschitz_bounds_sampled_gradient_differences():
     rng = np.random.default_rng(4)
     inst = _tiny_instance(m=20, n=5)

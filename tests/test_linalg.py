@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import spectral_norm_sq
+from egadm.linalg import gram_lmax, spectral_norm_sq
 from oracles import jacobi_eigenvalues
 
 
@@ -67,3 +67,26 @@ def test_spectral_norm_input_validation():
         m[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite entries"):
             spectral_norm_sq(m)
+
+
+def test_spectral_norm_overflow_is_a_value_error():
+    # lmax = 6e400 is past float64; the error names the overflow
+    with pytest.raises(ValueError, match="overflows float64"):
+        spectral_norm_sq(np.full((2, 3), 1e200))
+    with pytest.raises(ValueError, match="overflows float64"):
+        spectral_norm_sq(np.full((3, 2), 1e200))
+    # the largest finite case still comes back exact
+    assert spectral_norm_sq(np.full((2, 3), 1e150)) == pytest.approx(6e300, rel=1e-12)
+
+
+def test_gram_lmax_top_eigenvalue():
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((6, 9))
+    gram = m @ m.T
+    expected = jacobi_eigenvalues(gram)[-1]
+    assert gram_lmax(gram.copy()) == pytest.approx(expected, rel=1e-12)
+    assert gram_lmax(np.array([[4.0]])) == 4.0
+    with pytest.raises(ValueError, match="non-finite entries"):
+        gram_lmax(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="overflows float64"):
+        gram_lmax(np.array([[np.inf]]))

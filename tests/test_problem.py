@@ -312,6 +312,23 @@ def test_coupling_b_is_zero_only_for_positive_zeros():
     assert fused.coupling.b_is_zero
 
 
+def test_coupling_keeps_read_only_copies_of_dense_matrices():
+    # writing into the caller's matrices must not leave lmax_btb or
+    # lmax_ata stale
+    A, B = np.eye(3), np.eye(3)
+    c = Coupling(A=A, B=B, b=np.zeros(3))
+    A *= 10.0
+    B *= 10.0
+    assert c.lmax_btb == pytest.approx(np.linalg.svd(c.B, compute_uv=False)[0] ** 2)
+    assert c.lmax_ata == pytest.approx(np.linalg.svd(c.A, compute_uv=False)[0] ** 2)
+    assert c.lmax_btb == pytest.approx(1.0) and c.lmax_ata == pytest.approx(1.0)
+    for mat in (c.A, c.B, c.Bt):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 5.0
+    ident = identity_map(3)
+    assert Coupling(A=ident, B=ident, b=np.zeros(3)).B is ident
+
+
 def test_problem_dimension_validation():
     prob = _quadratic_problem()
     with pytest.raises(ValueError):
