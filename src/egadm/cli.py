@@ -162,9 +162,7 @@ def cmd_solve(args):
         problem_id = _fused_problem_id(inst.pattern, inst.m, inst.n)
     row, coef, failed = _run_cell(kind, inst, problem_id, variant, _overrides(args))
     if args.emit_coef and coef is not None:
-        with open(args.emit_coef, "w", encoding="utf-8") as fh:
-            for val in coef:
-                fh.write(f"{val:.17g}\n")
+        storage.write_vector(args.emit_coef, coef)
     print(json.dumps(row))
     if failed:
         return 1

@@ -7,18 +7,20 @@ differences:
     min_{x, c}  loss(x, c) + alpha*||x||_1 + beta*sum_j |x_j - x_{j+1}|.
 
 Splitting with auxiliary variables x = y and w = L y (L the forward
-difference operator) puts this in two-block form: the (x, w) block is a
-pair of shrinks, while the (y, c) block carries the smooth loss, whose
-gradient is cheap.  The intercept c is unpenalized and enters only the
+difference operator) puts this in two-block form: the (x, w) block is
+one shrink with per-component thresholds, while the (y, c) block carries
+the smooth loss, whose gradient is one product each way with the
+augmented data matrix.  The intercept c is unpenalized and enters only the
 smooth block, never the coupling.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import gram_lmax, spectral_norm_sq
+from .linalg import spectral_norm_sq
 from .operators import shrink
 from .problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
 from .solver import SolverConfig, VariantKind, solve
@@ -47,22 +49,41 @@ class FusedLogisticInstance:
 
 @dataclass(frozen=True)
 class LogisticAux:
-    """Feature rows scaled by their labels, cached for gradient evaluation."""
+    """The augmented data matrix ``data = [diag(labels) A, labels]``,
+    m x (n+1): each feature row scaled by its label, with the label as the
+    intercept column, so the margins at coefficients y and intercept c are
+    ``data @ [y, c]``.  ``signed`` and ``labels`` are views into it."""
 
-    signed: np.ndarray
-    labels: np.ndarray
+    data: np.ndarray
 
     @classmethod
     def from_data(cls, A, labels):
         A = np.asarray(A, dtype=float)
         labels = np.asarray(labels, dtype=float)
+        if A.ndim != 2 or labels.shape != A.shape[:1]:
+            raise ValueError(
+                f"need a 2-d A and one label per row: A has shape {A.shape}, "
+                f"labels {labels.shape}"
+            )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
-        return cls(signed=labels[:, None] * A, labels=labels)
+        m, n = A.shape
+        data = np.empty((m, n + 1))
+        np.multiply(labels[:, None], A, out=data[:, :n])
+        data[:, n] = labels
+        return cls(data)
+
+    @property
+    def signed(self):
+        return self.data[:, :-1]
+
+    @property
+    def labels(self):
+        return self.data[:, -1]
 
     @property
     def m(self):
-        return self.signed.shape[0]
+        return self.data.shape[0]
 
 
 def _softplus(t):
@@ -77,56 +98,61 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0 / d, e / d)
 
 
+def _loss(data, z):
+    # average logistic loss at the stacked point z = [y, c]
+    return float(np.mean(_softplus(-(data @ z))))
+
+
+def _loss_gradient(data, z):
+    # its gradient in z: one product each way with the augmented matrix
+    return (data.T @ (1.0 - _sigmoid(data @ z))) / -data.shape[0]
+
+
 def logistic_value(aux, y, c):
     """Average logistic loss at coefficients y and intercept c."""
-    t = aux.signed @ y + aux.labels * c
-    return float(np.mean(_softplus(-t)))
+    return _loss(aux.data, np.append(y, c))
 
 
 def logistic_gradient(aux, y, c):
     """Gradient of the average logistic loss, split as (d/dy, d/dc)."""
-    t = aux.signed @ y + aux.labels * c
-    r = 1.0 - _sigmoid(t)
-    grad_y = -(aux.signed.T @ r) / aux.m
-    grad_c = -float(aux.labels @ r) / aux.m
-    return grad_y, grad_c
+    g = _loss_gradient(aux.data, np.append(y, c))
+    return g[:-1], float(g[-1])
 
 
 def logistic_lipschitz(aux):
     """Upper bound on the loss gradient's Lipschitz constant in (y, c).
 
     The sigmoid's derivative never exceeds 1/4, so the Hessian is
-    dominated by ``M^T M / (4m)`` with M the signed feature matrix
-    augmented by the label column (the intercept direction); the bound is
-    ``lmax(M^T M) / (4m)``, exact to rounding: the top eigenvalue of the
-    smaller Gram matrix.  For wide data that is ``M M^T = S S^T + l l^T``
-    (S signed, l labels), formed without copying M.
+    dominated by ``M^T M / (4m)`` with M the augmented data matrix
+    ``aux.data`` (signed features plus the label column, the intercept
+    direction); the bound is ``lmax(M^T M) / (4m)``, exact to rounding:
+    ``spectral_norm_sq`` takes the top eigenvalue of the smaller Gram
+    matrix, ``M M^T`` for wide data and ``M^T M`` for tall.
     """
-    signed, labels = aux.signed, aux.labels
-    if aux.m > signed.shape[1]:  # tall: M^T M is the smaller Gram matrix
-        return spectral_norm_sq(np.hstack([signed, labels[:, None]])) / (4.0 * aux.m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = signed @ signed.T
-        gram += np.outer(labels, labels)
-    return gram_lmax(gram) / (4.0 * aux.m)
+    return spectral_norm_sq(aux.data) / (4.0 * aux.m)
 
 
 def fused_coupling(n):
     """``B = -[I 0; L 0]`` of the split x = y, w = L y, shape (2n-1) x (n+1),
     with ``(L v)_j = v_j - v_{j+1}`` and a zero intercept column.
 
+    Each product writes its parts into one fresh output array.
     lmax(B^T B) = 1 + lmax(L^T L) = 3 + 2cos(pi/n): L^T L is the path
     Laplacian, eigenvalues 2 - 2cos(k pi/n) for k < n (Strang, "The
     Discrete Cosine Transform", SIAM Review 1999)."""
 
     def matvec(z):
-        return np.concatenate([-z[:n], z[1:n] - z[: n - 1]])
+        out = np.empty((2 * n - 1,) + z.shape[1:])
+        np.negative(z[:n], out=out[:n])
+        np.subtract(z[1:n], z[: n - 1], out=out[n:])
+        return out
 
     def rmatvec(v):
-        out = np.zeros((n + 1,) + v.shape[1:])
-        out[:n] = -v[:n]
+        out = np.empty((n + 1,) + v.shape[1:])
+        np.negative(v[:n], out=out[:n])
         out[1:n] += v[n:]
         out[: n - 1] -= v[n:]
+        out[n] = 0.0
         return out
 
     return LinearMap((2 * n - 1, n + 1), matvec, rmatvec, 3.0 + 2.0 * np.cos(np.pi / n))
@@ -149,23 +175,23 @@ class FusedLogisticConfig:
 def as_problem(inst, cfg):
     """Two-block form of the fused logistic program.
 
-    The nonsmooth block stacks (x, w) with separable shrinks; the smooth
-    block stacks (y, c) with the logistic gradient and no constraint
-    (projection is the identity).  The coupling enforces x = y and
-    w = L y through A = I and ``B = fused_coupling(n)``, two structured
-    maps, so nothing of size n^2 is stored.
+    The nonsmooth block stacks (x, w) and its prox is one shrink against
+    the per-component weights ``[alpha]*n + [beta]*(n-1)``; the smooth
+    block stacks (y, c), takes its gradient from one product each way with
+    the augmented data matrix, and has no constraint (projection is the
+    identity).  The coupling enforces x = y and w = L y through A = I and
+    ``B = fused_coupling(n)``, two structured maps, so nothing of size n^2
+    is stored.
     """
     n = inst.n
     aux = LogisticAux.from_data(inst.A, inst.labels)
     p = 2 * n - 1
+    weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
 
     def prox_solve(x_prev, offset, lam, gamma, metric):
         if metric.kind != "zero":
             raise ValueError("the stacked shrink block expects the zero metric")
-        anchor = lam / gamma - offset
-        return np.concatenate(
-            [shrink(anchor[:n], cfg.alpha / gamma), shrink(anchor[n:], cfg.beta / gamma)]
-        )
+        return shrink(lam / gamma - offset, weights / gamma)
 
     prox = ProxBlock(
         dim=p,
@@ -175,17 +201,10 @@ def as_problem(inst, cfg):
         solve_subproblem=prox_solve,
     )
 
-    def value(z):
-        return logistic_value(aux, z[:n], float(z[n]))
-
-    def gradient(z):
-        gy, gc = logistic_gradient(aux, z[:n], float(z[n]))
-        return np.concatenate([gy, [gc]])
-
     smooth = SmoothBlock(
         dim=n + 1,
-        evaluate=value,
-        gradient=gradient,
+        evaluate=functools.partial(_loss, aux.data),
+        gradient=functools.partial(_loss_gradient, aux.data),
         lipschitz_constant=logistic_lipschitz(aux),
         project=lambda z: z,
     )
@@ -294,6 +313,6 @@ def solve_fused(
     )
 
     def stop(info):
-        return float(np.max(np.abs(info.residual))) < tol
+        return np.abs(info.residual).max() < tol
 
     return solve(problem, config, stop_rule=stop)

@@ -12,9 +12,10 @@ def shrink(z, tau):
 
     Returns ``sign(z) * max(|z| - tau, 0)``, the exact minimizer of
     ``tau*||x||_1 + (1/2)||x - z||^2``.  Components with ``|z| == tau``
-    map to zero.
+    map to zero.  ``tau`` is a scalar or an array of per-component
+    thresholds broadcast against ``z``, nonnegative in every entry.
     """
-    if tau < 0:
+    if (tau < 0).any() if isinstance(tau, np.ndarray) else tau < 0:
         raise ValueError("threshold must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)

@@ -20,14 +20,18 @@ from .fused_logistic import FusedLogisticInstance
 FORMAT_VERSION = 1
 
 
-def _write_vector(path, v):
+def write_vector(path, v):
+    """Write ``v`` one value per line with 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         for val in np.asarray(v, dtype=float):
             fh.write(f"{val:.17g}\n")
 
 
-def _read_vector(path):
-    return np.atleast_1d(np.loadtxt(path, dtype=float, ndmin=1))
+def _read_vector(path, length):
+    v = np.atleast_1d(np.loadtxt(path, dtype=float, ndmin=1))
+    if v.shape != (length,):
+        raise ValueError(f"{path.name} has {v.size} entries, meta.json says {length}")
+    return v
 
 
 def _write_meta(path, meta):
@@ -51,8 +55,8 @@ def save_bp_instance(inst, directory):
         },
     )
     mmwrite(str(d / "A.mtx"), inst.A, precision=17)
-    _write_vector(d / "b.txt", inst.b)
-    _write_vector(d / "xhat.txt", inst.xhat)
+    write_vector(d / "b.txt", inst.b)
+    write_vector(d / "xhat.txt", inst.xhat)
     return d
 
 
@@ -60,10 +64,10 @@ def load_bp_instance(directory):
     d = Path(directory)
     meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
     A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
-    b = _read_vector(d / "b.txt")
-    xhat = _read_vector(d / "xhat.txt")
     if A.shape != (meta["m"], meta["n"]):
         raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
+    b = _read_vector(d / "b.txt", meta["m"])
+    xhat = _read_vector(d / "xhat.txt", meta["n"])
     return BasisPursuitInstance(
         A=A, b=b, xhat=xhat, s=int(meta["s"]), seed=int(meta["seed"])
     )
@@ -93,8 +97,8 @@ def save_fused_instance(inst, directory):
         },
     )
     mmwrite(str(d / "A.mtx"), inst.A, precision=17)
-    _write_vector(d / "labels.txt", inst.labels)
-    _write_vector(d / "xhat.txt", inst.xhat)
+    write_vector(d / "labels.txt", inst.labels)
+    write_vector(d / "xhat.txt", inst.xhat)
     return d
 
 
@@ -103,10 +107,10 @@ def load_fused_instance(directory):
     meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
     pattern = json.loads((d / "pattern.json").read_text(encoding="utf-8"))
     A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
-    labels = _read_vector(d / "labels.txt")
-    xhat = _read_vector(d / "xhat.txt")
     if A.shape != (meta["m"], meta["n"]):
         raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
+    labels = _read_vector(d / "labels.txt", meta["m"])
+    xhat = _read_vector(d / "xhat.txt", meta["n"])
     return FusedLogisticInstance(
         A=A,
         labels=labels,

@@ -91,6 +91,17 @@ def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
     assert "overflows float64" in capsys.readouterr().err
 
 
+def test_solve_truncated_labels_exits_one(tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["gen", "fused", "--pattern", "blocks", "--n", "200", "--m", "20",
+          "--seed", "0", "--out", str(out)])
+    lines = (out / "labels.txt").read_text().splitlines(keepends=True)
+    (out / "labels.txt").write_text("".join(lines[:5]))
+    rc = main(["solve", str(out)])
+    assert rc == 1
+    assert "labels.txt has 5 entries, meta.json says 20" in capsys.readouterr().err
+
+
 def test_solve_divergence_exits_one(tmp_path, capsys):
     out = tmp_path / "inst"
     main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "0",

@@ -98,6 +98,53 @@ def test_logistic_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(grad), 1e-12)
 
 
+def _split_gradient(aux, z):
+    # the (y, c) formula with the intercept added apart from the data product
+    n = z.size - 1
+    r = 1.0 - fl._sigmoid(aux.signed @ z[:n] + aux.labels * z[n])
+    return np.concatenate([-(aux.signed.T @ r) / aux.m, [-float(aux.labels @ r) / aux.m]])
+
+
+@pytest.mark.parametrize("pattern", ["simple", "blocks"])
+def test_smooth_gradient_matches_the_split_formula(pattern):
+    for s in range(3):
+        if pattern == "simple":
+            inst = fl.generate_simple_pattern(1000, s, m=500)
+        else:
+            inst = fl.generate_block_pattern(500, 100, s)
+        gradient = fl.as_problem(inst, fl.FusedLogisticConfig()).smooth_block.gradient
+        aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+        rng = np.random.default_rng(s)
+        for z in (rng.standard_normal(inst.n + 1), np.append(inst.xhat, inst.c_true)):
+            split = _split_gradient(aux, z)
+            assert np.linalg.norm(gradient(z) - split) <= 1e-15 * np.linalg.norm(split)
+
+
+def test_aux_signed_and_labels_are_views_of_the_augmented_matrix():
+    inst = _tiny_instance(m=6, n=4)
+    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+    assert aux.data.shape == (6, 5)
+    assert np.shares_memory(aux.signed, aux.data)
+    assert np.shares_memory(aux.labels, aux.data)
+    assert np.array_equal(aux.signed, inst.labels[:, None] * inst.A)
+    assert np.array_equal(aux.labels, inst.labels)
+
+
+def test_from_data_rejects_labels_of_the_wrong_shape():
+    A = np.ones((20, 200))
+    with pytest.raises(ValueError, match=r"\(20, 200\).*\(1,\)"):
+        fl.LogisticAux.from_data(A, np.ones(1))
+    with pytest.raises(ValueError, match=r"\(20, 1\)"):
+        fl.LogisticAux.from_data(A, np.ones((20, 1)))
+    with pytest.raises(ValueError, match=r"\(200,\)"):
+        fl.LogisticAux.from_data(np.ones(200), np.ones(200))
+    inst = fl.FusedLogisticInstance(
+        A=A, labels=np.ones(1), xhat=np.zeros(200), c_true=0.0, seed=0
+    )
+    with pytest.raises(ValueError, match="one label per row"):
+        fl.solve_fused(inst, fl.FusedLogisticConfig(), max_iters=2)
+
+
 def test_logistic_lipschitz_rank_one():
     A = np.array([[3.0, 4.0]])
     aux = fl.LogisticAux.from_data(A, np.array([1.0]))
@@ -115,7 +162,7 @@ def test_logistic_lipschitz_is_exact_not_a_lower_estimate():
 
 
 def test_logistic_lipschitz_wide_and_tall_match_the_svd():
-    # wide data takes S S^T + l l^T, tall data the (n+1)-square Gram matrix
+    # wide data takes M M^T, tall data the (n+1)-square Gram matrix M^T M
     for m, n in ((4, 9), (8, 8), (9, 8), (20, 5)):
         inst = _tiny_instance(m=m, n=n)
         aux = fl.LogisticAux.from_data(inst.A, inst.labels)
@@ -123,10 +170,10 @@ def test_logistic_lipschitz_wide_and_tall_match_the_svd():
         expected = np.linalg.svd(augmented, compute_uv=False)[0] ** 2 / (4.0 * m)
         assert fl.logistic_lipschitz(aux) == pytest.approx(expected, rel=1e-12), (m, n)
         for bad, match in ((np.nan, "non-finite entries"), (1e200, "overflows float64")):
-            broken = aux.signed.copy()
+            broken = aux.data.copy()
             broken[1, 2] = bad
             with pytest.raises(ValueError, match=match):
-                fl.logistic_lipschitz(fl.LogisticAux(signed=broken, labels=aux.labels))
+                fl.logistic_lipschitz(fl.LogisticAux(broken))
 
 
 def test_logistic_lipschitz_bounds_sampled_gradient_differences():
@@ -169,6 +216,23 @@ def test_difference_matrix_consistency():
     assert np.allclose((B.T @ u)[:n], -(L.T @ w), atol=1e-15)
     assert (B.T @ u)[n] == 0.0
     assert (B @ z) @ u == pytest.approx(z @ (B.T @ u), rel=1e-12)
+
+
+def test_fused_coupling_products_equal_the_concatenated_forms_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 50):
+        B = fl.fused_coupling(n)
+        for shape in ((), (3,)):
+            z = rng.standard_normal((n + 1,) + shape)
+            v = rng.standard_normal((2 * n - 1,) + shape)
+            v[0] = -0.0
+            fwd = np.concatenate([-z[:n], z[1:n] - z[: n - 1]])
+            back = np.zeros((n + 1,) + shape)
+            back[:n] = -v[:n]
+            back[1:n] += v[n:]
+            back[: n - 1] -= v[n:]
+            assert (B @ z).tobytes() == fwd.tobytes()
+            assert (B.T @ v).tobytes() == back.tobytes()
 
 
 def test_difference_matrix_nonpositive_on_monotone_input():

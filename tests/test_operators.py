@@ -22,6 +22,24 @@ def test_shrink_at_exact_threshold_returns_zero():
 def test_shrink_negative_threshold_rejected():
     with pytest.raises(ValueError):
         shrink(np.ones(2), -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        shrink(np.ones(3), np.array([0.5, -1e-300, 0.5]))
+
+
+def test_shrink_array_threshold_equals_the_two_slice_form_bit_for_bit():
+    # the fused prox: one shrink against [alpha]*k + [beta]*(len-k) thresholds
+    special = [0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 2.0, -2.0, 1e-300, -1e-300]
+    rng = np.random.default_rng(7)
+    for draw in range(200):
+        a, b = (float(t) for t in rng.choice([0.0, 0.5, 2.0, rng.uniform(0, 3)], 2))
+        k = int(rng.integers(0, 41))
+        tau = np.concatenate([np.full(k, a), np.full(40 - k, b)])
+        z = rng.standard_normal(40) * 3.0
+        z[:10] = rng.choice(special, 10)
+        at = rng.choice(40, 5, replace=False)
+        z[at] = tau[at] * rng.choice([-1.0, 1.0], 5)  # |z| == tau exactly
+        two = np.concatenate([shrink(z[:k], a), shrink(z[k:], b)])
+        assert shrink(z, tau).tobytes() == two.tobytes(), draw
 
 
 def test_shrink_matches_grid_prox_oracle():

@@ -82,3 +82,19 @@ def test_load_rejects_shape_mismatch(tmp_path):
     (d / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError):
         storage.load_bp_instance(d)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("bp", "b.txt"), ("bp", "xhat.txt"), ("fused", "labels.txt"), ("fused", "xhat.txt")],
+)
+def test_load_rejects_a_vector_of_the_wrong_length(tmp_path, kind, name):
+    if kind == "bp":
+        d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    else:
+        d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "inst")
+    lines = (d / name).read_text().splitlines(keepends=True)
+    (d / name).write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+        storage.load_instance(d)
+
