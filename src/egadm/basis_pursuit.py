@@ -34,6 +34,15 @@ class BasisPursuitInstance:
     def n(self):
         return self.A.shape[1]
 
+    @property
+    def problem_id(self):
+        """The ``problem`` column of this instance's CLI rows."""
+        return f"bp_n{self.n}_m{self.m}_s{self.s}"
+
+    def row_metrics(self, x):
+        """The row metrics of a solution x: its ``recovery_error``."""
+        return {"err": recovery_error(self, x)}
+
 
 def generate(n, m, s, seed):
     """Draw a reproducible basis-pursuit instance.

@@ -3,10 +3,11 @@ benchmark sweeps with CSV output."""
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import fused_logistic as fl
 from . import storage
 from .solver import DivergenceError, SolverConfig, VariantKind, solve
 
-VARIANT_ORDER = [VariantKind.GL, VariantKind.GAL, VariantKind.EGL, VariantKind.EGAL]
+VARIANT_ORDER = list(VariantKind)
 
 CSV_COLUMNS = [
     "problem",
@@ -34,13 +35,27 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class SolveOverrides:
-    gamma: Optional[float] = None
-    safety: float = 0.9
-    tol: float = 1e-4
-    max_iters: int = 20000
-    alpha: float = 5e-4
-    beta: float = 5e-2
-    monitor: bool = False
+    """The solver and penalty flags of ``solve`` and ``bench``.  Each
+    default is the library's, from ``SolverConfig`` or
+    ``FusedLogisticConfig``; the argument parser reads them from here."""
+
+    gamma: Optional[float] = SolverConfig.gamma
+    safety: float = SolverConfig.safety
+    tol: float = SolverConfig.tol
+    max_iters: int = SolverConfig.max_iters
+    alpha: float = fl.FusedLogisticConfig.alpha
+    beta: float = fl.FusedLogisticConfig.beta
+    monitor: bool = SolverConfig.monitor_certificate
+
+    def solver_config(self, variant):
+        return SolverConfig(
+            variant=variant,
+            gamma=self.gamma,
+            safety=self.safety,
+            tol=self.tol,
+            max_iters=self.max_iters,
+            monitor_certificate=self.monitor,
+        )
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,6 @@ class BenchSpec:
     pattern: str
     overrides: SolveOverrides
 
-    def seeds(self):
-        return [self.seed_base + i for i in range(self.instances)]
-
 
 def _fmt(value):
     if value is None:
@@ -69,98 +81,60 @@ def _fmt(value):
     return str(value)
 
 
-def _bp_problem_id(n, m, s):
-    return f"bp_n{n}_m{m}_s{s}"
+def _instance(problem, dims, seed, pattern):
+    """The seeded instance of ``gen`` and ``bench``: bp dims are (n, m, s)
+    and fused dims (m, n), where only the simple pattern may omit m."""
+    if problem == "bp":
+        return bp.generate(*dims, seed)
+    m, n = dims
+    if pattern == "simple":
+        return fl.generate_simple_pattern(n, seed, m=m)
+    if m is None:
+        raise SystemExit("gen fused --pattern blocks requires --m")
+    return fl.generate_block_pattern(n, m, seed)
 
 
-def _fused_problem_id(pattern, m, n):
-    return f"fused_{pattern}_m{m}_n{n}"
-
-
-def _solve_bp(inst, variant, ov):
-    problem = bp.as_problem(inst)
-    config = SolverConfig(
-        variant=variant,
-        gamma=ov.gamma,
-        safety=ov.safety,
-        tol=ov.tol,
-        max_iters=ov.max_iters,
-        monitor_certificate=ov.monitor,
-    )
-    report = solve(problem, config)
-    coef = report.state.x
-    err = bp.recovery_error(inst, coef)
-    return report, coef, {"err": err, "l0": None, "tv0": None}
-
-
-def _solve_fused(inst, variant, ov):
-    cfg = fl.FusedLogisticConfig(alpha=ov.alpha, beta=ov.beta, gamma=ov.gamma)
-    report = fl.solve_fused(
-        inst,
-        cfg,
-        variant=variant,
-        tol=ov.tol,
-        max_iters=ov.max_iters,
-        safety=ov.safety,
-        monitor_certificate=ov.monitor,
-    )
-    coef = report.state.x[: inst.n]
-    l0, tv0 = fl.sparsity_report(coef)
-    return report, coef, {"err": None, "l0": l0, "tv0": tv0}
-
-
-def _run_cell(kind, inst, problem_id, variant, ov):
+def _run_cell(inst, variant, ov):
     """Solve one (instance, variant) cell; failures become a row with
-    converged=false rather than aborting the sweep.  Returns the row, the
-    coefficient vector (None on failure), and whether the cell errored."""
-    runner = _solve_bp if kind == "basis_pursuit" else _solve_fused
-    row = {c: None for c in CSV_COLUMNS}
-    row["problem"] = problem_id
-    row["variant"] = variant.value
-    row["seed"] = inst.seed
-    coef = None
-    failed = False
+    converged=false rather than aborting the sweep.  The problem id, the
+    solve, the coefficients ``x[:n]`` and the row metrics come from the
+    instance: basis pursuit runs with the solver's stop rule, fused
+    logistic with the penalty weights and ``fl.stop_rule``.  Returns the
+    row, the coefficients (None on failure), and whether the cell errored."""
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(problem=inst.problem_id, variant=variant.value, seed=inst.seed)
+    config = ov.solver_config(variant)
     try:
-        report, coef, extras = runner(inst, variant, ov)
-        row.update(extras)
-        row["iters"] = report.iterations
-        row["seconds"] = report.wall_time
-        row["converged"] = report.converged
-        row["lemma_violations"] = report.lemma_violations if ov.monitor else None
+        if isinstance(inst, bp.BasisPursuitInstance):
+            report = solve(bp.as_problem(inst), config)
+        else:
+            penalties = fl.FusedLogisticConfig(alpha=ov.alpha, beta=ov.beta)
+            report = solve(fl.as_problem(inst, penalties), config, stop_rule=fl.stop_rule(config.tol))
     except DivergenceError as exc:
-        row["iters"] = exc.iteration
-        row["converged"] = False
-        failed = True
-    return row, coef, failed
+        row.update(iters=exc.iteration, converged=False)
+        return row, None, True
+    coef = report.state.x[: inst.n]
+    row.update(inst.row_metrics(coef))
+    row.update(
+        iters=report.iterations,
+        seconds=report.wall_time,
+        converged=report.converged,
+        lemma_violations=report.lemma_violations if ov.monitor else None,
+    )
+    return row, coef, False
 
 
 def cmd_gen(args):
-    out = Path(args.out)
-    if args.kind == "bp":
-        inst = bp.generate(args.n, args.m, args.s, args.seed)
-        storage.save_bp_instance(inst, out)
-    else:
-        if args.pattern == "simple":
-            inst = fl.generate_simple_pattern(args.n, args.seed, m=args.m)
-        else:
-            if args.m is None:
-                raise SystemExit("gen fused --pattern blocks requires --m")
-            inst = fl.generate_block_pattern(args.n, args.m, args.seed)
-        storage.save_fused_instance(inst, out)
-    print(out)
+    dims = (args.n, args.m, args.s) if args.kind == "bp" else (args.m, args.n)
+    inst = _instance(args.kind, dims, args.seed, getattr(args, "pattern", None))
+    save = storage.save_bp_instance if args.kind == "bp" else storage.save_fused_instance
+    print(save(inst, args.out))
     return 0
 
 
 def cmd_solve(args):
-    variant = VariantKind(args.variant)
     inst = storage.load_instance(args.instance)
-    if isinstance(inst, bp.BasisPursuitInstance):
-        kind = "basis_pursuit"
-        problem_id = _bp_problem_id(inst.n, inst.m, inst.s)
-    else:
-        kind = "fused_logistic"
-        problem_id = _fused_problem_id(inst.pattern, inst.m, inst.n)
-    row, coef, failed = _run_cell(kind, inst, problem_id, variant, _overrides(args))
+    row, coef, failed = _run_cell(inst, VariantKind(args.variant), _overrides(args))
     if args.emit_coef and coef is not None:
         storage.write_vector(args.emit_coef, coef)
     print(json.dumps(row))
@@ -169,63 +143,27 @@ def cmd_solve(args):
     return 0 if row["converged"] else 2
 
 
-def _bench_cells(spec):
-    """All (kind, instance, problem_id) cells in deterministic order."""
-    cells = []
-    for dims in spec.dims:
-        if spec.problem == "bp":
-            n, m, s = dims
-            problem_id = _bp_problem_id(n, m, s)
-            for seed in spec.seeds():
-                cells.append(
-                    ("basis_pursuit", bp.generate(n, m, s, seed), problem_id)
-                )
-        else:
-            m, n = dims
-            problem_id = _fused_problem_id(spec.pattern, m, n)
-            for seed in spec.seeds():
-                if spec.pattern == "simple":
-                    inst = fl.generate_simple_pattern(n, seed, m=m)
-                else:
-                    inst = fl.generate_block_pattern(n, m, seed)
-                cells.append(("fused_logistic", inst, problem_id))
-    return cells
-
-
 def run_bench(spec):
     """Execute a sweep and return its rows in (problem, variant, seed)
     order, followed by per-(problem, variant) median summary rows."""
-    cells = _bench_cells(spec)
-    rows = []
-    for variant in VARIANT_ORDER:
-        if variant not in spec.variants:
-            continue
-        for kind, inst, problem_id in cells:
-            row, _, _ = _run_cell(kind, inst, problem_id, variant, spec.overrides)
-            rows.append(row)
+    seeds = range(spec.seed_base, spec.seed_base + spec.instances)
+    cells = [_instance(spec.problem, dims, seed, spec.pattern) for dims in spec.dims for seed in seeds]
+    rows = [_run_cell(inst, variant, spec.overrides)[0]
+            for variant in VARIANT_ORDER if variant in spec.variants for inst in cells]
     rows.sort(key=lambda r: (r["problem"], VARIANT_ORDER.index(VariantKind(r["variant"])), r["seed"]))
 
     summaries = []
-    for problem_id in sorted({r["problem"] for r in rows}):
-        for variant in VARIANT_ORDER:
-            group = [
-                r
-                for r in rows
-                if r["problem"] == problem_id and r["variant"] == variant.value
-            ]
-            if not group:
-                continue
-            med = {c: None for c in CSV_COLUMNS}
-            med["problem"] = problem_id
-            med["variant"] = variant.value
-            med["seed"] = "median"
-            for col in ("iters", "err", "l0", "tv0", "lemma_violations"):
-                vals = [r[col] for r in group if r[col] is not None]
-                if vals:
-                    med[col] = float(np.median(vals))
-            n_conv = sum(1 for r in group if r["converged"] is True)
-            med["converged"] = f"{n_conv}/{len(group)}"
-            summaries.append(med)
+    for (problem_id, variant), group in itertools.groupby(rows, lambda r: (r["problem"], r["variant"])):
+        group = list(group)
+        med = dict.fromkeys(CSV_COLUMNS)
+        med.update(problem=problem_id, variant=variant, seed="median")
+        for col in ("iters", "err", "l0", "tv0", "lemma_violations"):
+            vals = [r[col] for r in group if r[col] is not None]
+            if vals:
+                med[col] = float(np.median(vals))
+        n_conv = sum(1 for r in group if r["converged"] is True)
+        med["converged"] = f"{n_conv}/{len(group)}"
+        summaries.append(med)
     return rows, summaries
 
 
@@ -264,26 +202,19 @@ def cmd_bench(args):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--gamma", type=float, default=None, help="explicit step size (bypasses the automatic rule)")
-    p.add_argument("--safety", type=float, default=0.9, help="automatic step size scale in (0, 1]")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--alpha", type=float, default=5e-4, help="l1 weight (fused problems)")
-    p.add_argument("--beta", type=float, default=5e-2, help="fusion weight (fused problems)")
-    p.add_argument("--monitor-lemma", action="store_true", help="record the extragradient certificate and count violations")
+    p.add_argument("--gamma", type=float, help="explicit step size (bypasses the automatic rule)")
+    p.add_argument("--safety", type=float, help="automatic step size scale in (0, 1]")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--alpha", type=float, help="l1 weight (fused problems)")
+    p.add_argument("--beta", type=float, help="fusion weight (fused problems)")
+    p.add_argument("--monitor-lemma", dest="monitor", action="store_true", help="record the extragradient certificate and count violations")
+    p.set_defaults(**dataclasses.asdict(SolveOverrides()))
 
 
 def _overrides(args):
     """The ``_add_solver_flags`` values of a parsed ``solve`` or ``bench``."""
-    return SolveOverrides(
-        gamma=args.gamma,
-        safety=args.safety,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        alpha=args.alpha,
-        beta=args.beta,
-        monitor=args.monitor_lemma,
-    )
+    return SolveOverrides(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolveOverrides)})
 
 
 def build_parser():
@@ -294,6 +225,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a seeded instance directory")
+    gen.set_defaults(func=cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gen_bp = gen_sub.add_parser("bp", help="basis pursuit instance")
     gen_bp.add_argument("--n", type=int, required=True)
@@ -301,14 +233,12 @@ def build_parser():
     gen_bp.add_argument("--s", type=int, required=True)
     gen_bp.add_argument("--seed", type=int, required=True)
     gen_bp.add_argument("--out", required=True)
-    gen_bp.set_defaults(func=cmd_gen)
     gen_fused = gen_sub.add_parser("fused", help="fused logistic instance")
     gen_fused.add_argument("--pattern", choices=("simple", "blocks"), required=True)
     gen_fused.add_argument("--n", type=int, required=True)
     gen_fused.add_argument("--m", type=int, default=None)
     gen_fused.add_argument("--seed", type=int, required=True)
     gen_fused.add_argument("--out", required=True)
-    gen_fused.set_defaults(func=cmd_gen)
 
     sol = sub.add_parser("solve", help="solve one instance directory, print a JSON row")
     sol.add_argument("instance", help="instance directory")

@@ -46,6 +46,16 @@ class FusedLogisticInstance:
     def n(self):
         return self.A.shape[1]
 
+    @property
+    def problem_id(self):
+        """The ``problem`` column of this instance's CLI rows."""
+        return f"fused_{self.pattern}_m{self.m}_n{self.n}"
+
+    def row_metrics(self, x):
+        """The row metrics of coefficients x: ``sparsity_report`` counts."""
+        l0, tv0 = sparsity_report(x)
+        return {"l0": l0, "tv0": tv0}
+
 
 @dataclass(frozen=True)
 class LogisticAux:
@@ -168,8 +178,8 @@ class FusedLogisticConfig:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError("penalty weights must be nonnegative and finite")
 
 
 def as_problem(inst, cfg):
@@ -277,7 +287,7 @@ def sparsity_report(x, threshold=None):
         if top == 0.0:
             return 0, 0
         threshold = 1e-6 * top
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     diffs = x[:-1] - x[1:]
     return (
@@ -286,33 +296,21 @@ def sparsity_report(x, threshold=None):
     )
 
 
-def solve_fused(
-    inst,
-    cfg,
-    variant=VariantKind.EGAL,
-    tol=1e-4,
-    max_iters=20000,
-    safety=0.9,
-    monitor_certificate=False,
-):
-    """Run the solver on the fused logistic program.
+def stop_rule(tol):
+    """The fused stop rule: the constraint residual at the midpoint (the
+    new iterate for the plain-gradient variants) satisfies ``max(|x -
+    y_mid|, |w - L y_mid|) < tol`` componentwise.  Unlike the solver's
+    default rule it ignores the (y, lam) movement."""
+    return lambda info: np.abs(info.residual).max() < tol
 
-    Stops when the constraint residual at the midpoint satisfies
-    ``max(|x - y_mid|, |w - L y_mid|) < tol`` componentwise (the new
-    iterate replaces the midpoint for the plain-gradient variants), or at
-    the iteration cap.
+
+def solve_fused(inst, cfg, variant=VariantKind.EGAL, **settings):
+    """``solve`` on ``as_problem(inst, cfg)`` with ``stop_rule``.
+
+    ``settings`` are further ``SolverConfig`` fields (``tol``,
+    ``max_iters``, ``safety``, ``monitor_certificate``); any not given
+    keeps ``SolverConfig``'s default.  The step size is ``cfg.gamma``.  The
+    run stops by ``stop_rule(tol)`` or at the iteration cap.
     """
-    problem = as_problem(inst, cfg)
-    config = SolverConfig(
-        variant=variant,
-        gamma=cfg.gamma,
-        safety=safety,
-        tol=tol,
-        max_iters=max_iters,
-        monitor_certificate=monitor_certificate,
-    )
-
-    def stop(info):
-        return np.abs(info.residual).max() < tol
-
-    return solve(problem, config, stop_rule=stop)
+    config = SolverConfig(variant=variant, gamma=cfg.gamma, **settings)
+    return solve(as_problem(inst, cfg), config, stop_rule=stop_rule(config.tol))

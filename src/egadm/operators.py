@@ -15,7 +15,8 @@ def shrink(z, tau):
     map to zero.  ``tau`` is a scalar or an array of per-component
     thresholds broadcast against ``z``, nonnegative in every entry.
     """
-    if (tau < 0).any() if isinstance(tau, np.ndarray) else tau < 0:
+    # written so that a NaN threshold fails the test
+    if not ((tau >= 0).all() if isinstance(tau, np.ndarray) else tau >= 0):
         raise ValueError("threshold must be nonnegative")
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
@@ -40,8 +41,8 @@ class MetricH:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind == "scaled_identity_minus_gram":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("scaled_identity_minus_gram needs tau > 0")
+            if self.tau is None or not 0 < self.tau < np.inf:
+                raise ValueError("scaled_identity_minus_gram needs a finite tau > 0")
         elif self.tau is not None:
             raise ValueError("zero metric takes no tau")
 

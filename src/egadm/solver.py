@@ -93,12 +93,13 @@ class SolverConfig:
     monitor_certificate: bool = False
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        # each test is written so that NaN fails it
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
-        if self.max_iters < 0 or self.tol < 0:
-            raise ValueError("max_iters and tol must be nonnegative")
+        if not (self.max_iters >= 0 and 0 <= self.tol < math.inf):
+            raise ValueError("max_iters and tol must be nonnegative, tol finite")
 
 
 @dataclass(slots=True)

@@ -34,6 +34,21 @@ def _read_vector(path, length):
     return v
 
 
+class _JsonObject(dict):
+    """The JSON object in ``path``.  Invalid JSON, and a key read with
+    ``[]`` that the object lacks, raise a ValueError naming the file."""
+
+    def __init__(self, path):
+        try:
+            super().__init__(json.loads(path.read_text(encoding="utf-8")))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} does not hold a JSON object: {exc}") from None
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path} lacks the key {key!r}")
+
+
 def _write_meta(path, meta):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -62,7 +77,7 @@ def save_bp_instance(inst, directory):
 
 def load_bp_instance(directory):
     d = Path(directory)
-    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    meta = _JsonObject(d / "meta.json")
     A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
     if A.shape != (meta["m"], meta["n"]):
         raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
@@ -104,8 +119,8 @@ def save_fused_instance(inst, directory):
 
 def load_fused_instance(directory):
     d = Path(directory)
-    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
-    pattern = json.loads((d / "pattern.json").read_text(encoding="utf-8"))
+    meta = _JsonObject(d / "meta.json")
+    pattern = _JsonObject(d / "pattern.json")
     A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
     if A.shape != (meta["m"], meta["n"]):
         raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
@@ -128,7 +143,7 @@ def load_instance(directory):
     meta_path = d / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"no meta.json under {d}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = _JsonObject(meta_path)
     kind = meta.get("kind")
     if kind is None:
         kind = "fused_logistic" if (d / "pattern.json").is_file() else "basis_pursuit"

@@ -1,13 +1,19 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import storage
 from egadm.cli import CSV_COLUMNS, main
+from egadm.solver import SolverConfig, VariantKind, solve
 
 
 def _dir_digest(path):
@@ -214,3 +220,93 @@ def test_bench_rejects_bad_dims(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--problem", "bp", "--dims", "40,10", "--instances", "1",
               "--variants", "egl", "--out", str(tmp_path / "x.csv")])
+
+
+def _solve_row(argv, capsys):
+    rc = main(argv)
+    return rc, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_bp_row_equals_the_library_solve(tmp_path, capsys):
+    out, coef = tmp_path / "inst", tmp_path / "coef.txt"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "3", "--out", str(out)])
+    rc, row = _solve_row(["solve", str(out), "--variant", "egl", "--gamma", "0.2",
+                          "--monitor-lemma", "--emit-coef", str(coef)], capsys)
+    inst = storage.load_instance(out)
+    config = SolverConfig(variant=VariantKind.EGL, gamma=0.2, monitor_certificate=True)
+    rep = solve(bp.as_problem(inst), config)
+    assert rc == 0 and rep.converged
+    assert row["problem"] == "bp_n40_m10_s2"
+    assert (row["iters"], row["converged"]) == (rep.iterations, rep.converged)
+    assert row["err"] == bp.recovery_error(inst, rep.state.x)
+    assert row["lemma_violations"] == rep.lemma_violations
+    assert np.array_equal(np.loadtxt(coef), rep.state.x[: inst.n])
+
+
+def test_fused_row_equals_the_library_solve(tmp_path, capsys):
+    out, coef = tmp_path / "fused", tmp_path / "coef.txt"
+    main(["gen", "fused", "--pattern", "blocks", "--n", "140", "--m", "30",
+          "--seed", "1", "--out", str(out)])
+    rc, row = _solve_row(["solve", str(out), "--variant", "gal", "--alpha", "2e-2",
+                          "--monitor-lemma", "--emit-coef", str(coef)], capsys)
+    inst = storage.load_instance(out)
+    rep = fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=2e-2), variant=VariantKind.GAL,
+                         monitor_certificate=True)
+    coefs = rep.state.x[: inst.n]
+    assert rc == 0 and rep.converged
+    assert row["problem"] == "fused_blocks_m30_n140"
+    assert (row["iters"], row["converged"]) == (rep.iterations, rep.converged)
+    assert [row["l0"], row["tv0"]] == list(fl.sparsity_report(coefs))
+    assert row["err"] is None and row["lemma_violations"] == rep.lemma_violations == 0
+    assert np.array_equal(np.loadtxt(coef), coefs)
+
+
+def test_bench_fused_ids_come_from_the_instances_in_sorted_order(tmp_path):
+    out = tmp_path / "fused.csv"
+    rc = main([
+        "bench", "--problem", "fused", "--dims", "30,140", "--dims", "20,130",
+        "--instances", "1", "--variants", "gal", "--alpha", "2e-2", "--out", str(out),
+    ])
+    assert rc == 0
+    data = [r for r in _read_csv(out)[1:] if r[2] != "median"]
+    assert [r[0] for r in data] == ["fused_blocks_m20_n130", "fused_blocks_m30_n140"]
+
+
+def test_gen_fused_blocks_without_m_exits_with_its_message(tmp_path):
+    with pytest.raises(SystemExit, match="gen fused --pattern blocks requires --m"):
+        main(["gen", "fused", "--pattern", "blocks", "--n", "200", "--seed", "0",
+              "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--gamma"])
+def test_solve_rejects_a_nan_setting(tmp_path, capsys, flag):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "0", "--out", str(out)])
+    rc = main(["solve", str(out), flag, "nan"])
+    assert rc == 1
+    assert "must be" in capsys.readouterr().err
+
+
+def test_solve_names_meta_json_and_the_missing_key(tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "0", "--out", str(out)])
+    meta = json.loads((out / "meta.json").read_text())
+    del meta["s"]
+    (out / "meta.json").write_text(json.dumps(meta))
+    assert main(["solve", str(out)]) == 1
+    assert "meta.json lacks the key 's'" in capsys.readouterr().err
+
+
+def test_python_dash_m_egadm_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "inst"
+    proc = subprocess.run(
+        [sys.executable, "-m", "egadm", "gen", "bp", "--n", "30", "--m", "8", "--s", "2",
+         "--seed", "5", "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(out)
+    assert storage.load_instance(out).A.shape == (8, 30)

@@ -5,7 +5,7 @@ import pytest
 
 from egadm import fused_logistic as fl
 from egadm.problem import kkt_lipschitz_bound
-from egadm.solver import SolverConfig, VariantKind, initial_state, step
+from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve, step
 from oracles import central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues
 
 
@@ -283,6 +283,8 @@ def test_sparsity_report_basics():
     assert fl.sparsity_report(np.full(7, 3.0)) == (7, 0)
     with pytest.raises(ValueError):
         fl.sparsity_report(np.ones(3), threshold=0.0)
+    with pytest.raises(ValueError):
+        fl.sparsity_report(np.ones(3), threshold=np.nan)
 
 
 def test_sparsity_report_on_planted_blocks():
@@ -401,5 +403,22 @@ def test_as_problem_memory_is_linear_in_n():
 def test_config_validation():
     with pytest.raises(ValueError):
         fl.FusedLogisticConfig(alpha=-1.0)
+    for weights in ({"alpha": np.nan}, {"beta": np.nan}, {"alpha": np.inf}, {"beta": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            fl.FusedLogisticConfig(**weights)
     with pytest.raises(ValueError):
         fl.LogisticAux.from_data(np.eye(2), np.array([1.0, 0.5]))
+
+
+def test_solve_fused_is_solve_with_the_fused_stop_rule():
+    inst = fl.generate_block_pattern(130, 20, 1)
+    cfg = fl.FusedLogisticConfig(alpha=2e-2)
+    rep = fl.solve_fused(inst, cfg, variant=VariantKind.GAL, tol=1e-3, max_iters=5000)
+    config = SolverConfig(variant=VariantKind.GAL, tol=1e-3, max_iters=5000)
+    ref = solve(fl.as_problem(inst, cfg), config, stop_rule=fl.stop_rule(1e-3))
+    assert rep.converged and (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+    assert np.array_equal(rep.state.x, ref.state.x)
+    # the rule reads the largest residual component only, not the 2-norm
+    below = fl.stop_rule(1e-3)
+    assert below(StepInfo(np.array([9e-4, -9e-4, 9e-4]), 1.6e-3, 1.0))
+    assert not below(StepInfo(np.array([0.0, -1e-3]), 1e-3, 0.0))

@@ -24,6 +24,12 @@ def test_shrink_negative_threshold_rejected():
         shrink(np.ones(2), -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         shrink(np.ones(3), np.array([0.5, -1e-300, 0.5]))
+    # NaN, alone or in an array, is no threshold; infinity maps all to zero
+    with pytest.raises(ValueError, match="nonnegative"):
+        shrink(np.ones(2), np.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        shrink(np.ones(3), np.array([0.5, np.nan, 0.5]))
+    assert shrink(np.array([3.0, -2.0]), np.inf).tolist() == [0.0, 0.0]
 
 
 def test_shrink_array_threshold_equals_the_two_slice_form_bit_for_bit():
@@ -128,6 +134,9 @@ def test_metric_validation():
         MetricH("scaled_identity_minus_gram")
     with pytest.raises(ValueError):
         MetricH("zero", tau=1.0)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite tau"):
+            MetricH.scaled_identity_minus_gram(tau)
     assert MetricH.zero().kind == "zero"
     assert MetricH.scaled_identity_minus_gram(2.0).tau == 2.0
 

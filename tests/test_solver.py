@@ -379,6 +379,9 @@ def test_solver_config_validation():
         SolverConfig(variant=VariantKind.EGL, safety=0.0)
     with pytest.raises(ValueError):
         SolverConfig(variant=VariantKind.EGL, tol=-1e-3)
+    for setting in ({"gamma": np.nan}, {"gamma": np.inf}, {"tol": np.nan}, {"tol": np.inf}):
+        with pytest.raises(ValueError):
+            SolverConfig(variant=VariantKind.EGL, **setting)
 
 
 def test_ergodic_checkpoints_validation():

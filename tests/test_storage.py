@@ -98,3 +98,19 @@ def test_load_rejects_a_vector_of_the_wrong_length(tmp_path, kind, name):
     with pytest.raises(ValueError, match=name.replace(".", r"\.")):
         storage.load_instance(d)
 
+
+def test_load_names_meta_json_and_the_missing_key(tmp_path):
+    d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    meta = json.loads((d / "meta.json").read_text())
+    del meta["s"]
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"meta\.json lacks the key 's'"):
+        storage.load_instance(d)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_load_names_meta_json_when_it_is_not_a_json_object(tmp_path, text):
+    d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    (d / "meta.json").write_text(text)
+    with pytest.raises(ValueError, match=r"meta\.json does not hold a JSON object"):
+        storage.load_instance(d)
