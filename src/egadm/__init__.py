@@ -10,10 +10,8 @@ from .problem import (
     ProxBlock,
     SmoothBlock,
     TwoBlockProblem,
-    augmented_lagrangian,
     identity_map,
     kkt_lipschitz_bound,
-    kkt_map,
     lagrangian,
 )
 from .solver import (
@@ -22,9 +20,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     VariantKind,
-    ergodic_averages,
     ergodic_checkpoints,
-    extragradient_certificate,
     gap_surrogate,
     initial_state,
     iterate,
@@ -46,16 +42,12 @@ __all__ = [
     "SolverConfig",
     "TwoBlockProblem",
     "VariantKind",
-    "augmented_lagrangian",
-    "ergodic_averages",
     "ergodic_checkpoints",
-    "extragradient_certificate",
     "gap_surrogate",
     "identity_map",
     "initial_state",
     "iterate",
     "kkt_lipschitz_bound",
-    "kkt_map",
     "lagrangian",
     "resolve_gamma",
     "shrink",

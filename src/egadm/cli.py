@@ -273,3 +273,7 @@ def main(argv=None):
 
 def app():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -166,25 +166,6 @@ def lagrangian(problem, x, y, lam):
     )
 
 
-def augmented_lagrangian(problem, x, y, lam, gamma):
-    """Lagrangian plus the quadratic penalty (gamma/2)||A x + B y - b||^2."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    r = problem.coupling.residual(x, y)
-    return lagrangian(problem, x, y, lam) + 0.5 * gamma * float(r @ r)
-
-
-def kkt_map(problem, x, y, lam):
-    """Stacked first-order map ``(grad_y L, -grad_lam L)`` at (x, y, lam).
-
-    Concretely ``(grad g(y) - B^T lam, A x + B y - b)``; its zeros over
-    X x Y x R^m are the saddle points of the Lagrangian.
-    """
-    top = problem.smooth_block.gradient(y) - problem.coupling.apply_bt(lam)
-    bottom = problem.coupling.residual(x, y)
-    return np.concatenate([top, bottom])
-
-
 def kkt_lipschitz_bound(problem):
     """Lipschitz constant of the stacked map in (y, lam).
 

@@ -16,15 +16,15 @@ and take the final step using gradients evaluated there:
                 y+ = proj(y - gamma * grad_y@(y_mid, lam_mid))
                 lam+ = lam - gamma * (A x+ + B y_mid - b)
 
-Running ergodic sums accumulate (x+, y_mid, lam_mid) for the
-extragradient variants; the averaged triple is the object the O(1/N)
-complexity bound speaks about.  For GL/GAL the sums accumulate
-(x+, y+, lam+) instead and are diagnostic only.
+The O(1/N) complexity bound speaks about the ergodic average of
+(x+, y_mid, lam_mid), (x+, y+, lam+) for GL/GAL; only
+``ergodic_checkpoints`` forms it, from the states ``iterate`` yields.
 """
 
 import enum
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -70,7 +70,12 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-_ZERO_METRIC = MetricH.zero()
+def _count(value, what):
+    """``value`` as an int; a non-integer such as 2.5 or NaN is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class SolverConfig:
     variant: VariantKind
     gamma: Optional[float] = None
     safety: float = 0.9
-    metric: MetricH = _ZERO_METRIC
+    metric: MetricH = MetricH.zero()
     max_iters: int = 20000
     tol: float = 1e-4
     monitor_certificate: bool = False
@@ -98,13 +103,13 @@ class SolverConfig:
             raise ValueError("gamma must be positive and finite")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
-        if not (self.max_iters >= 0 and 0 <= self.tol < math.inf):
+        if not (_count(self.max_iters, "max_iters") >= 0 and 0 <= self.tol < math.inf):
             raise ValueError("max_iters and tol must be nonnegative, tol finite")
 
 
 @dataclass(slots=True)
 class IterateState:
-    """Current iterates plus midpoints and running ergodic sums.
+    """Current iterates, the midpoints they came from, and the count ``k``.
 
     Treat it as immutable: nothing may assign to its fields or write into
     its arrays.  ``dataclasses.replace`` makes a modified copy.  (It is not
@@ -118,9 +123,6 @@ class IterateState:
     y_mid: np.ndarray
     lam_mid: np.ndarray
     k: int
-    sum_x: np.ndarray
-    sum_y: np.ndarray
-    sum_lam: np.ndarray
 
 
 @dataclass(slots=True)
@@ -137,7 +139,7 @@ class StepInfo:
 @dataclass
 class SolveReport:
     """Outcome of a solve: counts, certificate history, and the final state
-    (whose running sums give ``ergodic_averages``)."""
+    (averaged iterates come from ``ergodic_checkpoints``)."""
 
     iterations: int
     converged: bool
@@ -159,20 +161,9 @@ def resolve_gamma(problem, config):
 
 def initial_state(problem):
     """Canonical deterministic start: x = 0, y = proj_Y(0), lam = 0."""
-    x = np.zeros(problem.prox_block.dim)
     y = problem.smooth_block.project(np.zeros(problem.smooth_block.dim))
     lam = np.zeros(problem.coupling.b.shape[0])
-    return IterateState(
-        x=x,
-        y=y,
-        lam=lam,
-        y_mid=y.copy(),
-        lam_mid=lam.copy(),
-        k=0,
-        sum_x=np.zeros_like(x),
-        sum_y=np.zeros_like(y),
-        sum_lam=np.zeros_like(lam),
-    )
+    return IterateState(np.zeros(problem.prox_block.dim), y, lam, y.copy(), lam.copy(), 0)
 
 
 def _norm(v):
@@ -231,21 +222,10 @@ def _advance(problem, config, state, gamma, extragradient, augmented):
         # F(x+, z_mid) from the values above: its bottom is resid_mid, its
         # top is g_mid without the augmented pull
         f_top = grad_mid - c.apply_bt(lam_mid) if augmented else g_mid
-        certificate = _certificate(
-            gamma, f_top, resid_mid, (y_mid, lam_mid), (y_next, lam_next), float(dist_sq)
-        )
+        inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
+        certificate = gamma * inner - 0.5 * float(dist_sq)
 
-    new_state = IterateState(
-        x_next,
-        y_next,
-        lam_next,
-        y_mid,
-        lam_mid,
-        state.k + 1,
-        state.sum_x + x_next,
-        state.sum_y + y_mid,
-        state.sum_lam + lam_mid,
-    )
+    new_state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
     return new_state, StepInfo(resid_mid, resid_norm, movement, certificate)
 
 
@@ -278,38 +258,6 @@ def step(problem, config, state):
     ``iterate``, which resolves the step size once.
     """
     return next(iterate(problem, config, state))[0]
-
-
-def _certificate(gamma, f_top, f_bottom, z_mid, z_next, dist_sq):
-    """``gamma * <F, z_mid - z_next> - dist_sq / 2`` with F = (f_top, f_bottom)."""
-    (y_mid, lam_mid), (y_next, lam_next) = z_mid, z_next
-    inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
-    return gamma * inner - 0.5 * dist_sq
-
-
-def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
-    """Left-hand side of the extragradient contraction inequality.
-
-    Evaluates ``gamma * <F(x+, z_mid), z_mid - z_next> - (1/2)||z_prev -
-    z_next||^2`` where F stacks the smooth block's dual gradient and the
-    primal residual.  Whenever ``gamma <= 1 / (2 * Lhat)`` this value is
-    nonpositive up to round-off; positive values beyond a small slack
-    indicate the step size violates the admissible range.  The solver
-    evaluates it from its own iteration values, bit for bit equal to this.
-    """
-    c = problem.coupling
-    y_mid, lam_mid = z_mid
-    f_top = problem.smooth_block.gradient(y_mid) - c.apply_bt(lam_mid)
-    f_bottom = c.apply_a(x_next) + c.apply_b(y_mid) - c.b
-    dist_sq = sum(float(np.linalg.norm(p - q) ** 2) for p, q in zip(z_prev, z_next))
-    return _certificate(gamma, f_top, f_bottom, z_mid, z_next, dist_sq)
-
-
-def ergodic_averages(state):
-    """Running means of the accumulated iterates, ``sums / k``."""
-    if state.k == 0:
-        raise ValueError("no iterations taken yet")
-    return state.sum_x / state.k, state.sum_y / state.k, state.sum_lam / state.k
 
 
 def gap_surrogate(problem, avg_x, avg_y, avg_lam, reference):
@@ -382,15 +330,23 @@ def solve(problem, config, init=None, stop_rule=None):
 def ergodic_checkpoints(problem, config, checkpoints, init=None):
     """Run without stopping and snapshot ergodic averages at given counts.
 
-    A checkpoint is an iteration count ``state.k``, which counts the steps
-    already in ``init``: each must exceed ``init.k`` (0 without ``init``),
-    and the run takes ``max(checkpoints) - init.k`` new steps.  Returns a
-    list of (x, y, lam) average triples, one per distinct checkpoint, in
-    increasing checkpoint order.
+    A checkpoint is an integer iteration count ``state.k``, which counts
+    the steps already in ``init``: each must exceed ``init.k`` (0 without
+    ``init``), and the run takes ``max(checkpoints) - init.k`` new steps.
+    Returns one (x, y, lam) triple per distinct checkpoint, in increasing
+    order: the mean of (x+, y_mid, lam_mid) over the steps this call took,
+    summed in step order from zeros and divided by ``state.k - init.k``,
+    so a start with ``k > 0`` adds neither its iterates nor its count.
     """
-    marks = {int(k) for k in checkpoints}
+    marks = {_count(k, "checkpoint") for k in checkpoints}
     start = 0 if init is None else init.k
     if not marks or min(marks) <= start:
         raise ValueError(f"checkpoints must be iteration counts above the start's k = {start}")
     steps = itertools.islice(iterate(problem, config, init), max(marks) - start)
-    return [ergodic_averages(state) for state, _ in steps if state.k in marks]
+    averages, sum_x, sum_y, sum_lam = [], 0.0, 0.0, 0.0
+    for state, _ in steps:
+        sum_x, sum_y, sum_lam = sum_x + state.x, sum_y + state.y_mid, sum_lam + state.lam_mid
+        if state.k in marks:
+            n = state.k - start
+            averages.append((sum_x / n, sum_y / n, sum_lam / n))
+    return averages

@@ -1,13 +1,57 @@
 """Independent reference computations the tests check the library against.
 
-Everything here deliberately avoids the library's own code paths: the
-eigensolver is a classical Jacobi sweep, prox values come from brute-force
-grid search, gradients from central differences, and the iteration oracles
-are line-by-line transcriptions of the update formulas with their own
-linear algebra.
+Most of these avoid the library's own code paths: the eigensolver is a
+classical Jacobi sweep, prox values come from brute-force grid search,
+gradients from central differences, and the iteration oracles are
+line-by-line transcriptions of the update formulas with their own linear
+algebra.  The first-order oracles (``augmented_lagrangian``, ``kkt_map``,
+``extragradient_certificate``) evaluate their formulas on a
+``TwoBlockProblem`` through the problem's own callables (``evaluate``,
+``gradient``, the coupling products), never through the solver's
+iteration.
 """
 
 import numpy as np
+
+from egadm.problem import lagrangian
+
+
+def augmented_lagrangian(problem, x, y, lam, gamma):
+    """Lagrangian plus the quadratic penalty (gamma/2)||A x + B y - b||^2."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    r = problem.coupling.residual(x, y)
+    return lagrangian(problem, x, y, lam) + 0.5 * gamma * float(r @ r)
+
+
+def kkt_map(problem, x, y, lam):
+    """Stacked first-order map ``(grad_y L, -grad_lam L)`` at (x, y, lam).
+
+    Concretely ``(grad g(y) - B^T lam, A x + B y - b)``; its zeros over
+    X x Y x R^m are the saddle points of the Lagrangian.
+    """
+    top = problem.smooth_block.gradient(y) - problem.coupling.apply_bt(lam)
+    bottom = problem.coupling.residual(x, y)
+    return np.concatenate([top, bottom])
+
+
+def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
+    """Left-hand side of the extragradient contraction inequality.
+
+    Evaluates ``gamma * <F(x+, z_mid), z_mid - z_next> - (1/2)||z_prev -
+    z_next||^2`` where F stacks the smooth block's dual gradient and the
+    primal residual.  Whenever ``gamma <= 1 / (2 * Lhat)`` this value is
+    nonpositive up to round-off.  The solver's monitored certificate comes
+    from its own iteration values in the same operation order, so the two
+    agree bit for bit.
+    """
+    c = problem.coupling
+    (y_mid, lam_mid), (y_next, lam_next) = z_mid, z_next
+    f_top = problem.smooth_block.gradient(y_mid) - c.apply_bt(lam_mid)
+    f_bottom = c.apply_a(x_next) + c.apply_b(y_mid) - c.b
+    dist_sq = sum(float(np.linalg.norm(p - q) ** 2) for p, q in zip(z_prev, z_next))
+    inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
+    return gamma * inner - 0.5 * dist_sq
 
 
 def jacobi_eigenvalues(sym, max_sweeps=100, tol=1e-13):

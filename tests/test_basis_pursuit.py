@@ -3,9 +3,9 @@ import pytest
 
 from egadm import basis_pursuit as bp
 from egadm.linalg import spectral_norm_sq
-from egadm.problem import kkt_lipschitz_bound, kkt_map
+from egadm.problem import kkt_lipschitz_bound
 from egadm.solver import SolverConfig, VariantKind, initial_state, solve, step
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, kkt_map
 
 
 def test_generate_shapes_and_planted_solution():

@@ -298,15 +298,24 @@ def test_solve_names_meta_json_and_the_missing_key(tmp_path, capsys):
     assert "meta.json lacks the key 's'" in capsys.readouterr().err
 
 
-def test_python_dash_m_egadm_runs_the_cli(tmp_path):
+def _gen_with_python_dash_m(module, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = tmp_path / "inst"
     proc = subprocess.run(
-        [sys.executable, "-m", "egadm", "gen", "bp", "--n", "30", "--m", "8", "--s", "2",
+        [sys.executable, "-m", module, "gen", "bp", "--n", "30", "--m", "8", "--s", "2",
          "--seed", "5", "--out", str(out)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out)
     assert storage.load_instance(out).A.shape == (8, 30)
+
+
+def test_python_dash_m_egadm_runs_the_cli(tmp_path):
+    _gen_with_python_dash_m("egadm", tmp_path)
+
+
+def test_python_dash_m_egadm_cli_runs_the_cli(tmp_path):
+    # without a __main__ entry in cli.py this exits 0 and writes nothing
+    _gen_with_python_dash_m("egadm.cli", tmp_path)

@@ -12,13 +12,11 @@ from egadm.problem import (
     ProxBlock,
     SmoothBlock,
     TwoBlockProblem,
-    augmented_lagrangian,
     identity_map,
     kkt_lipschitz_bound,
-    kkt_map,
     lagrangian,
 )
-from oracles import central_diff_gradient, jacobi_eigenvalues
+from oracles import augmented_lagrangian, central_diff_gradient, jacobi_eigenvalues, kkt_map
 
 
 def _unused_subproblem(*_args):

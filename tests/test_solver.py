@@ -15,9 +15,7 @@ from egadm.solver import (
     DivergenceError,
     SolverConfig,
     VariantKind,
-    ergodic_averages,
     ergodic_checkpoints,
-    extragradient_certificate,
     gap_surrogate,
     initial_state,
     iterate,
@@ -25,7 +23,7 @@ from egadm.solver import (
     solve,
     step,
 )
-from oracles import bp_midpoint_transcription
+from oracles import bp_midpoint_transcription, extragradient_certificate
 
 
 def _l1_quadratic_problem(B, b, x_dim=None, A=None):
@@ -163,10 +161,7 @@ def test_ergodic_averages_constant_iterates():
     inst = bp.BasisPursuitInstance(A=np.eye(2), b=b, xhat=b.copy(), s=2, seed=0)
     prob = bp.as_problem(inst)
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.2)
-    state = _state_at(prob, b, b, np.sign(b))
-    for _ in range(5):
-        state = step(prob, cfg, state)
-    ax, ay, alam = ergodic_averages(state)
+    [(ax, ay, alam)] = ergodic_checkpoints(prob, cfg, [5], init=_state_at(prob, b, b, np.sign(b)))
     assert np.allclose(ax, b, atol=1e-13)
     assert np.allclose(ay, b, atol=1e-13)
     assert np.allclose(alam, np.sign(b), atol=1e-13)
@@ -178,26 +173,47 @@ def test_ergodic_averages_two_step_mean_and_replay():
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.15)
     state = initial_state(prob)
     xs, ys, lams = [], [], []
-    for k in range(50):
+    for _ in range(50):
         state = step(prob, cfg, state)
         xs.append(state.x)
         ys.append(state.y_mid)
         lams.append(state.lam_mid)
-        if k == 1:
-            ax, ay, alam = ergodic_averages(state)
-            assert np.allclose(ax, (xs[0] + xs[1]) / 2, atol=1e-14)
-            assert np.allclose(ay, (ys[0] + ys[1]) / 2, atol=1e-14)
-            assert np.allclose(alam, (lams[0] + lams[1]) / 2, atol=1e-14)
-    ax, ay, alam = ergodic_averages(state)
+    (ax, ay, alam), last = ergodic_checkpoints(prob, cfg, [2, 50])
+    assert np.allclose(ax, (xs[0] + xs[1]) / 2, atol=1e-14)
+    assert np.allclose(ay, (ys[0] + ys[1]) / 2, atol=1e-14)
+    assert np.allclose(alam, (lams[0] + lams[1]) / 2, atol=1e-14)
+    ax, ay, alam = last
     assert np.allclose(ax, np.mean(xs, axis=0), atol=1e-12)
     assert np.allclose(ay, np.mean(ys, axis=0), atol=1e-12)
     assert np.allclose(alam, np.mean(lams, axis=0), atol=1e-12)
 
 
-def test_ergodic_averages_require_at_least_one_step():
-    prob = _scalar_problem()
-    with pytest.raises(ValueError):
-        ergodic_averages(initial_state(prob))
+def _running_means(states, counts):
+    """Means of (x, y_mid, lam_mid) over the first ``c`` of ``states`` for
+    each c in ``counts``: one running sum from zeros, in order."""
+    sums = [np.zeros_like(states[0].x), np.zeros_like(states[0].y_mid),
+            np.zeros_like(states[0].lam_mid)]
+    means = []
+    for i, state in enumerate(states, start=1):
+        sums = [s + v for s, v in zip(sums, (state.x, state.y_mid, state.lam_mid))]
+        if i in counts:
+            means.append([s / i for s in sums])
+    return means
+
+
+@pytest.mark.parametrize("start_k", [0, 10])
+@pytest.mark.parametrize("variant", [VariantKind.GAL, VariantKind.EGAL])
+def test_ergodic_checkpoints_are_running_means_of_the_steps_taken(variant, start_k):
+    prob = bp.as_problem(bp.generate(30, 8, 2, 1))
+    cfg = SolverConfig(variant=variant)
+    start = replace(initial_state(prob), k=start_k)
+    counts = [1, 7, 30]
+    triples = ergodic_checkpoints(prob, cfg, [start_k + c for c in counts], init=start)
+    states = [s for s, _ in itertools.islice(iterate(prob, cfg, start), max(counts))]
+    expected = _running_means(states, counts)
+    assert len(triples) == len(expected) == 3
+    for triple, means in zip(triples, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(triple, means))
 
 
 def _reference_solution(prob):
@@ -384,6 +400,21 @@ def test_solver_config_validation():
             SolverConfig(variant=VariantKind.EGL, **setting)
 
 
+def test_non_integer_iteration_counts_are_rejected():
+    # 2.5 used to pass SolverConfig and fail later inside islice, and a
+    # mark 2.7 was silently truncated to 2
+    for bad in (2.5, np.float64(3.0), np.nan, "10"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(variant=VariantKind.EGL, max_iters=bad)
+    assert SolverConfig(variant=VariantKind.EGL, max_iters=np.int64(3)).max_iters == 3
+    prob = _scalar_problem()
+    cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
+    for marks in ([2.7, 3], [np.float64(2.0)]):
+        with pytest.raises(ValueError, match="checkpoint must be an integer"):
+            ergodic_checkpoints(prob, cfg, marks)
+    assert len(ergodic_checkpoints(prob, cfg, [np.int64(2), 3])) == 2
+
+
 def test_ergodic_checkpoints_validation():
     prob = _scalar_problem()
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
@@ -409,15 +440,21 @@ def _counting_subproblem(prob):
 
 def test_ergodic_checkpoints_count_from_the_start_state():
     # checkpoints are values of state.k: from a start with k = 10, mark 20
-    # is 10 new steps away, and marks at or below 10 cannot be reached
+    # is 10 new steps away, and marks at or below 10 cannot be reached;
+    # the averages are means over the new steps only (mark 12: 2 steps)
     prob, calls = _counting_subproblem(bp.as_problem(bp.generate(30, 8, 2, 1)))
     cfg = SolverConfig(variant=VariantKind.EGL)
     start = replace(initial_state(prob), k=10)
     triples = ergodic_checkpoints(prob, cfg, [20, 12], init=start)
     assert len(calls) == 10
     states = [s for s, _ in itertools.islice(iterate(prob, cfg, start), 10)]
-    for triple, state in zip(triples, (states[1], states[9])):
-        assert all(np.array_equal(a, b) for a, b in zip(triple, ergodic_averages(state)))
+    for triple, steps in zip(triples, (states[:2], states)):
+        means = [
+            np.mean([s.x for s in steps], axis=0),
+            np.mean([s.y_mid for s in steps], axis=0),
+            np.mean([s.lam_mid for s in steps], axis=0),
+        ]
+        assert all(np.allclose(a, b, rtol=1e-13, atol=1e-15) for a, b in zip(triple, means))
     for marks in ([5, 20], [10]):
         with pytest.raises(ValueError, match="above the start's k = 10"):
             ergodic_checkpoints(prob, cfg, marks, init=start)
