@@ -201,6 +201,17 @@ def cmd_bench(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_flags(p):
     p.add_argument("--gamma", type=float, help="explicit step size (bypasses the automatic rule)")
     p.add_argument("--safety", type=float, help="automatic step size scale in (0, 1]")
@@ -251,7 +262,7 @@ def build_parser():
     ben.add_argument("--problem", choices=("bp", "fused"), required=True)
     ben.add_argument("--dims", action="append", required=True,
                      help="bp: n,m,s   fused: m,n   (repeatable)")
-    ben.add_argument("--instances", type=int, default=10)
+    ben.add_argument("--instances", type=_positive_int, default=10)
     ben.add_argument("--variants", default="gl,gal,egl,egal")
     ben.add_argument("--seed-base", type=int, default=0)
     ben.add_argument("--pattern", choices=("simple", "blocks"), default="blocks")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import spectral_norm_sq
-from .operators import shrink
+from .operators import shrink_unchecked
 from .problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
 from .solver import SolverConfig, VariantKind, solve
 
@@ -104,8 +104,7 @@ def _softplus(t):
 def _sigmoid(t):
     # exp(-|t|) never overflows: it is exp(-t) where t >= 0 and exp(t) elsewhere
     e = np.exp(-np.abs(t))
-    d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _loss(data, z):
@@ -186,7 +185,9 @@ def as_problem(inst, cfg):
     """Two-block form of the fused logistic program.
 
     The nonsmooth block stacks (x, w) and its prox is one shrink against
-    the per-component weights ``[alpha]*n + [beta]*(n-1)``; the smooth
+    the per-component weights ``[alpha]*n + [beta]*(n-1)`` over gamma,
+    thresholds it divides and checks only when gamma changes (a gamma that
+    is not positive and finite is a ValueError); the smooth
     block stacks (y, c), takes its gradient from one product each way with
     the augmented data matrix, and has no constraint (projection is the
     identity).  The coupling enforces x = y and w = L y through A = I and
@@ -197,11 +198,19 @@ def as_problem(inst, cfg):
     aux = LogisticAux.from_data(inst.A, inst.labels)
     p = 2 * n - 1
     weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
+    # the last gamma and its thresholds weights / gamma, checked once
+    memo = [None, None]
 
     def prox_solve(x_prev, offset, lam, gamma, metric):
         if metric.kind != "zero":
             raise ValueError("the stacked shrink block expects the zero metric")
-        return shrink(lam / gamma - offset, weights / gamma)
+        if gamma != memo[0]:
+            # written so that a NaN gamma fails the test; weights >= 0, so
+            # a positive finite gamma gives nonnegative thresholds
+            if not 0 < gamma < np.inf:
+                raise ValueError("gamma must be positive and finite")
+            memo[:] = gamma, weights / gamma
+        return shrink_unchecked(lam / gamma - offset, memo[1])
 
     prox = ProxBlock(
         dim=p,

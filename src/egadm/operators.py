@@ -18,7 +18,13 @@ def shrink(z, tau):
     # written so that a NaN threshold fails the test
     if not ((tau >= 0).all() if isinstance(tau, np.ndarray) else tau >= 0):
         raise ValueError("threshold must be nonnegative")
-    z = np.asarray(z, dtype=float)
+    return shrink_unchecked(np.asarray(z, dtype=float), tau)
+
+
+def shrink_unchecked(z, tau):
+    """``shrink`` of a float array ``z`` without validating ``tau``: the
+    caller has checked that every threshold is nonnegative."""
+    # not np.copysign: at z = -0.0 it returns -0.0, where np.sign(-0.0) is +0.0
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 

@@ -75,7 +75,10 @@ class LinearMap:
 
 def identity_map(n, sign=1.0):
     """``sign * I`` of size n, sign +1 or -1: products return v or np.negative(v)."""
-    op = {1.0: lambda v: v, -1.0: np.negative}[sign]
+    ops = {1.0: lambda v: v, -1.0: np.negative}
+    if sign not in ops:
+        raise ValueError(f"identity_map sign must be +1 or -1, got {sign!r}")
+    op = ops[sign]
     return LinearMap((n, n), op, op, 1.0)
 
 

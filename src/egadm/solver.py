@@ -183,20 +183,23 @@ def _advance(problem, config, state, gamma, extragradient, augmented):
         offset = offset - c.b
     x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, config.metric)
     ax_next = c.apply_a(x_next)
-    # the residual at the current y; GL never reads it
-    resid_k = ax_next + offset if augmented or extragradient else None
+    # the residual at the current y and lam - gamma * resid_k, which is
+    # the augmented pull and the extragradient lam_mid; GL reads neither
+    if augmented or extragradient:
+        resid_k = ax_next + offset
+        lam_mid = lam - gamma * resid_k
     # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
-    # lam - gamma * resid for the augmented variants
-    pull = lam - gamma * resid_k if augmented else lam
-    y_mid = sm.project(y - gamma * (sm.gradient(y) - c.apply_bt(pull)))
+    # lam - gamma * resid_k for the augmented variants
+    bt_pull = c.apply_bt(lam_mid if augmented else lam)
+    y_mid = sm.project(y - gamma * (sm.gradient(y) - bt_pull))
     resid_mid = ax_next + c.apply_b(y_mid)
     if not c.b_is_zero:
         resid_mid = resid_mid - c.b
-    lam_next = lam - gamma * resid_mid
+    step_mid = gamma * resid_mid
+    lam_next = lam - step_mid
     if extragradient:
-        lam_mid = lam - gamma * resid_k
         grad_mid = sm.gradient(y_mid)
-        pull = lam_mid - gamma * resid_mid if augmented else lam_mid
+        pull = lam_mid - step_mid if augmented else lam_mid
         g_mid = grad_mid - c.apply_bt(pull)
         y_next = sm.project(y - gamma * g_mid)
     else:
@@ -220,8 +223,9 @@ def _advance(problem, config, state, gamma, extragradient, augmented):
     certificate = None
     if config.monitor_certificate and extragradient:
         # F(x+, z_mid) from the values above: its bottom is resid_mid, its
-        # top is g_mid without the augmented pull
-        f_top = grad_mid - c.apply_bt(lam_mid) if augmented else g_mid
+        # top is g_mid without the augmented pull, which for EGAL is
+        # grad_mid - B^T lam_mid with B^T lam_mid the first pull's product
+        f_top = grad_mid - bt_pull if augmented else g_mid
         inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
         certificate = gamma * inner - 0.5 * float(dist_sq)
 

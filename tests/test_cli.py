@@ -222,6 +222,17 @@ def test_bench_rejects_bad_dims(tmp_path, capsys):
               "--variants", "egl", "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("count", ["0", "-2", "1.5"])
+def test_bench_rejects_an_instance_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "bp", "--dims", "30,8,2", "--instances", count,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--instances" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _solve_row(argv, capsys):
     rc = main(argv)
     return rc, json.loads(capsys.readouterr().out.strip().splitlines()[-1])

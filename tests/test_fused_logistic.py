@@ -325,6 +325,30 @@ def test_problem_prox_block_is_two_shrinks():
     assert np.allclose(out[4:], shrink(ly + lam[4:] / gamma, cfg.beta / gamma), atol=1e-14)
 
 
+def test_prox_thresholds_are_remembered_per_gamma_without_changing_a_bit():
+    inst = fl.generate_block_pattern(140, 30, 5)
+    cfg = fl.FusedLogisticConfig(alpha=2e-2)
+    reused = fl.as_problem(inst, cfg)
+    states = [initial_state(reused)] * 2
+
+    def take_steps(gamma):
+        for variant in VariantKind:
+            config = SolverConfig(variant=variant, gamma=gamma)
+            states[:] = step(reused, config, states[0]), step(fl.as_problem(inst, cfg), config, states[1])
+            for name in ("x", "y", "lam", "y_mid", "lam_mid"):
+                assert getattr(states[0], name).tobytes() == getattr(states[1], name).tobytes()
+
+    for gamma in (0.1, 0.05, 0.1):
+        take_steps(gamma)
+    p = reused.prox_block.dim
+    metric = SolverConfig(variant=VariantKind.EGAL).metric
+    for bad in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="gamma"):
+            reused.prox_block.solve_subproblem(np.zeros(p), np.zeros(p), np.ones(p), bad, metric)
+    # a rejected gamma leaves the remembered thresholds alone
+    take_steps(0.05)
+
+
 def test_trajectory_matches_line_by_line_transcription():
     inst = _tiny_instance()
     alpha, beta, gamma = 0.05, 0.1, 0.1

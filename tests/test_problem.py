@@ -264,6 +264,14 @@ class _TaggedCoupling(Coupling):
     tag: str = ""
 
 
+def test_identity_map_rejects_a_sign_other_than_plus_or_minus_one():
+    for sign in (2.0, 0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            identity_map(3, sign)
+    for sign in (1, -1, 1.0, -1.0):
+        assert np.array_equal(np.asarray(identity_map(3, sign)), sign * np.eye(3))
+
+
 def test_coupling_lmax_ata_is_declared_or_exact_and_lazy(monkeypatch):
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 6))
