@@ -9,22 +9,40 @@ spectral norm, a planted s-sparse solution with uniform (0, 1) nonzero
 values, and b = A xhat.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import spectral_norm_sq
 from .operators import AffineProjector, solve_l1_subproblem
-from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
+from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map
 
 
 @dataclass(frozen=True)
 class BasisPursuitInstance:
+    """A basis-pursuit instance and the set-up derived from its data alone.
+
+    A, b and xhat are kept as read-only float copies, so ``projector``,
+    built on first use and then reused by every later solve of this
+    object, can never go stale; ``dataclasses.replace`` makes a new
+    instance with its own cache."""
+
     A: np.ndarray
     b: np.ndarray
     xhat: np.ndarray
     s: int
     seed: int
+
+    def __post_init__(self):
+        for name in ("A", "b", "xhat"):
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+
+    @functools.cached_property
+    def projector(self):
+        """The ``AffineProjector`` onto ``{y : A y = b}``; a rank-deficient A
+        raises ``np.linalg.LinAlgError``."""
+        return AffineProjector(self.A, self.b)
 
     @property
     def m(self):
@@ -51,7 +69,8 @@ def generate(n, m, s, seed):
     value is 1 (exact to rounding: the top eigenvalue of ``A A^T``).  The
     s support indices are chosen without replacement and the nonzero
     values drawn uniform in (0, 1); b is A xhat exactly.  Fully determined
-    by ``seed``; if the drawn matrix is rank deficient the draw is retried
+    by ``seed``; if the drawn matrix is rank deficient, so that
+    ``inst.projector`` cannot be built, the draw is retried
     (deterministically) up to three times.
     """
     if not (0 < s <= m <= n):
@@ -69,20 +88,20 @@ def generate(n, m, s, seed):
             vals[redo] = rng.uniform(0.0, 1.0, size=int(np.count_nonzero(redo)))
         xhat = np.zeros(n)
         xhat[support] = vals
-        b = A @ xhat
+        inst = BasisPursuitInstance(A=A, b=A @ xhat, xhat=xhat, s=int(s), seed=int(seed))
         try:
-            AffineProjector(A, b)
+            inst.projector  # built here once, and cached for every solve
         except np.linalg.LinAlgError:
             continue
-        return BasisPursuitInstance(A=A, b=b, xhat=xhat, s=int(s), seed=int(seed))
+        return inst
     raise RuntimeError("could not draw a full-row-rank matrix in 3 attempts")
 
 
 def as_problem(inst):
     """Two-block form: f = ||.||_1 over R^n, g = 0 over Y = {y : A y = b},
-    coupled by x - y = 0."""
+    coupled by x - y = 0.  The projection is the instance's cached
+    ``projector``."""
     n = inst.n
-    projector = AffineProjector(inst.A, inst.b)
 
     def prox_solve(x_prev, offset, lam, gamma, metric):
         return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
@@ -97,7 +116,7 @@ def as_problem(inst):
         evaluate=lambda y: 0.0,
         gradient=lambda y: np.zeros(n),
         lipschitz_constant=0.0,
-        project=projector,
+        project=inst.projector,
     )
     coupling = Coupling(A=identity_map(n), B=identity_map(n, -1.0), b=np.zeros(n))
     return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)

@@ -22,14 +22,22 @@ import numpy as np
 
 from .linalg import spectral_norm_sq
 from .operators import shrink_unchecked
-from .problem import Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map
+from .problem import (
+    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map,
+)
 from .solver import SolverConfig, VariantKind, solve
 
 
 @dataclass(frozen=True)
 class FusedLogisticInstance:
     """Binary-labelled data with a planted piecewise-constant coefficient
-    vector; labels are exactly -1.0 or +1.0."""
+    vector; labels are exactly -1.0 or +1.0.
+
+    A, labels and xhat are kept as read-only float copies, so the set-up
+    derived from the data alone, ``aux`` and ``lipschitz``, is built on
+    first use and reused by every later solve of this object without
+    going stale; ``dataclasses.replace`` makes a new instance with its own
+    cache."""
 
     A: np.ndarray
     labels: np.ndarray
@@ -37,6 +45,20 @@ class FusedLogisticInstance:
     c_true: float
     seed: int
     pattern: str = "custom"
+
+    def __post_init__(self):
+        for name in ("A", "labels", "xhat"):
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+
+    @functools.cached_property
+    def aux(self):
+        """The ``LogisticAux`` of A and labels."""
+        return LogisticAux.from_data(self.A, self.labels)
+
+    @functools.cached_property
+    def lipschitz(self):
+        """``logistic_lipschitz(self.aux)``, the smooth block's constant."""
+        return logistic_lipschitz(self.aux)
 
     @property
     def m(self):
@@ -62,7 +84,8 @@ class LogisticAux:
     """The augmented data matrix ``data = [diag(labels) A, labels]``,
     m x (n+1): each feature row scaled by its label, with the label as the
     intercept column, so the margins at coefficients y and intercept c are
-    ``data @ [y, c]``.  ``signed`` and ``labels`` are views into it."""
+    ``data @ [y, c]``.  ``signed`` and ``labels`` are views into it, and
+    ``from_data`` leaves it read-only."""
 
     data: np.ndarray
 
@@ -81,6 +104,7 @@ class LogisticAux:
         data = np.empty((m, n + 1))
         np.multiply(labels[:, None], A, out=data[:, :n])
         data[:, n] = labels
+        data.flags.writeable = False
         return cls(data)
 
     @property
@@ -192,10 +216,11 @@ def as_problem(inst, cfg):
     the augmented data matrix, and has no constraint (projection is the
     identity).  The coupling enforces x = y and w = L y through A = I and
     ``B = fused_coupling(n)``, two structured maps, so nothing of size n^2
-    is stored.
+    is stored.  The data matrix and the Lipschitz constant are the
+    instance's cached ``aux`` and ``lipschitz``.
     """
     n = inst.n
-    aux = LogisticAux.from_data(inst.A, inst.labels)
+    aux = inst.aux
     p = 2 * n - 1
     weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
     # the last gamma and its thresholds weights / gamma, checked once
@@ -224,7 +249,7 @@ def as_problem(inst, cfg):
         dim=n + 1,
         evaluate=functools.partial(_loss, aux.data),
         gradient=functools.partial(_loss_gradient, aux.data),
-        lipschitz_constant=logistic_lipschitz(aux),
+        lipschitz_constant=inst.lipschitz,
         project=lambda z: z,
     )
 

@@ -104,10 +104,12 @@ def solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=None):
     with ``offset = B y - b``.  Supported combinations: ``A=None``
     (identity coupling) with either metric, or a general A with the
     gram-cancelling metric, which collapses the quadratic to
-    ``(tau/2)||x - v||^2`` so the minimizer is a single shrink.
+    ``(tau/2)||x - v||^2`` so the minimizer is a single shrink.  A gamma
+    that is not positive and finite is a ValueError.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    # written so that a NaN gamma fails the test
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     if A is None:
         anchor = lam / gamma - offset
         if metric.kind == "zero":

@@ -88,7 +88,8 @@ def _norm_sq(M):
     return M.norm_sq if isinstance(M, LinearMap) else spectral_norm_sq(M)
 
 
-def _frozen_copy(m):
+def frozen_copy(m):
+    """A read-only float copy of ``m`` (its memory layout kept)."""
     out = np.array(m, dtype=float)
     out.flags.writeable = False
     return out
@@ -113,8 +114,8 @@ class Coupling:
     b: np.ndarray
 
     def __post_init__(self):
-        A, B = (m if isinstance(m, LinearMap) else _frozen_copy(m) for m in (self.A, self.B))
-        b = _frozen_copy(self.b)
+        A, B = (m if isinstance(m, LinearMap) else frozen_copy(m) for m in (self.A, self.B))
+        b = frozen_copy(self.b)
         if len(A.shape) != 2 or len(B.shape) != 2 or b.ndim != 1:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,43 @@ def test_desk_scale_variant_pattern():
         rep = solve(prob, SolverConfig(variant=variant, gamma=gamma))
         assert rep.converged
         assert bp.recovery_error(inst, rep.state.x) <= 1e-3
+
+
+def test_instance_keeps_read_only_copies_of_its_arrays():
+    rng = np.random.default_rng(0)
+    A, xhat = rng.standard_normal((3, 6)), np.array([0, 1, 0, 0, 0, 0])
+    given = {"A": A, "b": A @ xhat, "xhat": xhat}
+    before = {name: v.copy() for name, v in given.items()}
+    inst = bp.BasisPursuitInstance(s=1, seed=0, **given)
+    for name, v in given.items():
+        held = getattr(inst, name)
+        assert held.dtype == np.float64 and np.array_equal(held, before[name])
+        assert not held.flags.writeable and not np.shares_memory(held, v)
+        with pytest.raises(ValueError):
+            held.flat[0] = 7.0
+        v.flat[0] = 7.0  # the caller's array stays writable
+        assert np.array_equal(held, before[name])
+
+
+def test_projector_is_built_once_per_instance(monkeypatch):
+    calls = []
+    real = bp.AffineProjector
+
+    def counting(A, rhs):
+        calls.append(A)
+        return real(A, rhs)
+
+    monkeypatch.setattr(bp, "AffineProjector", counting)
+    inst = bp.generate(40, 10, 2, 3)
+    problems = [bp.as_problem(inst) for _ in range(3)]
+    assert len(calls) == 1
+    assert all(p.smooth_block.project is inst.projector for p in problems)
+
+
+def test_replace_gives_a_new_instance_with_its_own_projector():
+    inst = bp.generate(40, 10, 2, 3)
+    first = inst.projector
+    moved = dataclasses.replace(inst, b=2.0 * inst.b)
+    assert inst.projector is first and moved.projector is not first
+    y = bp.as_problem(moved).smooth_block.project(np.zeros(40))
+    assert np.linalg.norm(moved.A @ y - moved.b) <= 1e-12 * np.linalg.norm(moved.b)

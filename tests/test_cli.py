@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import storage
-from egadm.cli import CSV_COLUMNS, main
+from egadm.cli import CSV_COLUMNS, BenchSpec, SolveOverrides, main, run_bench
 from egadm.solver import SolverConfig, VariantKind, solve
 
 
@@ -81,8 +82,9 @@ def test_solve_missing_instance_exits_one(tmp_path, capsys):
 
 def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
     inst = fl.generate_block_pattern(500, 100, 0)
-    inst.A[3, 7] = np.nan
-    storage.save_fused_instance(inst, tmp_path / "nan")
+    bad = inst.A.copy()
+    bad[3, 7] = np.nan
+    storage.save_fused_instance(dataclasses.replace(inst, A=bad), tmp_path / "nan")
     rc = main(["solve", str(tmp_path / "nan")])
     assert rc == 1
     assert "non-finite entries" in capsys.readouterr().err
@@ -90,8 +92,7 @@ def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
 
 def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
     inst = fl.generate_block_pattern(500, 100, 0)
-    inst.A[...] *= 1e200
-    storage.save_fused_instance(inst, tmp_path / "huge")
+    storage.save_fused_instance(dataclasses.replace(inst, A=inst.A * 1e200), tmp_path / "huge")
     rc = main(["solve", str(tmp_path / "huge")])
     assert rc == 1
     assert "overflows float64" in capsys.readouterr().err
@@ -330,3 +331,19 @@ def test_python_dash_m_egadm_runs_the_cli(tmp_path):
 def test_python_dash_m_egadm_cli_runs_the_cli(tmp_path):
     # without a __main__ entry in cli.py this exits 0 and writes nothing
     _gen_with_python_dash_m("egadm.cli", tmp_path)
+
+
+def test_bench_builds_one_projector_per_bp_instance(monkeypatch):
+    calls = []
+    real = bp.AffineProjector
+
+    def counting(A, rhs):
+        calls.append(A)
+        return real(A, rhs)
+
+    monkeypatch.setattr(bp, "AffineProjector", counting)
+    spec = BenchSpec(problem="bp", dims=((40, 10, 2),), instances=2, variants=tuple(VariantKind),
+                     seed_base=0, pattern="simple", overrides=SolveOverrides(max_iters=50))
+    rows, _ = run_bench(spec)
+    assert len(rows) == 8
+    assert len(calls) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -446,3 +447,46 @@ def test_solve_fused_is_solve_with_the_fused_stop_rule():
     below = fl.stop_rule(1e-3)
     assert below(StepInfo(np.array([9e-4, -9e-4, 9e-4]), 1.6e-3, 1.0))
     assert not below(StepInfo(np.array([0.0, -1e-3]), 1e-3, 0.0))
+
+
+def test_instance_keeps_read_only_copies_of_its_arrays():
+    rng = np.random.default_rng(1)
+    given = {"A": rng.standard_normal((4, 3)), "labels": np.array([1, -1, -1, 1]),
+             "xhat": np.array([0.5, 0.5, 0.0])}
+    before = {name: v.copy() for name, v in given.items()}
+    inst = fl.FusedLogisticInstance(c_true=0.1, seed=0, **given)
+    for name, v in given.items():
+        held = getattr(inst, name)
+        assert held.dtype == np.float64 and np.array_equal(held, before[name])
+        assert not held.flags.writeable and not np.shares_memory(held, v)
+        with pytest.raises(ValueError):
+            held.flat[0] = 7.0
+        v.flat[0] = 7  # the caller's array stays writable
+        assert np.array_equal(held, before[name])
+    assert not inst.aux.data.flags.writeable
+
+
+def test_four_solves_of_one_instance_compute_the_lipschitz_constant_once(monkeypatch):
+    calls = []
+    real = fl.logistic_lipschitz
+
+    def counting(aux):
+        calls.append(aux)
+        return real(aux)
+
+    monkeypatch.setattr(fl, "logistic_lipschitz", counting)
+    inst = fl.generate_block_pattern(140, 30, 2)
+    for variant in VariantKind:
+        fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=2e-2), variant=variant, max_iters=5)
+    assert len(calls) == 1 and calls[0] is inst.aux
+
+
+def test_replace_gives_a_new_instance_with_its_own_set_up():
+    inst = fl.generate_block_pattern(140, 30, 2)
+    aux, lip = inst.aux, inst.lipschitz
+    doubled = dataclasses.replace(inst, A=2.0 * inst.A)
+    assert inst.aux is aux and inst.lipschitz == lip and doubled.aux is not aux
+    assert np.array_equal(doubled.aux.data, fl.LogisticAux.from_data(2.0 * inst.A, inst.labels).data)
+    assert doubled.lipschitz == fl.logistic_lipschitz(doubled.aux) > lip
+    prob = fl.as_problem(doubled, fl.FusedLogisticConfig())
+    assert prob.smooth_block.lipschitz_constant == doubled.lipschitz

@@ -242,3 +242,15 @@ def test_l1_subproblem_rejects_general_matrix_with_zero_metric():
         solve_l1_subproblem(
             1.0, 1.0, MetricH.zero(), np.zeros(2), np.zeros(3), np.zeros(3), A=A
         )
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize(
+    "metric, A",
+    [(MetricH.zero(), None), (MetricH.scaled_identity_minus_gram(4.0), None),
+     (MetricH.scaled_identity_minus_gram(4.0), np.eye(2))],
+    ids=["zero", "gram", "gram-general-A"],
+)
+def test_l1_subproblem_rejects_a_gamma_that_is_not_positive_and_finite(metric, A, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        solve_l1_subproblem(1.0, gamma, metric, np.ones(2), np.ones(2), np.ones(2), A=A)

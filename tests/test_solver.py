@@ -633,3 +633,29 @@ def test_monitoring_leaves_every_iterate_bit_for_bit(variant):
                 assert getattr(plain, name).tobytes() == getattr(monitored, name).tobytes()
             assert (info.certificate is not None) == variant.extragradient
         assert monitored.k == 200
+
+
+_FRONT_ENDS = (
+    (lambda: bp.generate(60, 15, 2, 4), bp.as_problem, ("projector",)),
+    (
+        lambda: fl.generate_block_pattern(150, 40, 2),
+        lambda inst: fl.as_problem(inst, fl.FusedLogisticConfig()),
+        ("aux", "lipschitz"),
+    ),
+)
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_a_warm_instance_gives_the_bits_of_a_fresh_one(variant):
+    config = SolverConfig(variant=variant)
+    for make, as_problem, cached in _FRONT_ENDS:
+        warm = make()
+        solve(as_problem(warm), replace(config, max_iters=5))
+        # the same data in a new object, whose set-up is not built yet
+        fresh = replace(warm)
+        assert all(name in vars(warm) and name not in vars(fresh) for name in cached)
+        runs = [itertools.islice(iterate(as_problem(inst), config), 200) for inst in (warm, fresh)]
+        for (a, _), (b, _) in zip(*runs):
+            for name in ("x", "y", "lam", "y_mid", "lam_mid"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert b.k == 200
