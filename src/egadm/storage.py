@@ -1,30 +1,76 @@
-"""Instance directories in portable text formats.
+"""Instance directories: a binary matrix file plus portable text.
 
-Each instance is a directory holding ``meta.json`` plus ``A.mtx``
-(MatrixMarket array format, column-major) and one-value-per-line vector
-files written with 17 significant digits so float64 values round-trip.
-Basis-pursuit directories carry ``b.txt`` and ``xhat.txt``; fused
-directories carry ``labels.txt``, ``xhat.txt``, and a ``pattern.json``
-naming the generator and its parameters.
+Each instance is a directory holding ``meta.json``, the matrix ``A`` as
+``A.npy`` (NumPy's binary array format, NEP 1: a short text header, then
+the float64 values exactly, about a third of the size of 17-digit text),
+and one-value-per-line vector files written with 17 significant digits
+so float64 values round-trip.  Basis-pursuit directories carry ``b.txt``
+and ``xhat.txt``; fused directories carry ``labels.txt``, ``xhat.txt``,
+and a ``pattern.json`` naming the generator and its parameters.
+
+``meta.json``'s ``format_version`` says where A is: 2 is ``A.npy``; 1 (or
+no ``format_version``) is ``A.mtx``, MatrixMarket array text, which
+directories written before format 2 hold and which still load.  A is
+read with ``allow_pickle=False``: loading never unpickles.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread, mmwrite
+from scipy.io import mmread
 
 from .basis_pursuit import BasisPursuitInstance
 from .fused_logistic import FusedLogisticInstance
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# The file that holds A, by ``format_version``.
+_MATRIX_FILES = {1: "A.mtx", 2: "A.npy"}
 
 
 def write_vector(path, v):
     """Write ``v`` one value per line with 17 significant digits."""
+    text = "".join(f"{val:.17g}\n" for val in np.asarray(v, dtype=float).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for val in np.asarray(v, dtype=float):
-            fh.write(f"{val:.17g}\n")
+        fh.write(text)
+
+
+def _load_matrix_file(path, version):
+    if version == 1:
+        return mmread(str(path))
+    try:
+        A = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path} is not a .npy array file: {exc}") from None
+    if not isinstance(A, np.ndarray):
+        A.close()
+        raise ValueError(f"{path} is an .npz archive, not a .npy array file")
+    return A
+
+
+def _read_matrix(d, meta):
+    """A as a C-ordered float64 array of ``meta.json``'s shape (m, n).
+
+    A format-2 ``A.npy`` of C-ordered float64 comes back as a read-only
+    memory map of the file, so the instance's read-only copy is the one
+    full-size allocation A needs; other layouts and real dtypes are
+    converted.
+    Anything that is not a real 2-d array of that shape is a ValueError
+    naming the file; a missing file is an OSError naming it."""
+    version = meta.get("format_version", 1)
+    if type(version) is not int or version not in _MATRIX_FILES:
+        raise ValueError(f"{meta.path} has unknown format_version {version!r}")
+    path = d / _MATRIX_FILES[version]
+    A = _load_matrix_file(path, version)
+    if not isinstance(A, np.ndarray):
+        raise ValueError(f"{path} does not hold a dense array")
+    if A.dtype.kind not in "fiu":
+        raise ValueError(f"{path} holds {A.dtype} values, not real numbers")
+    shape = (meta["m"], meta["n"])
+    if A.shape != shape:
+        raise ValueError(f"{path.name} shape {A.shape} disagrees with meta.json's {shape}")
+    return np.require(A, dtype=np.float64, requirements="C")
 
 
 def _read_vector(path, length):
@@ -69,7 +115,7 @@ def save_bp_instance(inst, directory):
             "format_version": FORMAT_VERSION,
         },
     )
-    mmwrite(str(d / "A.mtx"), inst.A, precision=17)
+    np.save(d / "A.npy", inst.A, allow_pickle=False)
     write_vector(d / "b.txt", inst.b)
     write_vector(d / "xhat.txt", inst.xhat)
     return d
@@ -78,9 +124,7 @@ def save_bp_instance(inst, directory):
 def load_bp_instance(directory):
     d = Path(directory)
     meta = _JsonObject(d / "meta.json")
-    A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
-    if A.shape != (meta["m"], meta["n"]):
-        raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
+    A = _read_matrix(d, meta)
     b = _read_vector(d / "b.txt", meta["m"])
     xhat = _read_vector(d / "xhat.txt", meta["n"])
     return BasisPursuitInstance(
@@ -111,7 +155,7 @@ def save_fused_instance(inst, directory):
             "seed": int(inst.seed),
         },
     )
-    mmwrite(str(d / "A.mtx"), inst.A, precision=17)
+    np.save(d / "A.npy", inst.A, allow_pickle=False)
     write_vector(d / "labels.txt", inst.labels)
     write_vector(d / "xhat.txt", inst.xhat)
     return d
@@ -121,9 +165,7 @@ def load_fused_instance(directory):
     d = Path(directory)
     meta = _JsonObject(d / "meta.json")
     pattern = _JsonObject(d / "pattern.json")
-    A = np.asarray(mmread(str(d / "A.mtx")), dtype=float)
-    if A.shape != (meta["m"], meta["n"]):
-        raise ValueError(f"A.mtx shape {A.shape} disagrees with meta.json")
+    A = _read_matrix(d, meta)
     labels = _read_vector(d / "labels.txt", meta["m"])
     xhat = _read_vector(d / "xhat.txt", meta["n"])
     return FusedLogisticInstance(

@@ -11,7 +11,11 @@ algebra.  The first-order oracles (``augmented_lagrangian``, ``kkt_map``,
 iteration.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
+from scipy.io import mmwrite
 
 from egadm.problem import lagrangian
 
@@ -188,3 +192,15 @@ def fused_midpoint_transcription(A, labels, alpha, beta, gamma, iters):
         y, c, lam1, lam2 = y_new, c_new, lam1_new, lam2_new
         traj.append((x, w, y_mid, c_mid, lam1_mid, lam2_mid, y, c, lam1, lam2))
     return traj
+
+
+def write_format_1_matrix(directory, A):
+    """Store ``A`` in instance ``directory`` as format 1 did: MatrixMarket
+    array text at 17 significant digits in ``A.mtx``, ``format_version: 1``
+    in ``meta.json``, and no ``A.npy``."""
+    d = Path(directory)
+    mmwrite(str(d / "A.mtx"), A, precision=17)
+    (d / "A.npy").unlink(missing_ok=True)
+    meta = json.loads((d / "meta.json").read_text())
+    meta["format_version"] = 1
+    (d / "meta.json").write_text(json.dumps(meta))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import write_format_1_matrix
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
@@ -78,6 +79,34 @@ def test_solve_capped_run_exits_two(tmp_path, capsys):
 def test_solve_missing_instance_exits_one(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope"), "--variant", "egl"])
     assert rc == 1
+
+
+def test_solve_format_2_instance_without_A_npy_exits_one(tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "0", "--out", str(out)])
+    (out / "A.npy").unlink()
+    rc = main(["solve", str(out)])
+    assert rc == 1
+    assert "A.npy" in capsys.readouterr().err
+
+
+def test_solve_format_1_instance_prints_the_row_of_its_format_2_twin(tmp_path, capsys):
+    rows = []
+    for name in ("new", "old"):
+        out = tmp_path / name
+        main(["gen", "fused", "--pattern", "blocks", "--n", "500", "--m", "100",
+              "--seed", "3", "--out", str(out)])
+        if name == "old":
+            write_format_1_matrix(out, np.load(out / "A.npy", allow_pickle=False))
+        capsys.readouterr()
+        assert main(["solve", str(out), "--variant", "egal", "--monitor-lemma",
+                     "--emit-coef", str(tmp_path / f"{name}.txt")]) == 0
+        row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        row.pop("seconds")
+        rows.append(row)
+    assert (tmp_path / "old" / "A.mtx").is_file()
+    assert rows[0] == rows[1]
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
