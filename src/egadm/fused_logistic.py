@@ -317,6 +317,8 @@ def sparsity_report(x, threshold=None):
     """
     x = np.asarray(x, dtype=float)
     top = float(np.max(np.abs(x))) if x.size else 0.0
+    if not np.isfinite(top):  # max|x| is inf or NaN exactly when an entry is
+        raise ValueError("x has non-finite entries")
     if threshold is None:
         if top == 0.0:
             return 0, 0

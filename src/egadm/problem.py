@@ -36,6 +36,12 @@ class ProxBlock:
     solve_subproblem: Callable
 
 
+def _check_bound(name, value):
+    """A declared bound must be a number in [0, inf); NaN fails the test."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SmoothBlock:
     """Smooth block g over Y, exposed through value, gradient, and projection.
@@ -50,6 +56,9 @@ class SmoothBlock:
     lipschitz_constant: float
     project: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        _check_bound("lipschitz_constant", self.lipschitz_constant)
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -61,6 +70,9 @@ class LinearMap:
     matvec: Callable[[np.ndarray], np.ndarray]
     rmatvec: Callable[[np.ndarray], np.ndarray]
     norm_sq: float
+
+    def __post_init__(self):
+        _check_bound("norm_sq", self.norm_sq)
 
     def __matmul__(self, v):
         return self.matvec(v)

@@ -154,8 +154,9 @@ def resolve_gamma(problem, config):
     if config.gamma is not None:
         return float(config.gamma)
     lhat = kkt_lipschitz_bound(problem)
-    if lhat <= 0:
-        raise ValueError("cannot auto-select a step size: the KKT map bound is zero")
+    if not 0.0 < lhat < np.inf:  # NaN fails the test too
+        what = "zero" if lhat == 0 else f"{lhat!r}, not positive and finite"
+        raise ValueError(f"cannot auto-select a step size: the KKT map bound is {what}")
     return config.safety / (2.0 * lhat)
 
 

@@ -1,5 +1,8 @@
 """Instance directories: a binary matrix file plus portable text.
 
+``save_bp_instance`` and ``save_fused_instance`` write a directory;
+``load_instance`` reads either kind, parsing ``meta.json`` once.
+
 Each instance is a directory holding ``meta.json``, the matrix ``A`` as
 ``A.npy`` (NumPy's binary array format, NEP 1: a short text header, then
 the float64 values exactly, about a third of the size of 17-digit text),
@@ -36,19 +39,6 @@ def write_vector(path, v):
         fh.write(text)
 
 
-def _load_matrix_file(path, version):
-    if version == 1:
-        return mmread(str(path))
-    try:
-        A = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path} is not a .npy array file: {exc}") from None
-    if not isinstance(A, np.ndarray):
-        A.close()
-        raise ValueError(f"{path} is an .npz archive, not a .npy array file")
-    return A
-
-
 def _read_matrix(d, meta):
     """A as a C-ordered float64 array of ``meta.json``'s shape (m, n).
 
@@ -62,7 +52,16 @@ def _read_matrix(d, meta):
     if type(version) is not int or version not in _MATRIX_FILES:
         raise ValueError(f"{meta.path} has unknown format_version {version!r}")
     path = d / _MATRIX_FILES[version]
-    A = _load_matrix_file(path, version)
+    if version == 1:
+        A = mmread(str(path))
+    else:
+        try:
+            A = np.load(path, mmap_mode="r", allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{path} is not a .npy array file: {exc}") from None
+        if not isinstance(A, np.ndarray):
+            A.close()
+            raise ValueError(f"{path} is an .npz archive, not a .npy array file")
     if not isinstance(A, np.ndarray):
         raise ValueError(f"{path} does not hold a dense array")
     if A.dtype.kind not in "fiu":
@@ -74,7 +73,7 @@ def _read_matrix(d, meta):
 
 
 def _read_vector(path, length):
-    v = np.atleast_1d(np.loadtxt(path, dtype=float, ndmin=1))
+    v = np.loadtxt(path, dtype=float, ndmin=1)
     if v.shape != (length,):
         raise ValueError(f"{path.name} has {v.size} entries, meta.json says {length}")
     return v
@@ -101,86 +100,47 @@ def _write_meta(path, meta):
         fh.write("\n")
 
 
-def save_bp_instance(inst, directory):
+# Each kind's layout: its class, the scalars ``meta.json`` holds besides
+# kind, n, m and format_version (with the type each is stored and loaded
+# as), and its vector fields, each in ``<field>.txt``, with the meta.json key
+# of its length.  A fused directory also holds ``pattern.json``.
+_KINDS = {
+    "basis_pursuit": (BasisPursuitInstance, {"s": int, "seed": int}, {"b": "m", "xhat": "n"}),
+    "fused_logistic": (
+        FusedLogisticInstance, {"c_true": float, "seed": int}, {"labels": "m", "xhat": "n"}
+    ),
+}
+
+
+def _save(inst, directory, kind):
+    _, scalars, vectors = _KINDS[kind]
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    _write_meta(
-        d / "meta.json",
-        {
-            "kind": "basis_pursuit",
-            "n": int(inst.n),
-            "m": int(inst.m),
-            "s": int(inst.s),
-            "seed": int(inst.seed),
-            "format_version": FORMAT_VERSION,
-        },
-    )
+    meta = {"kind": kind, "n": int(inst.n), "m": int(inst.m), "format_version": FORMAT_VERSION}
+    _write_meta(d / "meta.json", meta | {key: t(getattr(inst, key)) for key, t in scalars.items()})
+    if kind == "fused_logistic":
+        _write_meta(
+            d / "pattern.json",
+            {"pattern": inst.pattern, "n": int(inst.n), "m": int(inst.m), "seed": int(inst.seed)},
+        )
     np.save(d / "A.npy", inst.A, allow_pickle=False)
-    write_vector(d / "b.txt", inst.b)
-    write_vector(d / "xhat.txt", inst.xhat)
+    for field in vectors:
+        write_vector(d / f"{field}.txt", getattr(inst, field))
     return d
 
 
-def load_bp_instance(directory):
-    d = Path(directory)
-    meta = _JsonObject(d / "meta.json")
-    A = _read_matrix(d, meta)
-    b = _read_vector(d / "b.txt", meta["m"])
-    xhat = _read_vector(d / "xhat.txt", meta["n"])
-    return BasisPursuitInstance(
-        A=A, b=b, xhat=xhat, s=int(meta["s"]), seed=int(meta["seed"])
-    )
+def save_bp_instance(inst, directory):
+    return _save(inst, directory, "basis_pursuit")
 
 
 def save_fused_instance(inst, directory):
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    _write_meta(
-        d / "meta.json",
-        {
-            "kind": "fused_logistic",
-            "n": int(inst.n),
-            "m": int(inst.m),
-            "seed": int(inst.seed),
-            "c_true": float(inst.c_true),
-            "format_version": FORMAT_VERSION,
-        },
-    )
-    _write_meta(
-        d / "pattern.json",
-        {
-            "pattern": inst.pattern,
-            "n": int(inst.n),
-            "m": int(inst.m),
-            "seed": int(inst.seed),
-        },
-    )
-    np.save(d / "A.npy", inst.A, allow_pickle=False)
-    write_vector(d / "labels.txt", inst.labels)
-    write_vector(d / "xhat.txt", inst.xhat)
-    return d
-
-
-def load_fused_instance(directory):
-    d = Path(directory)
-    meta = _JsonObject(d / "meta.json")
-    pattern = _JsonObject(d / "pattern.json")
-    A = _read_matrix(d, meta)
-    labels = _read_vector(d / "labels.txt", meta["m"])
-    xhat = _read_vector(d / "xhat.txt", meta["n"])
-    return FusedLogisticInstance(
-        A=A,
-        labels=labels,
-        xhat=xhat,
-        c_true=float(meta["c_true"]),
-        seed=int(meta["seed"]),
-        pattern=str(pattern["pattern"]),
-    )
+    return _save(inst, directory, "fused_logistic")
 
 
 def load_instance(directory):
     """Load either instance kind, dispatching on meta.json (falling back
-    to the presence of pattern.json for directories written elsewhere)."""
+    to the presence of pattern.json for directories written elsewhere).
+    Files are read in the order meta.json, pattern.json, A, vectors."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
@@ -189,8 +149,14 @@ def load_instance(directory):
     kind = meta.get("kind")
     if kind is None:
         kind = "fused_logistic" if (d / "pattern.json").is_file() else "basis_pursuit"
-    if kind == "basis_pursuit":
-        return load_bp_instance(d)
-    if kind == "fused_logistic":
-        return load_fused_instance(d)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    # the list compares by ==, so a kind that is a JSON list or object is unknown, not unhashable
+    if kind not in list(_KINDS):
+        raise ValueError(f"unknown instance kind {kind!r}")
+    cls, scalars, vectors = _KINDS[kind]
+    pattern = _JsonObject(d / "pattern.json") if kind == "fused_logistic" else None
+    fields = {"A": _read_matrix(d, meta)}
+    fields |= {f: _read_vector(d / f"{f}.txt", meta[key]) for f, key in vectors.items()}
+    fields |= {key: t(meta[key]) for key, t in scalars.items()}
+    if pattern is not None:
+        fields["pattern"] = str(pattern["pattern"])
+    return cls(**fields)

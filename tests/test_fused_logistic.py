@@ -288,6 +288,13 @@ def test_sparsity_report_basics():
         fl.sparsity_report(np.ones(3), threshold=np.nan)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("threshold", [None, 0.5])
+def test_sparsity_report_rejects_non_finite_entries(bad, threshold):
+    with pytest.raises(ValueError, match="x has non-finite entries"):
+        fl.sparsity_report(np.array([bad, 1.0]), threshold=threshold)
+
+
 def test_sparsity_report_on_planted_blocks():
     inst = fl.generate_block_pattern(500, 50, 0)
     # 41 nonzeros; the pattern has 7 level changes (counted directly)

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,3 +346,16 @@ def test_problem_dimension_validation():
         )
     with pytest.raises(ValueError):
         Coupling(A=np.eye(3), B=np.eye(4), b=np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
+def test_smooth_block_rejects_a_lipschitz_constant_outside_zero_to_inf(value):
+    smooth = bp.as_problem(bp.generate(20, 6, 2, 1)).smooth_block
+    with pytest.raises(ValueError, match=r"lipschitz_constant must be finite and nonnegative"):
+        dataclasses.replace(smooth, lipschitz_constant=value)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
+def test_linear_map_rejects_a_norm_sq_outside_zero_to_inf(value):
+    with pytest.raises(ValueError, match=r"norm_sq must be finite and nonnegative"):
+        LinearMap((3, 3), lambda v: v, lambda v: v, value)

@@ -7,6 +7,7 @@ import pytest
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
+from egadm import solver as solver_module
 from egadm.operators import MetricH, solve_l1_subproblem
 from egadm.problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map,
@@ -361,6 +362,31 @@ def test_auto_step_size_uses_safety_over_lipschitz_bound():
     assert gamma == pytest.approx(0.9 / (2 * np.sqrt(2)), rel=1e-9)
     explicit = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL, gamma=0.05))
     assert explicit == 0.05
+
+
+def test_auto_step_size_rejects_a_kkt_bound_that_overflows():
+    # a finite declared constant whose square overflows: the bound is inf,
+    # which must not give gamma = 0
+    prob = bp.as_problem(bp.generate(10, 4, 1, 8))
+    huge = replace(prob, smooth_block=replace(prob.smooth_block, lipschitz_constant=1e200))
+    with pytest.raises(ValueError, match=r"KKT map bound is inf, not positive and finite"):
+        resolve_gamma(huge, SolverConfig(variant=VariantKind.EGL))
+
+
+@pytest.mark.parametrize(
+    "lhat, message",
+    [
+        (0.0, "is zero"),
+        (-1.0, "is -1.0, not positive and finite"),
+        (np.inf, "is inf, not positive and finite"),
+        (np.nan, "is nan, not positive and finite"),
+    ],
+)
+def test_auto_step_size_needs_a_positive_finite_kkt_bound(monkeypatch, lhat, message):
+    monkeypatch.setattr(solver_module, "kkt_lipschitz_bound", lambda problem: lhat)
+    prob = bp.as_problem(bp.generate(10, 4, 1, 8))
+    with pytest.raises(ValueError, match=rf"step size: the KKT map bound {message}"):
+        resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL))
 
 
 def test_solve_checks_the_gram_cancelling_metric():

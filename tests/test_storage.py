@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import write_format_1_matrix
 from scipy.io import mmread
 
@@ -16,7 +19,7 @@ from egadm import storage
 def test_bp_instance_round_trip(tmp_path):
     inst = bp.generate(40, 10, 3, 21)
     d = storage.save_bp_instance(inst, tmp_path / "inst")
-    loaded = storage.load_bp_instance(d)
+    loaded = storage.load_instance(d)
     assert np.array_equal(loaded.A, inst.A)
     assert np.array_equal(loaded.b, inst.b)
     assert np.array_equal(loaded.xhat, inst.xhat)
@@ -46,7 +49,7 @@ def test_bp_save_is_byte_identical(tmp_path):
 def test_fused_instance_round_trip(tmp_path):
     inst = fl.generate_block_pattern(150, 30, 11)
     d = storage.save_fused_instance(inst, tmp_path / "inst")
-    loaded = storage.load_fused_instance(d)
+    loaded = storage.load_instance(d)
     assert np.array_equal(loaded.A, inst.A)
     assert np.array_equal(loaded.labels, inst.labels)
     assert np.array_equal(loaded.xhat, inst.xhat)
@@ -85,7 +88,7 @@ def test_load_rejects_shape_mismatch(tmp_path):
     meta["n"] = 11
     (d / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError):
-        storage.load_bp_instance(d)
+        storage.load_instance(d)
 
 
 @pytest.mark.parametrize(
@@ -247,3 +250,38 @@ def test_write_vector_bytes_and_round_trip(tmp_path):
         b"1e+22\n-1.7976931348623157e+308\n"
     )
     assert storage._read_vector(path, len(values)).tobytes() == values.tobytes()
+
+
+_finite_vectors = arrays(
+    np.float64, st.integers(1, 64), elements=st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_vectors)
+@example(np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
+@example(np.array([-1.7976931348623157e308]))
+def test_write_vector_round_trips_every_finite_float64_bit_for_bit(tmp_path_factory, v):
+    path = tmp_path_factory.mktemp("vec") / "v.txt"
+    storage.write_vector(path, v)
+    assert storage._read_vector(path, len(v)).tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, parsed", [("bp", ["meta.json"]), ("fused", ["meta.json", "pattern.json"])]
+)
+def test_load_instance_parses_each_json_file_once(tmp_path, monkeypatch, kind, parsed):
+    if kind == "bp":
+        d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    else:
+        d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "inst")
+    names = []
+    init = storage._JsonObject.__init__
+
+    def counting_init(self, path):
+        names.append(path.name)
+        init(self, path)
+
+    monkeypatch.setattr(storage._JsonObject, "__init__", counting_init)
+    storage.load_instance(d)
+    assert names == parsed
