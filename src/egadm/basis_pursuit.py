@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, solve_l1_subproblem
+from .operators import AffineProjector, shrink_unchecked, solve_l1_subproblem
 from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map
 
 
@@ -100,12 +100,28 @@ def generate(n, m, s, seed):
 def as_problem(inst):
     """Two-block form: f = ||.||_1 over R^n, g = 0 over Y = {y : A y = b},
     coupled by x - y = 0.  The projection is the instance's cached
-    ``projector``."""
+    ``projector``.  Under the zero metric the prox is one shrink at
+    threshold 1 / gamma, divided and checked only when gamma changes (a
+    gamma that is not positive and finite is a ValueError); the gradient
+    is one shared read-only zero vector."""
     n = inst.n
+    # the last gamma and its threshold 1 / gamma, checked once
+    memo = [None, None]
 
     def prox_solve(x_prev, offset, lam, gamma, metric):
-        return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
+        if metric.kind != "zero":
+            return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
+        if gamma != memo[0]:
+            # written so that a NaN gamma fails the test
+            if not 0 < gamma < np.inf:
+                raise ValueError("gamma must be positive and finite")
+            memo[:] = gamma, 1.0 / gamma
+        # ``solve_l1_subproblem``'s zero-metric shrink, in its operation order
+        return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), memo[1])
 
+    # the zero gradient, one read-only vector shared by every call
+    zero = np.zeros(n)
+    zero.flags.writeable = False
     prox = ProxBlock(
         dim=n,
         evaluate=lambda x: float(np.sum(np.abs(x))),
@@ -114,7 +130,7 @@ def as_problem(inst):
     smooth = SmoothBlock(
         dim=n,
         evaluate=lambda y: 0.0,
-        gradient=lambda y: np.zeros(n),
+        gradient=lambda y: zero,
         lipschitz_constant=0.0,
         project=inst.projector,
     )

@@ -100,6 +100,11 @@ def _norm_sq(M):
     return M.norm_sq if isinstance(M, LinearMap) else spectral_norm_sq(M)
 
 
+def _product(M):
+    """``v -> M @ v`` as one bound callable: no wrapper frame around it."""
+    return M.matvec if isinstance(M, LinearMap) else M.__matmul__
+
+
 def frozen_copy(m):
     """A read-only float copy of ``m`` (its memory layout kept)."""
     out = np.array(m, dtype=float)
@@ -119,7 +124,10 @@ class Coupling:
     return its operand bit for bit (``v - (-0.0)`` turns ``-0.0`` into
     ``+0.0``, so a negative zero does not count).  Dense A, B and b are
     kept as read-only copies, so no cached value can go stale; a
-    ``LinearMap`` is kept as given."""
+    ``LinearMap`` is kept as given.  Each product is bound once, to a
+    ``LinearMap``'s ``matvec`` or the dense matrix's ``__matmul__``, so
+    ``apply_*`` is one call on top of it.  The solver calls the
+    ``apply_*`` methods, so a subclass's overrides see every product."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
@@ -133,9 +141,11 @@ class Coupling:
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
         lmax = _norm_sq(B)
-        b_is_zero = not b.view(np.uint64).any()  # every bit clear: +0.0 only
+        b_is_zero = not np.count_nonzero(b.view(np.uint64))  # every bit clear: +0.0 only
+        Bt = B.T
         for name, value in zip(
-            ("A", "B", "b", "Bt", "lmax_btb", "b_is_zero"), (A, B, b, B.T, lmax, b_is_zero)
+            ("A", "B", "b", "Bt", "lmax_btb", "b_is_zero", "_a", "_b", "_bt"),
+            (A, B, b, Bt, lmax, b_is_zero, _product(A), _product(B), _product(Bt)),
         ):
             object.__setattr__(self, name, value)
 
@@ -144,13 +154,13 @@ class Coupling:
         return _norm_sq(self.A)
 
     def apply_a(self, x):
-        return self.A @ x
+        return self._a(x)
 
     def apply_b(self, y):
-        return self.B @ y
+        return self._b(y)
 
     def apply_bt(self, v):
-        return self.Bt @ v
+        return self._bt(v)
 
     def residual(self, x, y):
         """Primal residual ``A x + B y - b``."""

@@ -1,7 +1,10 @@
 """Variant-parametric iteration engine.
 
 Four variants share one loop body, run by the generator ``iterate``
-that ``solve``, ``step`` and ``ergodic_checkpoints`` consume.  Every
+that ``solve``, ``step`` and ``ergodic_checkpoints`` consume.  Each call
+of ``iterate`` resolves the step size once, and its loop looks up every
+callable of the problem it uses once, before the first step, so a
+callable replaced during a run reaches only a new ``iterate``.  Every
 iteration first solves the structured x-subproblem at the current
 (y, lam), then advances the (y, lam) pair with projected gradient steps
 on the Lagrangian (plain or augmented).  The plain-gradient variants
@@ -167,71 +170,80 @@ def initial_state(problem):
     return IterateState(np.zeros(problem.prox_block.dim), y, lam, y.copy(), lam.copy(), 0)
 
 
-def _norm(v):
-    """``np.linalg.norm(v)`` of a contiguous 1-d float array, without its
-    wrapper: the same ``v.dot(v)`` and a correctly rounded square root."""
-    return np.float64(math.sqrt(v.dot(v)))
+def _run(problem, config, gamma, state):
+    """The loop ``iterate`` returns: yields ``(state, StepInfo)`` per step.
 
-
-def _advance(problem, config, state, gamma, extragradient, augmented):
+    Everything the loop reads from ``problem`` and ``config`` is bound to
+    a local once, before the first step: the coupling's ``apply_*`` as
+    bound methods (so a subclass's overrides still see every product),
+    the prox and the smooth block's callables, ``b``, the variant's
+    traits and whether to monitor.
+    """
     c = problem.coupling
-    sm = problem.smooth_block
-    x, y, lam = state.x, state.y, state.lam
+    apply_a, apply_b, apply_bt = c.apply_a, c.apply_b, c.apply_bt
+    b, b_is_zero = c.b, c.b_is_zero
+    solve_subproblem, metric = problem.prox_block.solve_subproblem, config.metric
+    gradient, project = problem.smooth_block.gradient, problem.smooth_block.project
+    variant = config.variant
+    extragradient, augmented = variant.extragradient, variant.augmented
+    monitor = config.monitor_certificate and extragradient
+    sqrt, isfinite = math.sqrt, math.isfinite
 
-    # ``v - 0.0`` is v bit for bit, so a zero b is not subtracted
-    offset = c.apply_b(y)
-    if not c.b_is_zero:
-        offset = offset - c.b
-    x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, config.metric)
-    ax_next = c.apply_a(x_next)
-    # the residual at the current y and lam - gamma * resid_k, which is
-    # the augmented pull and the extragradient lam_mid; GL reads neither
-    if augmented or extragradient:
-        resid_k = ax_next + offset
-        lam_mid = lam - gamma * resid_k
-    # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
-    # lam - gamma * resid_k for the augmented variants
-    bt_pull = c.apply_bt(lam_mid if augmented else lam)
-    y_mid = sm.project(y - gamma * (sm.gradient(y) - bt_pull))
-    resid_mid = ax_next + c.apply_b(y_mid)
-    if not c.b_is_zero:
-        resid_mid = resid_mid - c.b
-    step_mid = gamma * resid_mid
-    lam_next = lam - step_mid
-    if extragradient:
-        grad_mid = sm.gradient(y_mid)
-        pull = lam_mid - step_mid if augmented else lam_mid
-        g_mid = grad_mid - c.apply_bt(pull)
-        y_next = sm.project(y - gamma * g_mid)
-    else:
-        # Plain-gradient variants end at (y_mid, lam_next); the midpoint
-        # fields repeat that pair so downstream code has one shape to handle.
-        y_next, lam_mid = y_mid, lam_next
+    while True:
+        x, y, lam = state.x, state.y, state.lam
+        # ``v - 0.0`` is v bit for bit, so a zero b is not subtracted
+        offset = apply_b(y)
+        if not b_is_zero:
+            offset = offset - b
+        x_next = solve_subproblem(x, offset, lam, gamma, metric)
+        ax_next = apply_a(x_next)
+        # the residual at the current y and lam - gamma * resid_k, which is
+        # the augmented pull and the extragradient lam_mid; GL reads neither
+        if augmented or extragradient:
+            resid_k = ax_next + offset
+            lam_mid = lam - gamma * resid_k
+        # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
+        # lam - gamma * resid_k for the augmented variants
+        bt_pull = apply_bt(lam_mid if augmented else lam)
+        y_mid = project(y - gamma * (gradient(y) - bt_pull))
+        resid_mid = ax_next + apply_b(y_mid)
+        if not b_is_zero:
+            resid_mid = resid_mid - b
+        step_mid = gamma * resid_mid
+        lam_next = lam - step_mid
+        if extragradient:
+            grad_mid = gradient(y_mid)
+            pull = lam_mid - step_mid if augmented else lam_mid
+            g_mid = grad_mid - apply_bt(pull)
+            y_next = project(y - gamma * g_mid)
+        else:
+            # Plain-gradient variants end at (y_mid, lam_next); the midpoint
+            # fields repeat that pair so downstream code has one shape to handle.
+            y_next, lam_mid = y_mid, lam_next
 
-    resid_norm = float(_norm(resid_mid))
-    # ``** 2`` as in ``np.linalg.norm(v) ** 2``: ``r * r`` rounds differently
-    # for about 1 r in 1700
-    dist_sq = _norm(y_next - y) ** 2 + _norm(lam_next - lam) ** 2
-    movement = math.sqrt(dist_sq)
-    # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
-    # scalars, and NaN fails every comparison.
-    if not (
-        resid_norm <= DIVERGENCE_LIMIT
-        and math.isfinite(movement + float(x_next.sum()))
-    ):
-        raise DivergenceError(config.variant, state.k + 1)
+        # 2-norms as ``np.linalg.norm`` takes them: ``sqrt(v.dot(v))``
+        resid_norm = sqrt(resid_mid.dot(resid_mid))
+        dy, dlam = y_next - y, lam_next - lam
+        # ``** 2`` as in ``np.linalg.norm(v) ** 2``: ``r * r`` rounds
+        # differently for about 1 r in 1700
+        dist_sq = sqrt(dy.dot(dy)) ** 2 + sqrt(dlam.dot(dlam)) ** 2
+        movement = sqrt(dist_sq)
+        # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
+        # scalars, and NaN fails every comparison.
+        if not (resid_norm <= DIVERGENCE_LIMIT and isfinite(movement + float(x_next.sum()))):
+            raise DivergenceError(variant, state.k + 1)
 
-    certificate = None
-    if config.monitor_certificate and extragradient:
-        # F(x+, z_mid) from the values above: its bottom is resid_mid, its
-        # top is g_mid without the augmented pull, which for EGAL is
-        # grad_mid - B^T lam_mid with B^T lam_mid the first pull's product
-        f_top = grad_mid - bt_pull if augmented else g_mid
-        inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
-        certificate = gamma * inner - 0.5 * float(dist_sq)
+        certificate = None
+        if monitor:
+            # F(x+, z_mid) from the values above: its bottom is resid_mid, its
+            # top is g_mid without the augmented pull, which for EGAL is
+            # grad_mid - B^T lam_mid with B^T lam_mid the first pull's product
+            f_top = grad_mid - bt_pull if augmented else g_mid
+            inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
+            certificate = gamma * inner - 0.5 * dist_sq
 
-    new_state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
-    return new_state, StepInfo(resid_mid, resid_norm, movement, certificate)
+        state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
+        yield state, StepInfo(resid_mid, resid_norm, movement, certificate)
 
 
 def iterate(problem, config, init=None):
@@ -239,28 +251,24 @@ def iterate(problem, config, init=None):
 
     The set-up runs here, when ``iterate`` is called: the step size is
     resolved, a gram-cancelling metric is checked against it, and the
-    start is ``init`` or ``initial_state(problem)``.  The iteration stops
-    only when the caller does, or with DivergenceError.
+    start is ``init`` or ``initial_state(problem)``.  Every callable the
+    loop uses is looked up once, before the first step, so a callable
+    replaced on the problem during a run does not reach this iterator.
+    The iteration stops only when the caller does, or with
+    DivergenceError.
     """
     gamma = resolve_gamma(problem, config)
     _validate_metric(problem, config, gamma)
     state = initial_state(problem) if init is None else init
-    # the variant's two traits, read once instead of on every step
-    extragradient, augmented = config.variant.extragradient, config.variant.augmented
-
-    def run(state):
-        while True:
-            state, info = _advance(problem, config, state, gamma, extragradient, augmented)
-            yield state, info
-
-    return run(state)
+    return _run(problem, config, gamma, state)
 
 
 def step(problem, config, state):
     """One full iteration of the configured variant from ``state``.
 
-    Raises DivergenceError on non-finite iterates; loops should use
-    ``iterate``, which resolves the step size once.
+    Raises DivergenceError on non-finite iterates.  Each call sets up
+    afresh, resolving the step size and looking up the problem's
+    callables; loops should use ``iterate``, which does both once.
     """
     return next(iterate(problem, config, state))[0]
 

@@ -14,7 +14,10 @@ and a ``pattern.json`` naming the generator and its parameters.
 ``meta.json``'s ``format_version`` says where A is: 2 is ``A.npy``; 1 (or
 no ``format_version``) is ``A.mtx``, MatrixMarket array text, which
 directories written before format 2 hold and which still load.  A is
-read with ``allow_pickle=False``: loading never unpickles.
+read with ``allow_pickle=False``: loading never unpickles.  Each JSON
+value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
+``c_true`` a number and ``pattern`` a string (a bool is none of these);
+anything else is a ValueError naming the file and the key.
 """
 
 import json
@@ -66,7 +69,7 @@ def _read_matrix(d, meta):
         raise ValueError(f"{path} does not hold a dense array")
     if A.dtype.kind not in "fiu":
         raise ValueError(f"{path} holds {A.dtype} values, not real numbers")
-    shape = (meta["m"], meta["n"])
+    shape = (meta.typed("m", int), meta.typed("n", int))
     if A.shape != shape:
         raise ValueError(f"{path.name} shape {A.shape} disagrees with meta.json's {shape}")
     return np.require(A, dtype=np.float64, requirements="C")
@@ -79,9 +82,15 @@ def _read_vector(path, length):
     return v
 
 
+# The JSON values ``_JsonObject.typed`` accepts for each Python type, and
+# their JSON name: a bool is none of them, and a float is no integer.
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
+
+
 class _JsonObject(dict):
-    """The JSON object in ``path``.  Invalid JSON, and a key read with
-    ``[]`` that the object lacks, raise a ValueError naming the file."""
+    """The JSON object in ``path``.  Invalid JSON, a key read with ``[]``
+    that the object lacks, and a value ``typed`` rejects raise a
+    ValueError naming the file (and the key)."""
 
     def __init__(self, path):
         try:
@@ -92,6 +101,15 @@ class _JsonObject(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.path} lacks the key {key!r}")
+
+    def typed(self, key, t):
+        """``self[key]`` as a ``t`` (int, float or str), if it is a JSON
+        value of that type."""
+        value = self[key]
+        allowed, name = _JSON_TYPES[t]
+        if type(value) not in allowed:
+            raise ValueError(f"{self.path} key {key!r} must be a JSON {name}, got {value!r}")
+        return t(value)
 
 
 def _write_meta(path, meta):
@@ -155,8 +173,8 @@ def load_instance(directory):
     cls, scalars, vectors = _KINDS[kind]
     pattern = _JsonObject(d / "pattern.json") if kind == "fused_logistic" else None
     fields = {"A": _read_matrix(d, meta)}
-    fields |= {f: _read_vector(d / f"{f}.txt", meta[key]) for f, key in vectors.items()}
-    fields |= {key: t(meta[key]) for key, t in scalars.items()}
+    fields |= {f: _read_vector(d / f"{f}.txt", meta.typed(key, int)) for f, key in vectors.items()}
+    fields |= {key: meta.typed(key, t) for key, t in scalars.items()}
     if pattern is not None:
-        fields["pattern"] = str(pattern["pattern"])
+        fields["pattern"] = pattern.typed("pattern", str)
     return cls(**fields)

@@ -8,7 +8,9 @@ algebra.  The first-order oracles (``augmented_lagrangian``, ``kkt_map``,
 ``extragradient_certificate``) evaluate their formulas on a
 ``TwoBlockProblem`` through the problem's own callables (``evaluate``,
 ``gradient``, the coupling products), never through the solver's
-iteration.
+iteration; so does ``reference_advance``, one whole iteration written
+out in the solver's operation order, which the solver must match bit
+for bit.
 """
 
 import json
@@ -56,6 +58,48 @@ def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
     dist_sq = sum(float(np.linalg.norm(p - q) ** 2) for p, q in zip(z_prev, z_next))
     inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
     return gamma * inner - 0.5 * dist_sq
+
+
+def reference_advance(problem, variant, gamma, metric, monitor, x, y, lam):
+    """One solver iteration from ``(x, y, lam)``, written out step by step.
+
+    The update formulas in the solver's operation order, taken through
+    the problem's public callables (``solve_subproblem``, ``gradient``,
+    ``project``, the coupling's ``apply_*`` and ``b``), with the norms from
+    ``np.linalg.norm``.  Returns ``((x+, y+, lam+, y_mid, lam_mid),
+    residual_norm, movement, certificate)``; the certificate is None
+    unless ``monitor`` is set for an extragradient variant.
+    """
+    c, sm = problem.coupling, problem.smooth_block
+    eg, aug = variant.extragradient, variant.augmented
+    offset = c.apply_b(y)
+    if not c.b_is_zero:
+        offset = offset - c.b
+    x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, metric)
+    ax_next = c.apply_a(x_next)
+    if aug or eg:
+        lam_mid = lam - gamma * (ax_next + offset)
+    bt_pull = c.apply_bt(lam_mid if aug else lam)
+    y_mid = sm.project(y - gamma * (sm.gradient(y) - bt_pull))
+    resid_mid = ax_next + c.apply_b(y_mid)
+    if not c.b_is_zero:
+        resid_mid = resid_mid - c.b
+    step_mid = gamma * resid_mid
+    lam_next = lam - step_mid
+    if eg:
+        grad_mid = sm.gradient(y_mid)
+        g_mid = grad_mid - c.apply_bt(lam_mid - step_mid if aug else lam_mid)
+        y_next = sm.project(y - gamma * g_mid)
+    else:
+        y_next, lam_mid = y_mid, lam_next
+    dist_sq = np.linalg.norm(y_next - y) ** 2 + np.linalg.norm(lam_next - lam) ** 2
+    certificate = None
+    if monitor and eg:
+        f_top = grad_mid - bt_pull if aug else g_mid
+        inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
+        certificate = gamma * inner - 0.5 * float(dist_sq)
+    iterates = (x_next, y_next, lam_next, y_mid, lam_mid)
+    return iterates, float(np.linalg.norm(resid_mid)), float(np.sqrt(dist_sq)), certificate
 
 
 def jacobi_eigenvalues(sym, max_sweeps=100, tol=1e-13):

@@ -24,7 +24,7 @@ from egadm.solver import (
     solve,
     step,
 )
-from oracles import bp_midpoint_transcription, extragradient_certificate
+from oracles import bp_midpoint_transcription, extragradient_certificate, reference_advance
 
 
 def _l1_quadratic_problem(B, b, x_dim=None, A=None):
@@ -535,6 +535,50 @@ def test_nonzero_b_is_subtracted_from_the_residual(variant):
         prev = state
 
 
+def _reference_case(name):
+    """``(problem, monitor_certificate, init)`` of one reference-step case."""
+    if name == "dense_nonzero_b":
+        rng = np.random.default_rng(8)
+        return _l1_quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4)), True, None
+    if name == "fused_blocks":
+        inst = fl.generate_block_pattern(150, 40, 2)
+        return fl.as_problem(inst, fl.FusedLogisticConfig()), True, None
+    prob = bp.as_problem(bp.generate(60, 15, 2, 4))
+    if name == "bp":
+        return prob, False, None
+    # every third entry of y and lam a negative zero, the rest small values
+    start = initial_state(prob)
+    rng = np.random.default_rng(3)
+    y, lam = start.y.copy(), 0.1 * rng.standard_normal(60)
+    y[::3] = lam[::3] = -0.0
+    return prob, True, replace(start, y=y, lam=lam, y_mid=y.copy(), lam_mid=lam.copy())
+
+
+def _bits(v):
+    return None if v is None else float(v).hex()
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+@pytest.mark.parametrize("case", ["bp", "fused_blocks", "dense_nonzero_b", "bp_negative_zero_start"])
+def test_iterate_matches_the_reference_step_bit_for_bit(case, variant):
+    prob, monitor, init = _reference_case(case)
+    cfg = SolverConfig(variant=variant, monitor_certificate=monitor)
+    gamma = resolve_gamma(prob, cfg)
+    start = initial_state(prob) if init is None else init
+    x, y, lam = start.x, start.y, start.lam
+    for state, info in itertools.islice(iterate(prob, cfg, init), 300):
+        want, resid_norm, movement, certificate = reference_advance(
+            prob, variant, gamma, cfg.metric, monitor, x, y, lam
+        )
+        for name, ref in zip(("x", "y", "lam", "y_mid", "lam_mid"), want):
+            assert getattr(state, name).tobytes() == ref.tobytes(), (state.k, name)
+        assert type(info.residual_norm) is float and type(info.movement) is float
+        got = (info.residual_norm, info.movement, info.certificate)
+        assert list(map(_bits, got)) == list(map(_bits, (resid_norm, movement, certificate))), state.k
+        assert (certificate is not None) == (monitor and variant.extragradient)
+        x, y, lam = want[:3]
+
+
 def test_a_nan_only_in_x_plus_is_divergence():
     # A reads the first two of three x entries, so a NaN in the third one
     # reaches neither the residual nor (y, lam): only x+ itself carries it
@@ -611,21 +655,29 @@ class _CountingCoupling(Coupling):
 
 
 def _calls_per_iteration(prob, cfg):
+    """Calls of each product and callable in the second iteration of
+    ``iterate``, counted by a ``Coupling`` subclass's overrides and by
+    wrappers around the blocks' callables."""
     c = prob.coupling
     coupling = _CountingCoupling(A=c.A, B=c.B, b=c.b)
     calls = coupling.calls
-    gradient = prob.smooth_block.gradient
 
-    def counted_gradient(y):
-        calls["gradient"] += 1
-        return gradient(y)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    counted = replace(
+    sm, prox = prob.smooth_block, prob.prox_block
+    counted_problem = replace(
         prob,
         coupling=coupling,
-        smooth_block=replace(prob.smooth_block, gradient=counted_gradient),
+        prox_block=replace(prox, solve_subproblem=counted("prox", prox.solve_subproblem)),
+        smooth_block=replace(
+            sm, gradient=counted("gradient", sm.gradient), project=counted("project", sm.project)
+        ),
     )
-    steps = iterate(counted, cfg)
+    steps = iterate(counted_problem, cfg)
     next(steps)
     calls.clear()
     next(steps)
@@ -633,14 +685,36 @@ def _calls_per_iteration(prob, cfg):
 
 
 def test_monitored_iteration_reuses_the_products_it_computed():
-    prob = bp.as_problem(bp.generate(100, 20, 2, 0))
-    for variant in (VariantKind.EGL, VariantKind.EGAL):
-        cfg = SolverConfig(variant=variant, monitor_certificate=True)
-        assert _calls_per_iteration(prob, cfg) == {
-            "gradient": 2, "apply_a": 1, "apply_b": 2, "apply_bt": 2,
-        }, variant
-    unmonitored = _calls_per_iteration(prob, SolverConfig(variant=VariantKind.EGAL))
-    assert unmonitored["apply_bt"] == 2
+    # each variant's calls per iteration, monitored or not; the plain
+    # variants take one projected step, the extragradient ones two
+    problems = {
+        "bp": bp.as_problem(bp.generate(100, 20, 2, 0)),
+        "fused": fl.as_problem(fl.generate_block_pattern(150, 40, 2), fl.FusedLogisticConfig()),
+    }
+    for name, prob in problems.items():
+        for variant in VariantKind:
+            steps = 2 if variant.extragradient else 1
+            want = {"prox": 1, "apply_a": 1, "apply_b": 2} | dict.fromkeys(
+                ("apply_bt", "gradient", "project"), steps
+            )
+            for monitor in (False, True):
+                cfg = SolverConfig(variant=variant, monitor_certificate=monitor)
+                assert _calls_per_iteration(prob, cfg) == want, (name, variant, monitor)
+
+
+def test_a_running_iterator_keeps_the_callables_it_looked_up(monkeypatch):
+    prob = bp.as_problem(bp.generate(60, 15, 2, 4))
+    cfg = SolverConfig(variant=VariantKind.EGAL)
+    running = iterate(prob, cfg)
+    next(running)
+
+    def replaced(self, y):
+        raise AssertionError("a replaced product reached the iterator")
+
+    monkeypatch.setattr(Coupling, "apply_b", replaced)
+    next(running)
+    with pytest.raises(AssertionError, match="replaced product"):
+        next(iterate(prob, cfg))
 
 
 @pytest.mark.parametrize("variant", list(VariantKind))

@@ -115,6 +115,44 @@ def test_load_names_meta_json_and_the_missing_key(tmp_path):
         storage.load_instance(d)
 
 
+@pytest.mark.parametrize(
+    ("kind", "name", "key", "value"),
+    [
+        ("bp", "meta.json", "seed", 2.7),
+        ("bp", "meta.json", "seed", True),
+        ("bp", "meta.json", "s", "abc"),
+        ("bp", "meta.json", "s", 1.0),
+        ("bp", "meta.json", "m", 20.0),
+        ("bp", "meta.json", "n", "10"),
+        ("fused", "meta.json", "c_true", "x"),
+        ("fused", "meta.json", "c_true", True),
+        ("fused", "meta.json", "seed", None),
+        ("fused", "pattern.json", "pattern", 3),
+    ],
+)
+def test_load_names_the_file_and_key_of_a_value_of_the_wrong_json_type(
+    tmp_path, kind, name, key, value
+):
+    if kind == "bp":
+        d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    else:
+        d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "inst")
+    obj = json.loads((d / name).read_text())
+    obj[key] = value
+    (d / name).write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=rf"{name.replace('.', '[.]')} key '{key}' must be a JSON"):
+        storage.load_instance(d)
+
+
+def test_load_takes_an_integral_c_true_as_a_number(tmp_path):
+    d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "inst")
+    meta = json.loads((d / "meta.json").read_text())
+    meta["c_true"] = 1
+    (d / "meta.json").write_text(json.dumps(meta))
+    c_true = storage.load_instance(d).c_true
+    assert type(c_true) is float and c_true == 1.0
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
 def test_load_names_meta_json_when_it_is_not_a_json_object(tmp_path, text):
     d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
