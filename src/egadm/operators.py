@@ -67,7 +67,9 @@ class AffineProjector:
     Everything is computed once at construction: the Cholesky factor L of
     ``A A^T``, ``M = A^T (A A^T)^{-1}`` and ``c = M rhs``.  Each call
     returns ``w - M (A w) + c``, two m x n matvecs and no triangular
-    solves.
+    solves.  The matvecs go through ``M.dot`` and ``A.dot``, bound once
+    here: the same gemv as ``@``, bit for bit, without the ``matmul``
+    ufunc's dispatch, which costs more than the product at these sizes.
 
     Raises ValueError at construction if the shapes disagree or A or rhs
     has a non-finite entry, and ``np.linalg.LinAlgError`` (a ValueError
@@ -88,9 +90,10 @@ class AffineProjector:
         inv_lower = np.linalg.inv(np.linalg.cholesky(A @ A.T))
         self._M = (inv_lower.T @ (inv_lower @ A)).T
         self._c = self._M @ rhs
+        self._mdot, self._adot = self._M.dot, A.dot
 
     def __call__(self, w):
-        return w - self._M @ (self.A @ w) + self._c
+        return w - self._mdot(self._adot(w)) + self._c
 
 
 def solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=None):

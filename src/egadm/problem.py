@@ -101,8 +101,9 @@ def _norm_sq(M):
 
 
 def _product(M):
-    """``v -> M @ v`` as one bound callable: no wrapper frame around it."""
-    return M.matvec if isinstance(M, LinearMap) else M.__matmul__
+    """``v -> M @ v`` as one bound callable: no wrapper frame around it.
+    A dense matrix's is ``M.dot``, the same gemv as ``@`` with less dispatch."""
+    return M.matvec if isinstance(M, LinearMap) else M.dot
 
 
 def frozen_copy(m):
@@ -125,8 +126,9 @@ class Coupling:
     ``+0.0``, so a negative zero does not count).  Dense A, B and b are
     kept as read-only copies, so no cached value can go stale; a
     ``LinearMap`` is kept as given.  Each product is bound once, to a
-    ``LinearMap``'s ``matvec`` or the dense matrix's ``__matmul__``, so
-    ``apply_*`` is one call on top of it.  The solver calls the
+    ``LinearMap``'s ``matvec`` or the dense matrix's ``dot`` (the same
+    gemv as ``@``, bit for bit, without the ``matmul`` ufunc's dispatch),
+    so ``apply_*`` is one call on top of it.  The solver calls the
     ``apply_*`` methods, so a subclass's overrides see every product."""
 
     A: np.ndarray | LinearMap

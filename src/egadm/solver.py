@@ -187,7 +187,7 @@ def _run(problem, config, gamma, state):
     variant = config.variant
     extragradient, augmented = variant.extragradient, variant.augmented
     monitor = config.monitor_certificate and extragradient
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, add_reduce = math.sqrt, math.isfinite, np.add.reduce
 
     while True:
         x, y, lam = state.x, state.y, state.lam
@@ -229,8 +229,10 @@ def _run(problem, config, gamma, state):
         dist_sq = sqrt(dy.dot(dy)) ** 2 + sqrt(dlam.dot(dlam)) ** 2
         movement = sqrt(dist_sq)
         # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
-        # scalars, and NaN fails every comparison.
-        if not (resid_norm <= DIVERGENCE_LIMIT and isfinite(movement + float(x_next.sum()))):
+        # scalars, and NaN fails every comparison.  ``add_reduce(v, None)``
+        # is ``v.sum()`` without its Python-level wrapper.
+        if not (resid_norm <= DIVERGENCE_LIMIT
+                and isfinite(movement + float(add_reduce(x_next, None)))):
             raise DivergenceError(variant, state.k + 1)
 
         certificate = None
@@ -239,7 +241,7 @@ def _run(problem, config, gamma, state):
             # top is g_mid without the augmented pull, which for EGAL is
             # grad_mid - B^T lam_mid with B^T lam_mid the first pull's product
             f_top = grad_mid - bt_pull if augmented else g_mid
-            inner = float(f_top @ (y_mid - y_next)) + float(resid_mid @ (lam_mid - lam_next))
+            inner = float(f_top.dot(y_mid - y_next)) + float(resid_mid.dot(lam_mid - lam_next))
             certificate = gamma * inner - 0.5 * dist_sq
 
         state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)

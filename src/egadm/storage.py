@@ -17,14 +17,15 @@ directories written before format 2 hold and which still load.  A is
 read with ``allow_pickle=False``: loading never unpickles.  Each JSON
 value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
 ``c_true`` a number and ``pattern`` a string (a bool is none of these);
-anything else is a ValueError naming the file and the key.
+anything else is a ValueError naming the file and the key.  Every error
+a broken directory raises is a ValueError or an OSError naming a file in
+it.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmread
 
 from .basis_pursuit import BasisPursuitInstance
 from .fused_logistic import FusedLogisticInstance
@@ -56,6 +57,10 @@ def _read_matrix(d, meta):
         raise ValueError(f"{meta.path} has unknown format_version {version!r}")
     path = d / _MATRIX_FILES[version]
     if version == 1:
+        # imported here, so that loading a format-2 directory never pays
+        # for importing scipy.io
+        from scipy.io import mmread
+
         A = mmread(str(path))
     else:
         try:
@@ -76,7 +81,10 @@ def _read_matrix(d, meta):
 
 
 def _read_vector(path, length):
-    v = np.loadtxt(path, dtype=float, ndmin=1)
+    try:
+        v = np.loadtxt(path, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path} does not hold one number per line: {exc}") from None
     if v.shape != (length,):
         raise ValueError(f"{path.name} has {v.size} entries, meta.json says {length}")
     return v
@@ -169,7 +177,7 @@ def load_instance(directory):
         kind = "fused_logistic" if (d / "pattern.json").is_file() else "basis_pursuit"
     # the list compares by ==, so a kind that is a JSON list or object is unknown, not unhashable
     if kind not in list(_KINDS):
-        raise ValueError(f"unknown instance kind {kind!r}")
+        raise ValueError(f"{meta_path} has unknown instance kind {kind!r}")
     cls, scalars, vectors = _KINDS[kind]
     pattern = _JsonObject(d / "pattern.json") if kind == "fused_logistic" else None
     fields = {"A": _read_matrix(d, meta)}

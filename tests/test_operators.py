@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egadm.operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
 from oracles import grid_prox_scalar
@@ -107,6 +109,36 @@ def test_projector_nonexpansive():
     for _ in range(30):
         u, v = rng.standard_normal(12), rng.standard_normal(12)
         assert np.linalg.norm(proj(u) - proj(v)) <= np.linalg.norm(u - v) + 1e-12
+
+
+@st.composite
+def projectors_and_points(draw):
+    """The projector of a Gaussian m x n A (full row rank with probability
+    one), m <= n <= 60, and a point: a contiguous vector, a strided view,
+    or an (n, K) block in C or Fortran order."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proj = AffineProjector(rng.standard_normal((m, n)), rng.standard_normal(m))
+    form = draw(st.sampled_from(["contiguous", "strided", "block C", "block F"]))
+    if form == "contiguous":
+        return proj, rng.standard_normal(n)
+    if form == "strided":
+        return proj, rng.standard_normal((n, 3))[:, 1]
+    block = rng.standard_normal((n, draw(st.integers(2, 8))))
+    return proj, block if form == "block C" else np.asfortranarray(block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(projectors_and_points())
+def test_projector_gives_the_bits_of_its_matmul_form(case):
+    proj, w = case
+    M, A, c = proj._M, proj.A, proj._c
+    if w.ndim == 1:
+        assert proj(w).tobytes() == (w - M @ (A @ w) + c).tobytes()
+    else:
+        # c is one vector, so a block goes only through the call's two products
+        assert proj._mdot(proj._adot(w)).tobytes() == (M @ (A @ w)).tobytes()
 
 
 def test_projector_rank_deficient_rejected_at_construction():

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
@@ -258,6 +260,26 @@ def test_coupling_fast_paths_match_dense_products():
         assert B.norm_sq == pytest.approx(lmax, rel=1e-12)
         coupling = Coupling(A=identity_map(2 * m - 1), B=B, b=np.zeros(2 * m - 1))
         assert coupling.lmax_btb == B.norm_sq
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_dense_coupling_products_give_the_bits_of_matmul(m, n, p, seed, strided):
+    rng = np.random.default_rng(seed)
+    c = Coupling(
+        A=rng.standard_normal((m, n)), B=rng.standard_normal((m, p)), b=rng.standard_normal(m)
+    )
+
+    def vector(k):
+        return rng.standard_normal((k, 2))[:, 0] if strided else rng.standard_normal(k)
+
+    x, y, v = vector(n), vector(p), vector(m)
+    assert c.apply_a(x).tobytes() == (c.A @ x).tobytes()
+    assert c.apply_b(y).tobytes() == (c.B @ y).tobytes()
+    assert c.apply_bt(v).tobytes() == (c.B.T @ v).tobytes()
 
 
 @dataclass(frozen=True)

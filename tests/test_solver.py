@@ -579,6 +579,21 @@ def test_iterate_matches_the_reference_step_bit_for_bit(case, variant):
         x, y, lam = want[:3]
 
 
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_bp_iterates_keep_their_bits_under_a_matmul_projector(variant):
+    prob = bp.as_problem(bp.generate(100, 20, 2, 0))
+    proj = prob.smooth_block.project
+    M, A, c = proj._M, proj.A, proj._c
+    by_matmul = replace(
+        prob, smooth_block=replace(prob.smooth_block, project=lambda w: w - M @ (A @ w) + c)
+    )
+    cfg = SolverConfig(variant=variant)
+    runs = (itertools.islice(iterate(p, cfg), 300) for p in (prob, by_matmul))
+    for (state, _), (ref, _) in zip(*runs, strict=True):
+        for name in ("x", "y", "lam", "y_mid", "lam_mid"):
+            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), (state.k, name)
+
+
 def test_a_nan_only_in_x_plus_is_divergence():
     # A reads the first two of three x entries, so a NaN in the third one
     # reaches neither the residual nor (y, lam): only x+ itself carries it

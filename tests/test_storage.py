@@ -1,7 +1,15 @@
+import contextlib
 import io
+import itertools
 import json
+import os
 import pickle
+import shutil
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +331,268 @@ def test_load_instance_parses_each_json_file_once(tmp_path, monkeypatch, kind, p
     monkeypatch.setattr(storage._JsonObject, "__init__", counting_init)
     storage.load_instance(d)
     assert names == parsed
+
+
+# The broken-directory battery: each edit breaks one thing in a saved
+# directory, and loading it must raise an error that names the file.  An
+# edit is ``(kinds, edit(d, inst), type, message)``; in the message,
+# ``{d}`` is the directory and ``{m}``, ``{n}`` are the instance's shape,
+# and a message ending in "..." is pinned up to the text a library adds.
+
+_DROP = object()
+
+
+def _meta(**changes):
+    """Set each key of meta.json, or drop it where the value is ``_DROP``.
+    A meta.json that is gone or holds no JSON object is left as it is."""
+    def edit(d, inst):
+        path = d / "meta.json"
+        try:
+            meta = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return
+        if isinstance(meta, dict):
+            meta |= changes
+            for key in [k for k, v in changes.items() if v is _DROP]:
+                del meta[key]
+            path.write_text(json.dumps(meta))
+    return edit
+
+
+def _write(name, text):
+    return lambda d, inst: (d / name).write_text(text)
+
+
+def _unlink(name):
+    return lambda d, inst: (d / name).unlink(missing_ok=True)
+
+
+def _save_A(make):
+    return lambda d, inst: np.save(d / "A.npy", make(inst.A), allow_pickle=False)
+
+
+def _vector_lines(name, keep=slice(None), extra=""):
+    def edit(d, inst):
+        lines = (d / name).read_text().splitlines(keepends=True)
+        (d / name).write_text("".join(lines[keep]) + extra)
+    return edit
+
+
+def _A_is_a_directory(d, inst):
+    (d / "A.npy").unlink()
+    (d / "A.npy").mkdir()
+
+
+_BOTH, _BP, _FUSED = ("bp", "fused"), ("bp",), ("fused",)
+_NOT_AN_OBJECT = "{d}/meta.json does not hold a JSON object: ..."
+_EDITS = {
+    "meta-missing": (_BOTH, _unlink("meta.json"), FileNotFoundError, "no meta.json under {d}"),
+    "meta-not-json": (_BOTH, _write("meta.json", "{not json"), ValueError, _NOT_AN_OBJECT),
+    "meta-empty": (_BOTH, _write("meta.json", ""), ValueError, _NOT_AN_OBJECT),
+    "meta-list": (_BOTH, _write("meta.json", "[1, 2]"), ValueError, _NOT_AN_OBJECT),
+    "meta-null": (_BOTH, _write("meta.json", "null"), ValueError, _NOT_AN_OBJECT),
+    "kind-unknown": (
+        _BOTH, _meta(kind="lasso"), ValueError, "{d}/meta.json has unknown instance kind 'lasso'"
+    ),
+    "kind-list": (
+        _BOTH, _meta(kind=["basis_pursuit"]), ValueError,
+        "{d}/meta.json has unknown instance kind ['basis_pursuit']",
+    ),
+    "kind-object": (
+        _BOTH, _meta(kind={"a": 1}), ValueError,
+        "{d}/meta.json has unknown instance kind {{'a': 1}}",
+    ),
+    "kind-fused-on-bp": (
+        _BP, _meta(kind="fused_logistic"), FileNotFoundError,
+        "[Errno 2] No such file or directory: '{d}/pattern.json'",
+    ),
+    "kind-bp-on-fused": (
+        _FUSED, _meta(kind="basis_pursuit"), FileNotFoundError, "{d}/b.txt not found."
+    ),
+    "version-unknown": (
+        _BOTH, _meta(format_version=3), ValueError, "{d}/meta.json has unknown format_version 3"
+    ),
+    "version-string": (
+        _BOTH, _meta(format_version="2"), ValueError,
+        "{d}/meta.json has unknown format_version '2'",
+    ),
+    "version-1-without-A-mtx": (
+        _BOTH, _meta(format_version=1), FileNotFoundError,
+        "The source file does not exist: {d}/A.mtx",
+    ),
+    "n-missing": (_BOTH, _meta(n=_DROP), ValueError, "{d}/meta.json lacks the key 'n'"),
+    "m-missing": (_BOTH, _meta(m=_DROP), ValueError, "{d}/meta.json lacks the key 'm'"),
+    "seed-missing": (_BOTH, _meta(seed=_DROP), ValueError, "{d}/meta.json lacks the key 'seed'"),
+    "s-missing": (_BP, _meta(s=_DROP), ValueError, "{d}/meta.json lacks the key 's'"),
+    "c_true-missing": (
+        _FUSED, _meta(c_true=_DROP), ValueError, "{d}/meta.json lacks the key 'c_true'"
+    ),
+    "n-float": (
+        _BOTH, _meta(n=10.0), ValueError, "{d}/meta.json key 'n' must be a JSON integer, got 10.0"
+    ),
+    "m-string": (
+        _BOTH, _meta(m="4"), ValueError, "{d}/meta.json key 'm' must be a JSON integer, got '4'"
+    ),
+    "seed-bool": (
+        _BOTH, _meta(seed=True), ValueError,
+        "{d}/meta.json key 'seed' must be a JSON integer, got True",
+    ),
+    "s-string": (
+        _BP, _meta(s="abc"), ValueError, "{d}/meta.json key 's' must be a JSON integer, got 'abc'"
+    ),
+    "c_true-bool": (
+        _FUSED, _meta(c_true=False), ValueError,
+        "{d}/meta.json key 'c_true' must be a JSON number, got False",
+    ),
+    "n-too-large": (
+        _BOTH, _meta(n=1000), ValueError,
+        "A.npy shape ({m}, {n}) disagrees with meta.json's ({m}, 1000)",
+    ),
+    "m-negative": (
+        _BOTH, _meta(m=-1), ValueError,
+        "A.npy shape ({m}, {n}) disagrees with meta.json's (-1, {n})",
+    ),
+    "A-missing": (
+        _BOTH, _unlink("A.npy"), FileNotFoundError,
+        "[Errno 2] No such file or directory: '{d}/A.npy'",
+    ),
+    "A-transposed": (
+        _BOTH, _save_A(lambda A: A.T), ValueError,
+        "A.npy shape ({n}, {m}) disagrees with meta.json's ({m}, {n})",
+    ),
+    "A-flat": (
+        _BOTH, _save_A(np.ravel), ValueError,
+        "A.npy shape ({size},) disagrees with meta.json's ({m}, {n})",
+    ),
+    "A-complex": (
+        _BOTH, _save_A(lambda A: A.astype(complex)), ValueError,
+        "{d}/A.npy holds complex128 values, not real numbers",
+    ),
+    "A-text": (
+        _BOTH, _write("A.npy", "not an array"), ValueError,
+        "{d}/A.npy is not a .npy array file: ...",
+    ),
+    "A-empty": (_BOTH, _write("A.npy", ""), ValueError, "{d}/A.npy is not a .npy array file: ..."),
+    "A-directory": (
+        _BOTH, _A_is_a_directory, IsADirectoryError, "[Errno 21] Is a directory: '{d}/A.npy'"
+    ),
+    "xhat-missing": (_BOTH, _unlink("xhat.txt"), FileNotFoundError, "{d}/xhat.txt not found."),
+    "xhat-short": (
+        _BOTH, _vector_lines("xhat.txt", slice(-1)), ValueError,
+        "xhat.txt has {n_short} entries, meta.json says {n}",
+    ),
+    "xhat-long": (
+        _BOTH, _vector_lines("xhat.txt", extra="1\n"), ValueError,
+        "xhat.txt has {n_long} entries, meta.json says {n}",
+    ),
+    "xhat-not-a-number": (
+        _BOTH, _vector_lines("xhat.txt", slice(1), "abc\n"), ValueError,
+        "{d}/xhat.txt does not hold one number per line: ...",
+    ),
+    "b-missing": (_BP, _unlink("b.txt"), FileNotFoundError, "{d}/b.txt not found."),
+    "b-short": (
+        _BP, _vector_lines("b.txt", slice(-1)), ValueError,
+        "b.txt has {m_short} entries, meta.json says {m}",
+    ),
+    "labels-missing": (
+        _FUSED, _unlink("labels.txt"), FileNotFoundError, "{d}/labels.txt not found."
+    ),
+    "labels-short": (
+        _FUSED, _vector_lines("labels.txt", slice(-1)), ValueError,
+        "labels.txt has {m_short} entries, meta.json says {m}",
+    ),
+    "pattern-missing": (
+        _FUSED, _unlink("pattern.json"), FileNotFoundError,
+        "[Errno 2] No such file or directory: '{d}/pattern.json'",
+    ),
+    "pattern-not-json": (
+        _FUSED, _write("pattern.json", "{"), ValueError,
+        "{d}/pattern.json does not hold a JSON object: ...",
+    ),
+    "pattern-key-missing": (
+        _FUSED, _write("pattern.json", "{}"), ValueError, "{d}/pattern.json lacks the key 'pattern'"
+    ),
+    "pattern-number": (
+        _FUSED, _write("pattern.json", '{"pattern": 3}'), ValueError,
+        "{d}/pattern.json key 'pattern' must be a JSON string, got 3",
+    ),
+}
+_CASES = [(kind, name) for name, (kinds, *_) in _EDITS.items() for kind in kinds]
+# every file a directory of either kind holds, or format 1 held
+_FILES = ("meta.json", "pattern.json", "A.npy", "A.mtx", "b.txt", "xhat.txt", "labels.txt")
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """``kind -> (directory, instance)``: one saved directory of each kind
+    to copy and break."""
+    root = tmp_path_factory.mktemp("saved")
+    inst_bp, inst_fused = bp.generate(10, 4, 1, 9), fl.generate_block_pattern(130, 20, 2)
+    return {
+        "bp": (storage.save_bp_instance(inst_bp, root / "bp"), inst_bp),
+        "fused": (storage.save_fused_instance(inst_fused, root / "fused"), inst_fused),
+    }
+
+
+def _copy(saved, kind, directory):
+    source, inst = saved[kind]
+    return Path(shutil.copytree(source, directory)), inst
+
+
+@pytest.mark.parametrize(("kind", "name"), _CASES)
+def test_a_single_broken_file_raises_its_pinned_error(saved, tmp_path, kind, name):
+    d, inst = _copy(saved, kind, tmp_path / "inst")
+    _, edit, error, message = _EDITS[name]
+    edit(d, inst)
+    m, n = inst.A.shape
+    want = message.format(
+        d=d, m=m, n=n, size=m * n, m_short=m - 1, n_short=n - 1, n_long=n + 1
+    )
+    with pytest.raises((ValueError, OSError)) as exc:
+        storage.load_instance(d)
+    got = str(exc.value)
+    assert type(exc.value) is error, got
+    assert got.startswith(want[:-3]) if want.endswith("...") else got == want
+
+
+_PAIRS = [
+    (kind, first, second)
+    for kind in ("bp", "fused")
+    for first, second in itertools.permutations([n for k, n in _CASES if k == kind], 2)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PAIRS))
+def test_two_broken_files_raise_only_a_value_or_os_error_naming_a_file(saved, pair):
+    kind, *names = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        # the second edit finds what the first left: a file may be gone,
+        # a directory, or no JSON object, and then it changes nothing
+        d, inst = _copy(saved, kind, Path(tmp) / "inst")
+        for name in names:
+            with contextlib.suppress(OSError):
+                _EDITS[name][1](d, inst)
+        # edits can cancel (a short and a long xhat.txt), so the directory
+        # may load; any other exception type fails the test as it is
+        try:
+            storage.load_instance(d)
+        except (ValueError, OSError) as exc:
+            assert any(f in str(exc) for f in _FILES), (pair, exc)
+
+
+def test_loading_a_format_2_directory_never_imports_scipy_io(tmp_path):
+    # in a fresh interpreter: this test process has scipy.io already
+    d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    script = (
+        "import sys, egadm, egadm.cli, egadm.storage\n"
+        "egadm.storage.load_instance(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(d)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
