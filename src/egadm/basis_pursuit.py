@@ -23,10 +23,10 @@ from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_c
 class BasisPursuitInstance:
     """A basis-pursuit instance and the set-up derived from its data alone.
 
-    A, b and xhat are kept as read-only float copies, so ``projector``,
-    built on first use and then reused by every later solve of this
-    object, can never go stale; ``dataclasses.replace`` makes a new
-    instance with its own cache."""
+    A, b and xhat are kept as read-only float copies, so ``projector`` and
+    ``problem``, built on first use and then reused by every later solve
+    of this object, can never go stale; ``dataclasses.replace`` makes a
+    new instance with its own cache."""
 
     A: np.ndarray
     b: np.ndarray
@@ -43,6 +43,53 @@ class BasisPursuitInstance:
         """The ``AffineProjector`` onto ``{y : A y = b}``; a rank-deficient A
         raises ``np.linalg.LinAlgError``."""
         return AffineProjector(self.A, self.b)
+
+    @functools.cached_property
+    def problem(self):
+        """The two-block form ``as_problem`` returns: f = ||.||_1 over R^n,
+        g = 0 over Y = {y : A y = b}, coupled by x - y = 0, the projection
+        being ``projector``.  Under the zero metric the prox is one shrink
+        at threshold 1 / gamma, divided and checked only when gamma changes
+        (a gamma that is not positive and finite is a ValueError), so
+        solves that share this problem may run concurrently with different
+        gammas.  The gradient is one shared read-only zero vector."""
+        n = self.n
+        # the last gamma and its threshold 1 / gamma, checked once; one slot,
+        # read once per call and replaced whole, so that a thread switch
+        # never pairs one solve's gamma with another's threshold
+        memo = None, None
+
+        def prox_solve(x_prev, offset, lam, gamma, metric):
+            if metric.kind != "zero":
+                return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
+            nonlocal memo
+            last, threshold = memo
+            if gamma != last:
+                # written so that a NaN gamma fails the test
+                if not 0 < gamma < np.inf:
+                    raise ValueError("gamma must be positive and finite")
+                threshold = 1.0 / gamma
+                memo = gamma, threshold
+            # ``solve_l1_subproblem``'s zero-metric shrink, in its operation order
+            return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), threshold)
+
+        # the zero gradient, one read-only vector shared by every call
+        zero = np.zeros(n)
+        zero.flags.writeable = False
+        prox = ProxBlock(
+            dim=n,
+            evaluate=lambda x: float(np.sum(np.abs(x))),
+            solve_subproblem=prox_solve,
+        )
+        smooth = SmoothBlock(
+            dim=n,
+            evaluate=lambda y: 0.0,
+            gradient=lambda y: zero,
+            lipschitz_constant=0.0,
+            project=self.projector,
+        )
+        coupling = Coupling(A=identity_map(n), B=identity_map(n, -1.0), b=np.zeros(n))
+        return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
 
     @property
     def m(self):
@@ -98,44 +145,10 @@ def generate(n, m, s, seed):
 
 
 def as_problem(inst):
-    """Two-block form: f = ||.||_1 over R^n, g = 0 over Y = {y : A y = b},
-    coupled by x - y = 0.  The projection is the instance's cached
-    ``projector``.  Under the zero metric the prox is one shrink at
-    threshold 1 / gamma, divided and checked only when gamma changes (a
-    gamma that is not positive and finite is a ValueError); the gradient
-    is one shared read-only zero vector."""
-    n = inst.n
-    # the last gamma and its threshold 1 / gamma, checked once
-    memo = [None, None]
-
-    def prox_solve(x_prev, offset, lam, gamma, metric):
-        if metric.kind != "zero":
-            return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
-        if gamma != memo[0]:
-            # written so that a NaN gamma fails the test
-            if not 0 < gamma < np.inf:
-                raise ValueError("gamma must be positive and finite")
-            memo[:] = gamma, 1.0 / gamma
-        # ``solve_l1_subproblem``'s zero-metric shrink, in its operation order
-        return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), memo[1])
-
-    # the zero gradient, one read-only vector shared by every call
-    zero = np.zeros(n)
-    zero.flags.writeable = False
-    prox = ProxBlock(
-        dim=n,
-        evaluate=lambda x: float(np.sum(np.abs(x))),
-        solve_subproblem=prox_solve,
-    )
-    smooth = SmoothBlock(
-        dim=n,
-        evaluate=lambda y: 0.0,
-        gradient=lambda y: zero,
-        lipschitz_constant=0.0,
-        project=inst.projector,
-    )
-    coupling = Coupling(A=identity_map(n), B=identity_map(n, -1.0), b=np.zeros(n))
-    return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
+    """The instance's two-block form, its cached ``problem``: built on the
+    first call and the same object on every later one, since it depends
+    on nothing but the instance."""
+    return inst.problem
 
 
 def recovery_error(inst, x):

@@ -34,10 +34,10 @@ class FusedLogisticInstance:
     vector; labels are exactly -1.0 or +1.0.
 
     A, labels and xhat are kept as read-only float copies, so the set-up
-    derived from the data alone, ``aux`` and ``lipschitz``, is built on
-    first use and reused by every later solve of this object without
-    going stale; ``dataclasses.replace`` makes a new instance with its own
-    cache."""
+    derived from the data alone, ``aux``, ``lipschitz``, ``coupling`` and
+    ``smooth_block``, is built on first use and reused by every later solve
+    of this object without going stale; ``dataclasses.replace`` makes a
+    new instance with its own cache."""
 
     A: np.ndarray
     labels: np.ndarray
@@ -59,6 +59,27 @@ class FusedLogisticInstance:
     def lipschitz(self):
         """``logistic_lipschitz(self.aux)``, the smooth block's constant."""
         return logistic_lipschitz(self.aux)
+
+    @functools.cached_property
+    def coupling(self):
+        """The ``Coupling`` of x = y and w = L y: A = I over the stacked
+        (x, w), ``B = fused_coupling(n)``, b = 0."""
+        p = 2 * self.n - 1
+        return Coupling(A=identity_map(p), B=fused_coupling(self.n), b=np.zeros(p))
+
+    @functools.cached_property
+    def smooth_block(self):
+        """The ``SmoothBlock`` of the loss over the stacked (y, c): value
+        and gradient from ``aux.data``, constant ``lipschitz``, and no
+        constraint (projection is the identity)."""
+        data = self.aux.data
+        return SmoothBlock(
+            dim=self.n + 1,
+            evaluate=functools.partial(_loss, data),
+            gradient=functools.partial(_loss_gradient, data),
+            lipschitz_constant=self.lipschitz,
+            project=lambda z: z,
+        )
 
     @property
     def m(self):
@@ -211,16 +232,15 @@ def as_problem(inst, cfg):
     The nonsmooth block stacks (x, w) and its prox is one shrink against
     the per-component weights ``[alpha]*n + [beta]*(n-1)`` over gamma,
     thresholds it divides and checks only when gamma changes (a gamma that
-    is not positive and finite is a ValueError); the smooth
-    block stacks (y, c), takes its gradient from one product each way with
-    the augmented data matrix, and has no constraint (projection is the
-    identity).  The coupling enforces x = y and w = L y through A = I and
-    ``B = fused_coupling(n)``, two structured maps, so nothing of size n^2
-    is stored.  The data matrix and the Lipschitz constant are the
-    instance's cached ``aux`` and ``lipschitz``.
+    is not positive and finite is a ValueError).  The weights and the prox
+    are the only parts built per call, since only they depend on ``cfg``.
+    The smooth block stacks (y, c) and takes its gradient from one product
+    each way with the augmented data matrix; the coupling enforces x = y
+    and w = L y through A = I and ``B = fused_coupling(n)``, two structured
+    maps, so nothing of size n^2 is stored.  Both are the instance's cached
+    ``smooth_block`` and ``coupling``, shared by every config.
     """
     n = inst.n
-    aux = inst.aux
     p = 2 * n - 1
     weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
     # the last gamma and its thresholds weights / gamma, checked once
@@ -244,17 +264,9 @@ def as_problem(inst, cfg):
         ),
         solve_subproblem=prox_solve,
     )
-
-    smooth = SmoothBlock(
-        dim=n + 1,
-        evaluate=functools.partial(_loss, aux.data),
-        gradient=functools.partial(_loss_gradient, aux.data),
-        lipschitz_constant=inst.lipschitz,
-        project=lambda z: z,
+    return TwoBlockProblem(
+        prox_block=prox, smooth_block=inst.smooth_block, coupling=inst.coupling
     )
-
-    coupling = Coupling(A=identity_map(p), B=fused_coupling(n), b=np.zeros(p))
-    return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
 
 
 def _finish_instance(rng, xhat, n, m, seed, pattern):

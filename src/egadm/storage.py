@@ -23,6 +23,7 @@ it.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,10 @@ def _read_matrix(d, meta):
 
 def _read_vector(path, length):
     try:
-        v = np.loadtxt(path, dtype=float, ndmin=1)
+        with warnings.catch_warnings():
+            # a file with no data is the length error below, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            v = np.loadtxt(path, dtype=float, ndmin=1)
     except ValueError as exc:
         raise ValueError(f"{path} does not hold one number per line: {exc}") from None
     if v.shape != (length,):
@@ -96,15 +100,20 @@ _JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: (
 
 
 class _JsonObject(dict):
-    """The JSON object in ``path``.  Invalid JSON, a key read with ``[]``
-    that the object lacks, and a value ``typed`` rejects raise a
-    ValueError naming the file (and the key)."""
+    """The JSON object in ``path``.  Invalid JSON, any other JSON value
+    (a list of pairs included), a key read with ``[]`` that the object
+    lacks, and a value ``typed`` rejects raise a ValueError naming the
+    file (and the key)."""
 
     def __init__(self, path):
         try:
-            super().__init__(json.loads(path.read_text(encoding="utf-8")))
-        except (TypeError, ValueError) as exc:
+            value = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
             raise ValueError(f"{path} does not hold a JSON object: {exc}") from None
+        if not isinstance(value, dict):
+            kind = type(value).__name__
+            raise ValueError(f"{path} does not hold a JSON object: it holds a {kind}")
+        super().__init__(value)
         self.path = path
 
     def __missing__(self, key):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -157,27 +159,70 @@ def test_instance_keeps_read_only_copies_of_its_arrays():
 
 
 def test_projector_is_built_once_per_instance(monkeypatch):
-    calls = []
-    real = bp.AffineProjector
+    calls, couplings = [], []
+    real, real_coupling = bp.AffineProjector, bp.Coupling
 
     def counting(A, rhs):
         calls.append(A)
         return real(A, rhs)
 
+    def counting_coupling(**parts):
+        couplings.append(parts)
+        return real_coupling(**parts)
+
     monkeypatch.setattr(bp, "AffineProjector", counting)
+    monkeypatch.setattr(bp, "Coupling", counting_coupling)
     inst = bp.generate(40, 10, 2, 3)
-    problems = [bp.as_problem(inst) for _ in range(3)]
-    assert len(calls) == 1
-    assert all(p.smooth_block.project is inst.projector for p in problems)
+    # a solve per variant: the problem is assembled once, on the first
+    for variant in VariantKind:
+        solve(bp.as_problem(inst), SolverConfig(variant=variant, max_iters=5))
+    assert len(calls) == 1 and len(couplings) == 1
+    assert bp.as_problem(inst) is bp.as_problem(inst) is inst.problem
+    assert inst.problem.smooth_block.project is inst.projector
 
 
 def test_replace_gives_a_new_instance_with_its_own_projector():
     inst = bp.generate(40, 10, 2, 3)
-    first = inst.projector
+    first, problem = inst.projector, bp.as_problem(inst)
     moved = dataclasses.replace(inst, b=2.0 * inst.b)
     assert inst.projector is first and moved.projector is not first
+    assert bp.as_problem(inst) is problem and bp.as_problem(moved) is not problem
+    assert bp.as_problem(dataclasses.replace(inst)) is not problem
     y = bp.as_problem(moved).smooth_block.project(np.zeros(40))
     assert np.linalg.norm(moved.A @ y - moved.b) <= 1e-12 * np.linalg.norm(moved.b)
+
+
+def test_a_shared_prox_keeps_each_threads_gamma():
+    # four threads (more than the cores) share one cached problem and
+    # alternate two gammas, with a thread switch forced about every
+    # microsecond: each output must be the shrink at its own call's gamma,
+    # never at another thread's threshold
+    prox = bp.as_problem(bp.generate(40, 10, 2, 3)).prox_block.solve_subproblem
+    zero = MetricH.zero()
+    args = np.random.default_rng(8).standard_normal((3, 40))
+    gammas = (0.3, 0.7)
+    want = {g: solve_l1_subproblem(1.0, g, zero, *args).tobytes() for g in gammas}
+    wrong, finished = [], []
+
+    def run(first):
+        for k in range(5_000):
+            gamma = gammas[(first + k) % 2]
+            if prox(*args, gamma, zero).tobytes() != want[gamma]:
+                wrong.append(gamma)
+        finished.append(first)
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1, 0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(finished) == len(threads)
+    assert wrong == []
 
 
 def test_prox_threshold_is_remembered_per_gamma_without_changing_a_bit():

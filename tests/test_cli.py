@@ -363,16 +363,22 @@ def test_python_dash_m_egadm_cli_runs_the_cli(tmp_path):
 
 
 def test_bench_builds_one_projector_per_bp_instance(monkeypatch):
-    calls = []
-    real = bp.AffineProjector
+    calls, couplings = [], []
+    real, real_coupling = bp.AffineProjector, bp.Coupling
 
     def counting(A, rhs):
         calls.append(A)
         return real(A, rhs)
 
+    def counting_coupling(**parts):
+        couplings.append(parts)
+        return real_coupling(**parts)
+
     monkeypatch.setattr(bp, "AffineProjector", counting)
+    # one Coupling per instance: the whole problem is assembled once
+    monkeypatch.setattr(bp, "Coupling", counting_coupling)
     spec = BenchSpec(problem="bp", dims=((40, 10, 2),), instances=2, variants=tuple(VariantKind),
                      seed_base=0, pattern="simple", overrides=SolveOverrides(max_iters=50))
     rows, _ = run_bench(spec)
     assert len(rows) == 8
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(couplings) == 2

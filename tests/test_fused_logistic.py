@@ -474,25 +474,39 @@ def test_instance_keeps_read_only_copies_of_its_arrays():
 
 
 def test_four_solves_of_one_instance_compute_the_lipschitz_constant_once(monkeypatch):
-    calls = []
-    real = fl.logistic_lipschitz
+    calls, couplings = [], []
+    real, real_coupling = fl.logistic_lipschitz, fl.Coupling
 
     def counting(aux):
         calls.append(aux)
         return real(aux)
 
+    def counting_coupling(**parts):
+        couplings.append(parts)
+        return real_coupling(**parts)
+
     monkeypatch.setattr(fl, "logistic_lipschitz", counting)
+    monkeypatch.setattr(fl, "Coupling", counting_coupling)
     inst = fl.generate_block_pattern(140, 30, 2)
-    for variant in VariantKind:
-        fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=2e-2), variant=variant, max_iters=5)
+    # the coupling depends on the instance alone, so a weight path shares it too
+    for variant, alpha in zip(VariantKind, (2e-2, 2e-2, 1e-2, 5e-3)):
+        fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=alpha), variant=variant, max_iters=5)
     assert len(calls) == 1 and calls[0] is inst.aux
+    assert len(couplings) == 1
 
 
 def test_replace_gives_a_new_instance_with_its_own_set_up():
     inst = fl.generate_block_pattern(140, 30, 2)
     aux, lip = inst.aux, inst.lipschitz
+    # two configs share the instance's coupling and smooth block, not the prox
+    first, second = (fl.as_problem(inst, fl.FusedLogisticConfig(alpha=a)) for a in (1e-2, 2e-2))
+    assert first.coupling is second.coupling is inst.coupling
+    assert first.smooth_block is second.smooth_block is inst.smooth_block
+    assert first.prox_block is not second.prox_block
     doubled = dataclasses.replace(inst, A=2.0 * inst.A)
     assert inst.aux is aux and inst.lipschitz == lip and doubled.aux is not aux
+    assert doubled.coupling is not inst.coupling
+    assert doubled.smooth_block is not inst.smooth_block
     assert np.array_equal(doubled.aux.data, fl.LogisticAux.from_data(2.0 * inst.A, inst.labels).data)
     assert doubled.lipschitz == fl.logistic_lipschitz(doubled.aux) > lip
     prob = fl.as_problem(doubled, fl.FusedLogisticConfig())

@@ -751,11 +751,11 @@ def test_monitoring_leaves_every_iterate_bit_for_bit(variant):
 
 
 _FRONT_ENDS = (
-    (lambda: bp.generate(60, 15, 2, 4), bp.as_problem, ("projector",)),
+    (lambda: bp.generate(60, 15, 2, 4), bp.as_problem, ("projector", "problem")),
     (
         lambda: fl.generate_block_pattern(150, 40, 2),
         lambda inst: fl.as_problem(inst, fl.FusedLogisticConfig()),
-        ("aux", "lipschitz"),
+        ("aux", "lipschitz", "coupling", "smooth_block"),
     ),
 )
 

@@ -359,6 +359,19 @@ def _meta(**changes):
     return edit
 
 
+def _meta_as_pairs(d, inst):
+    """meta.json's object rewritten as a JSON list of its [key, value]
+    pairs, which ``dict`` would take for the object; left as it is where
+    it holds no object."""
+    path = d / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return
+    if isinstance(meta, dict):
+        path.write_text(json.dumps(sorted(meta.items())))
+
+
 def _write(name, text):
     return lambda d, inst: (d / name).write_text(text)
 
@@ -391,6 +404,10 @@ _EDITS = {
     "meta-empty": (_BOTH, _write("meta.json", ""), ValueError, _NOT_AN_OBJECT),
     "meta-list": (_BOTH, _write("meta.json", "[1, 2]"), ValueError, _NOT_AN_OBJECT),
     "meta-null": (_BOTH, _write("meta.json", "null"), ValueError, _NOT_AN_OBJECT),
+    "meta-pairs": (
+        _BOTH, _meta_as_pairs, ValueError,
+        "{d}/meta.json does not hold a JSON object: it holds a list",
+    ),
     "kind-unknown": (
         _BOTH, _meta(kind="lasso"), ValueError, "{d}/meta.json has unknown instance kind 'lasso'"
     ),
@@ -485,6 +502,9 @@ _EDITS = {
         _BOTH, _vector_lines("xhat.txt", extra="1\n"), ValueError,
         "xhat.txt has {n_long} entries, meta.json says {n}",
     ),
+    "xhat-empty": (
+        _BOTH, _write("xhat.txt", ""), ValueError, "xhat.txt has 0 entries, meta.json says {n}"
+    ),
     "xhat-not-a-number": (
         _BOTH, _vector_lines("xhat.txt", slice(1), "abc\n"), ValueError,
         "{d}/xhat.txt does not hold one number per line: ...",
@@ -493,6 +513,9 @@ _EDITS = {
     "b-short": (
         _BP, _vector_lines("b.txt", slice(-1)), ValueError,
         "b.txt has {m_short} entries, meta.json says {m}",
+    ),
+    "b-blank": (
+        _BP, _write("b.txt", "\n \n"), ValueError, "b.txt has 0 entries, meta.json says {m}"
     ),
     "labels-missing": (
         _FUSED, _unlink("labels.txt"), FileNotFoundError, "{d}/labels.txt not found."
@@ -508,6 +531,10 @@ _EDITS = {
     "pattern-not-json": (
         _FUSED, _write("pattern.json", "{"), ValueError,
         "{d}/pattern.json does not hold a JSON object: ...",
+    ),
+    "pattern-list": (
+        _FUSED, _write("pattern.json", "[]"), ValueError,
+        "{d}/pattern.json does not hold a JSON object: it holds a list",
     ),
     "pattern-key-missing": (
         _FUSED, _write("pattern.json", "{}"), ValueError, "{d}/pattern.json lacks the key 'pattern'"
