@@ -3,7 +3,7 @@ programs ``min f(x) + g(y) s.t. A x + B y = b`` where f has a cheap
 structured prox and g is smooth with a known gradient Lipschitz bound."""
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
+from .operators import AffineProjector, shrink, solve_l1_subproblem
 from .problem import (
     Coupling,
     LinearMap,
@@ -35,7 +35,6 @@ __all__ = [
     "DivergenceError",
     "IterateState",
     "LinearMap",
-    "MetricH",
     "ProxBlock",
     "SmoothBlock",
     "SolveReport",

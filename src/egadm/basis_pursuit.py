@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, shrink_unchecked, solve_l1_subproblem
+from .operators import AffineProjector, shrink_unchecked
 from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map
 
 
@@ -48,20 +48,18 @@ class BasisPursuitInstance:
     def problem(self):
         """The two-block form ``as_problem`` returns: f = ||.||_1 over R^n,
         g = 0 over Y = {y : A y = b}, coupled by x - y = 0, the projection
-        being ``projector``.  Under the zero metric the prox is one shrink
-        at threshold 1 / gamma, divided and checked only when gamma changes
-        (a gamma that is not positive and finite is a ValueError), so
-        solves that share this problem may run concurrently with different
-        gammas.  The gradient is one shared read-only zero vector."""
+        being ``projector``.  The prox is one shrink at threshold 1 / gamma,
+        divided and checked only when gamma changes (a gamma that is not
+        positive and finite is a ValueError), so solves that share this
+        problem may run concurrently with different gammas.  The gradient
+        is one shared read-only zero vector."""
         n = self.n
         # the last gamma and its threshold 1 / gamma, checked once; one slot,
         # read once per call and replaced whole, so that a thread switch
         # never pairs one solve's gamma with another's threshold
         memo = None, None
 
-        def prox_solve(x_prev, offset, lam, gamma, metric):
-            if metric.kind != "zero":
-                return solve_l1_subproblem(1.0, gamma, metric, x_prev, offset, lam)
+        def prox_solve(offset, lam, gamma):
             nonlocal memo
             last, threshold = memo
             if gamma != last:
@@ -70,7 +68,7 @@ class BasisPursuitInstance:
                     raise ValueError("gamma must be positive and finite")
                 threshold = 1.0 / gamma
                 memo = gamma, threshold
-            # ``solve_l1_subproblem``'s zero-metric shrink, in its operation order
+            # ``solve_l1_subproblem``'s shrink, in its operation order
             return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), threshold)
 
         # the zero gradient, one read-only vector shared by every call

@@ -246,9 +246,7 @@ def as_problem(inst, cfg):
     # the last gamma and its thresholds weights / gamma, checked once
     memo = [None, None]
 
-    def prox_solve(x_prev, offset, lam, gamma, metric):
-        if metric.kind != "zero":
-            raise ValueError("the stacked shrink block expects the zero metric")
+    def prox_solve(offset, lam, gamma):
         if gamma != memo[0]:
             # written so that a NaN gamma fails the test; weights >= 0, so
             # a positive finite gamma gives nonnegative thresholds

@@ -1,9 +1,6 @@
 """Concrete operators used by the specializations: soft-thresholding,
 projection onto an affine set, and the closed-form l1 x-subproblem."""
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 
@@ -26,39 +23,6 @@ def shrink_unchecked(z, tau):
     caller has checked that every threshold is nonnegative."""
     # not np.copysign: at z = -0.0 it returns -0.0, where np.sign(-0.0) is +0.0
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
-@dataclass(frozen=True)
-class MetricH:
-    """Proximal metric for the x-subproblem.
-
-    Either the zero metric (no proximal term, valid when A is the
-    identity) or ``H = tau*I - gamma*A^T A``, which cancels the Gram term
-    of the quadratic penalty; the latter needs ``tau > gamma *
-    lmax(A^T A)`` to keep H positive definite.
-    """
-
-    kind: str
-    tau: Optional[float] = None
-
-    _KINDS = ("zero", "scaled_identity_minus_gram")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "scaled_identity_minus_gram":
-            if self.tau is None or not 0 < self.tau < np.inf:
-                raise ValueError("scaled_identity_minus_gram needs a finite tau > 0")
-        elif self.tau is not None:
-            raise ValueError("zero metric takes no tau")
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def scaled_identity_minus_gram(cls, tau):
-        return cls("scaled_identity_minus_gram", float(tau))
 
 
 class AffineProjector:
@@ -96,40 +60,18 @@ class AffineProjector:
         return w - self._mdot(self._adot(w)) + self._c
 
 
-def solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=None):
-    """Exact minimizer of the l1 x-subproblem.
+def solve_l1_subproblem(alpha, gamma, offset, lam):
+    """Exact minimizer of the l1 x-subproblem with identity coupling.
 
     Minimizes, over x,
 
-        alpha*||x||_1 - <lam, A x + offset> + (gamma/2)||A x + offset||^2
-            + (1/2)||x - x_prev||_H^2
+        alpha*||x||_1 - <lam, x + offset> + (gamma/2)||x + offset||^2
 
-    with ``offset = B y - b``.  Supported combinations: ``A=None``
-    (identity coupling) with either metric, or a general A with the
-    gram-cancelling metric, which collapses the quadratic to
-    ``(tau/2)||x - v||^2`` so the minimizer is a single shrink.  A gamma
-    that is not positive and finite is a ValueError.
+    with ``offset = B y - b``: one shrink of ``lam/gamma - offset`` at
+    threshold ``alpha/gamma``.  A gamma that is not positive and finite is
+    a ValueError.
     """
     # written so that a NaN gamma fails the test
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
-    if A is None:
-        anchor = lam / gamma - offset
-        if metric.kind == "zero":
-            return shrink(anchor, alpha / gamma)
-        tau = metric.tau
-        v = (gamma * anchor + (tau - gamma) * x_prev) / tau
-        return shrink(v, alpha / tau)
-    if metric.kind != "scaled_identity_minus_gram":
-        raise ValueError(
-            "a non-identity A requires the gram-cancelling metric "
-            "H = tau*I - gamma*A^T A"
-        )
-    tau = metric.tau
-    v = (
-        A.T @ lam
-        - gamma * (A.T @ offset)
-        + tau * x_prev
-        - gamma * (A.T @ (A @ x_prev))
-    ) / tau
-    return shrink(v, alpha / tau)
+    return shrink(lam / gamma - offset, alpha / gamma)

@@ -7,7 +7,6 @@ supplied as callables bundled with their dimensions.  The coupling's A
 and B are dense matrices or ``LinearMap``s that declare their own norm.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,15 +19,15 @@ from .linalg import spectral_norm_sq
 class ProxBlock:
     """Nonsmooth block f over its constraint set X.
 
-    ``solve_subproblem(x_prev, offset, lam, gamma, metric)`` must return
-    the minimizer over X of
+    ``solve_subproblem(offset, lam, gamma)`` must return the minimizer
+    over X of
 
         f(x) - <lam, A x + offset> + (gamma/2) ||A x + offset||^2
-             + (1/2) ||x - x_prev||_H^2
 
-    where ``offset`` stands for ``B y - b`` at the current y and H is
-    described by ``metric``.  It must not write into its arguments: with
-    ``B = identity_map(n)`` and ``b = 0``, ``offset`` is the iterate y itself.
+    where ``offset`` stands for ``B y - b`` at the current y: the paper's
+    x-step with its proximal term H = 0.  It must not write into its
+    arguments: with ``B = identity_map(n)`` and ``b = 0``, ``offset`` is
+    the iterate y itself.
     """
 
     dim: int
@@ -94,12 +93,6 @@ def identity_map(n, sign=1.0):
     return LinearMap((n, n), op, op, 1.0)
 
 
-def _norm_sq(M):
-    """lmax(M^T M): a ``LinearMap``'s declared ``norm_sq``, else the exact
-    top eigenvalue of the dense matrix's smaller Gram matrix."""
-    return M.norm_sq if isinstance(M, LinearMap) else spectral_norm_sq(M)
-
-
 def _product(M):
     """``v -> M @ v`` as one bound callable: no wrapper frame around it.
     A dense matrix's is ``M.dot``, the same gemv as ``@`` with less dispatch."""
@@ -119,17 +112,16 @@ class Coupling:
 
     Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
     B declares and a dense B gets exactly from ``spectral_norm_sq`` (the
-    top eigenvalue of its smaller Gram matrix, exact to rounding);
-    ``lmax_ata`` = lmax(A^T A) likewise, taken on first use.  ``b_is_zero``
-    records whether every entry of b is +0.0, so that subtracting b would
-    return its operand bit for bit (``v - (-0.0)`` turns ``-0.0`` into
-    ``+0.0``, so a negative zero does not count).  Dense A, B and b are
-    kept as read-only copies, so no cached value can go stale; a
-    ``LinearMap`` is kept as given.  Each product is bound once, to a
-    ``LinearMap``'s ``matvec`` or the dense matrix's ``dot`` (the same
-    gemv as ``@``, bit for bit, without the ``matmul`` ufunc's dispatch),
-    so ``apply_*`` is one call on top of it.  The solver calls the
-    ``apply_*`` methods, so a subclass's overrides see every product."""
+    top eigenvalue of its smaller Gram matrix, exact to rounding).
+    ``b_is_zero`` records whether every entry of b is +0.0, so that
+    subtracting b would return its operand bit for bit (``v - (-0.0)``
+    turns ``-0.0`` into ``+0.0``, so a negative zero does not count).
+    Dense A, B and b are kept as read-only copies, so no cached value can
+    go stale; a ``LinearMap`` is kept as given.  Each product is bound
+    once, to a ``LinearMap``'s ``matvec`` or the dense matrix's ``dot``
+    (the same gemv as ``@``, bit for bit, without the ``matmul`` ufunc's
+    dispatch), so ``apply_*`` is one call on top of it.  The solver calls
+    the ``apply_*`` methods, so a subclass's overrides see every product."""
 
     A: np.ndarray | LinearMap
     B: np.ndarray | LinearMap
@@ -142,7 +134,7 @@ class Coupling:
             raise ValueError("A and B must be matrices, b a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
-        lmax = _norm_sq(B)
+        lmax = B.norm_sq if isinstance(B, LinearMap) else spectral_norm_sq(B)
         b_is_zero = not np.count_nonzero(b.view(np.uint64))  # every bit clear: +0.0 only
         Bt = B.T
         for name, value in zip(
@@ -150,10 +142,6 @@ class Coupling:
             (A, B, b, Bt, lmax, b_is_zero, _product(A), _product(B), _product(Bt)),
         ):
             object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def lmax_ata(self):
-        return _norm_sq(self.A)
 
     def apply_a(self, x):
         return self._a(x)

@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import MetricH
 from .problem import kkt_lipschitz_bound, lagrangian
 
 #: Residual magnitude past which an iterate counts as diverged.
@@ -74,8 +73,10 @@ class DivergenceError(RuntimeError):
 
 
 def _count(value, what):
-    """``value`` as an int; a non-integer such as 2.5 or NaN is a ValueError."""
+    """``value`` as an int; a non-integer such as 2.5, NaN or a bool is a ValueError."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index takes True as 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -95,12 +96,14 @@ class SolverConfig:
     variant: VariantKind
     gamma: Optional[float] = None
     safety: float = 0.9
-    metric: MetricH = MetricH.zero()
     max_iters: int = 20000
     tol: float = 1e-4
     monitor_certificate: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.variant, VariantKind):
+            kinds = ", ".join(str(v) for v in VariantKind)
+            raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
         # each test is written so that NaN fails it
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
@@ -182,7 +185,7 @@ def _run(problem, config, gamma, state):
     c = problem.coupling
     apply_a, apply_b, apply_bt = c.apply_a, c.apply_b, c.apply_bt
     b, b_is_zero = c.b, c.b_is_zero
-    solve_subproblem, metric = problem.prox_block.solve_subproblem, config.metric
+    solve_subproblem = problem.prox_block.solve_subproblem
     gradient, project = problem.smooth_block.gradient, problem.smooth_block.project
     variant = config.variant
     extragradient, augmented = variant.extragradient, variant.augmented
@@ -190,12 +193,12 @@ def _run(problem, config, gamma, state):
     sqrt, isfinite, add_reduce = math.sqrt, math.isfinite, np.add.reduce
 
     while True:
-        x, y, lam = state.x, state.y, state.lam
+        y, lam = state.y, state.lam
         # ``v - 0.0`` is v bit for bit, so a zero b is not subtracted
         offset = apply_b(y)
         if not b_is_zero:
             offset = offset - b
-        x_next = solve_subproblem(x, offset, lam, gamma, metric)
+        x_next = solve_subproblem(offset, lam, gamma)
         ax_next = apply_a(x_next)
         # the residual at the current y and lam - gamma * resid_k, which is
         # the augmented pull and the extragradient lam_mid; GL reads neither
@@ -252,15 +255,13 @@ def iterate(problem, config, init=None):
     """Endless generator of ``(state, StepInfo)``, one pair per iteration.
 
     The set-up runs here, when ``iterate`` is called: the step size is
-    resolved, a gram-cancelling metric is checked against it, and the
-    start is ``init`` or ``initial_state(problem)``.  Every callable the
-    loop uses is looked up once, before the first step, so a callable
-    replaced on the problem during a run does not reach this iterator.
-    The iteration stops only when the caller does, or with
-    DivergenceError.
+    resolved and the start is ``init`` or ``initial_state(problem)``.
+    Every callable the loop uses is looked up once, before the first
+    step, so a callable replaced on the problem during a run does not
+    reach this iterator.  The iteration stops only when the caller does,
+    or with DivergenceError.
     """
     gamma = resolve_gamma(problem, config)
-    _validate_metric(problem, config, gamma)
     state = initial_state(problem) if init is None else init
     return _run(problem, config, gamma, state)
 
@@ -288,18 +289,6 @@ def gap_surrogate(problem, avg_x, avg_y, avg_lam, reference):
     return lagrangian(problem, avg_x, avg_y, ref_lam) - lagrangian(
         problem, ref_x, ref_y, avg_lam
     )
-
-
-def _validate_metric(problem, config, gamma):
-    metric = config.metric
-    if metric.kind != "scaled_identity_minus_gram":
-        return
-    lmax = problem.coupling.lmax_ata
-    if metric.tau <= gamma * lmax:
-        raise ValueError(
-            f"metric tau {metric.tau:g} must exceed gamma * lmax(A^T A) "
-            f"= {gamma * lmax:g}"
-        )
 
 
 def solve(problem, config, init=None, stop_rule=None):

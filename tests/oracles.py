@@ -60,8 +60,8 @@ def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
     return gamma * inner - 0.5 * dist_sq
 
 
-def reference_advance(problem, variant, gamma, metric, monitor, x, y, lam):
-    """One solver iteration from ``(x, y, lam)``, written out step by step.
+def reference_advance(problem, variant, gamma, monitor, y, lam):
+    """One solver iteration from ``(y, lam)``, written out step by step.
 
     The update formulas in the solver's operation order, taken through
     the problem's public callables (``solve_subproblem``, ``gradient``,
@@ -75,7 +75,7 @@ def reference_advance(problem, variant, gamma, metric, monitor, x, y, lam):
     offset = c.apply_b(y)
     if not c.b_is_zero:
         offset = offset - c.b
-    x_next = problem.prox_block.solve_subproblem(x, offset, lam, gamma, metric)
+    x_next = problem.prox_block.solve_subproblem(offset, lam, gamma)
     ax_next = c.apply_a(x_next)
     if aug or eg:
         lam_mid = lam - gamma * (ax_next + offset)

@@ -7,7 +7,7 @@ import pytest
 
 from egadm import basis_pursuit as bp
 from egadm.linalg import spectral_norm_sq
-from egadm.operators import MetricH, solve_l1_subproblem
+from egadm.operators import solve_l1_subproblem
 from egadm.problem import kkt_lipschitz_bound
 from egadm.solver import SolverConfig, VariantKind, initial_state, solve, step
 from oracles import jacobi_eigenvalues, kkt_map
@@ -198,16 +198,15 @@ def test_a_shared_prox_keeps_each_threads_gamma():
     # microsecond: each output must be the shrink at its own call's gamma,
     # never at another thread's threshold
     prox = bp.as_problem(bp.generate(40, 10, 2, 3)).prox_block.solve_subproblem
-    zero = MetricH.zero()
-    args = np.random.default_rng(8).standard_normal((3, 40))
+    args = np.random.default_rng(8).standard_normal((2, 40))
     gammas = (0.3, 0.7)
-    want = {g: solve_l1_subproblem(1.0, g, zero, *args).tobytes() for g in gammas}
+    want = {g: solve_l1_subproblem(1.0, g, *args).tobytes() for g in gammas}
     wrong, finished = [], []
 
     def run(first):
         for k in range(5_000):
             gamma = gammas[(first + k) % 2]
-            if prox(*args, gamma, zero).tobytes() != want[gamma]:
+            if prox(*args, gamma).tobytes() != want[gamma]:
                 wrong.append(gamma)
         finished.append(first)
 
@@ -228,45 +227,39 @@ def test_a_shared_prox_keeps_each_threads_gamma():
 def test_prox_threshold_is_remembered_per_gamma_without_changing_a_bit():
     prox = bp.as_problem(bp.generate(40, 10, 2, 3)).prox_block.solve_subproblem
     rng = np.random.default_rng(5)
-    zero = MetricH.zero()
-    gram = MetricH.scaled_identity_minus_gram(4.0)
     for gamma in (0.3, 0.3, 0.07, 0.3, 2.0):
-        for metric in (zero, gram, zero):
-            args = rng.standard_normal((3, 40))
-            # one start holds negative zeros, where the shrink's sign matters
+        for _ in range(3):
+            args = rng.standard_normal((2, 40))
+            # the inputs hold negative zeros, where the shrink's sign matters
             args[:, :5] = -0.0
-            want = solve_l1_subproblem(1.0, gamma, metric, *args)
-            assert prox(*args, gamma, metric).tobytes() == want.tobytes(), (gamma, metric)
+            want = solve_l1_subproblem(1.0, gamma, *args)
+            assert prox(*args, gamma).tobytes() == want.tobytes(), gamma
     # a float32 anchor is shrunk in float64, as solve_l1_subproblem does
-    args = rng.standard_normal((3, 40)).astype(np.float32)
-    want = solve_l1_subproblem(1.0, 0.3, zero, *args)
-    assert prox(*args, 0.3, zero).tobytes() == want.tobytes()
+    args = rng.standard_normal((2, 40)).astype(np.float32)
+    want = solve_l1_subproblem(1.0, 0.3, *args)
+    assert prox(*args, 0.3).tobytes() == want.tobytes()
 
 
 def test_prox_recomputes_the_threshold_when_gamma_changes():
     prox = bp.as_problem(bp.generate(40, 10, 2, 3)).prox_block.solve_subproblem
     zeros, ones = np.zeros(40), np.ones(40)
-    metric = MetricH.zero()
     # lam / gamma = 2 against the thresholds 1 / gamma = 2 and 4
-    assert np.array_equal(prox(zeros, zeros, ones, 0.5, metric), zeros)
-    assert np.array_equal(prox(zeros, zeros, 2 * ones, 0.5, metric), 2 * ones)
-    assert np.array_equal(prox(zeros, zeros, 0.5 * ones, 0.25, metric), zeros)
+    assert np.array_equal(prox(zeros, ones, 0.5), zeros)
+    assert np.array_equal(prox(zeros, 2 * ones, 0.5), 2 * ones)
+    assert np.array_equal(prox(zeros, 0.5 * ones, 0.25), zeros)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_prox_rejects_a_gamma_that_is_not_positive_and_finite(bad):
     prox = bp.as_problem(bp.generate(40, 10, 2, 3)).prox_block.solve_subproblem
-    args = np.zeros(40), np.zeros(40), np.ones(40)
-    for metric in (MetricH.zero(), MetricH.scaled_identity_minus_gram(4.0)):
-        with pytest.raises(ValueError, match="gamma"):
-            prox(*args, bad, metric)
-        # also right after a valid call, whose gamma is remembered
-        prox(*args, 0.5, metric)
-        with pytest.raises(ValueError, match="gamma"):
-            prox(*args, bad, metric)
-        assert prox(*args, 0.5, metric).tobytes() == solve_l1_subproblem(
-            1.0, 0.5, metric, *args
-        ).tobytes()
+    args = np.zeros(40), np.ones(40)
+    with pytest.raises(ValueError, match="gamma"):
+        prox(*args, bad)
+    # also right after a valid call, whose gamma is remembered
+    prox(*args, 0.5)
+    with pytest.raises(ValueError, match="gamma"):
+        prox(*args, bad)
+    assert prox(*args, 0.5).tobytes() == solve_l1_subproblem(1.0, 0.5, *args).tobytes()
 
 
 def test_gradient_is_one_shared_read_only_zero_vector():

@@ -382,3 +382,15 @@ def test_bench_builds_one_projector_per_bp_instance(monkeypatch):
     rows, _ = run_bench(spec)
     assert len(rows) == 8
     assert len(calls) == 2 and len(couplings) == 2
+
+
+def test_every_solver_knob_is_a_cli_override_with_the_library_default():
+    # a new SolverConfig field must get a flag or be excluded here on purpose
+    renamed = {"monitor_certificate": "monitor"}
+    overrides = {f.name: f.default for f in dataclasses.fields(SolveOverrides)}
+    for f in dataclasses.fields(SolverConfig):
+        if f.name == "variant":
+            continue
+        name = renamed.get(f.name, f.name)
+        assert name in overrides, f.name
+        assert overrides[name] == f.default, f.name

@@ -323,9 +323,7 @@ def test_problem_prox_block_is_two_shrinks():
     gamma = 0.25
     z = np.concatenate([y, [0.4]])
     offset = prob.coupling.apply_b(z) - prob.coupling.b
-    out = prob.prox_block.solve_subproblem(
-        np.zeros(7), offset, lam, gamma, SolverConfig(variant=VariantKind.EGAL).metric
-    )
+    out = prob.prox_block.solve_subproblem(offset, lam, gamma)
     from egadm.operators import shrink
 
     assert np.allclose(out[:4], shrink(y + lam[:4] / gamma, cfg.alpha / gamma), atol=1e-14)
@@ -349,12 +347,30 @@ def test_prox_thresholds_are_remembered_per_gamma_without_changing_a_bit():
     for gamma in (0.1, 0.05, 0.1):
         take_steps(gamma)
     p = reused.prox_block.dim
-    metric = SolverConfig(variant=VariantKind.EGAL).metric
     for bad in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="gamma"):
-            reused.prox_block.solve_subproblem(np.zeros(p), np.zeros(p), np.ones(p), bad, metric)
+            reused.prox_block.solve_subproblem(np.zeros(p), np.ones(p), bad)
     # a rejected gamma leaves the remembered thresholds alone
     take_steps(0.05)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_prox_rejects_a_gamma_that_is_not_positive_and_finite(bad):
+    from egadm.operators import shrink
+
+    cfg = fl.FusedLogisticConfig(alpha=0.3, beta=0.7)
+    prox = fl.as_problem(_tiny_instance(m=5, n=4), cfg).prox_block.solve_subproblem
+    rng = np.random.default_rng(9)
+    args = rng.standard_normal(7), rng.standard_normal(7)
+    with pytest.raises(ValueError, match="gamma"):
+        prox(*args, bad)
+    # also right after a valid call, whose thresholds are remembered
+    prox(*args, 0.5)
+    with pytest.raises(ValueError, match="gamma"):
+        prox(*args, bad)
+    thresholds = np.array([cfg.alpha] * 4 + [cfg.beta] * 3) / 0.5
+    expected = shrink(args[1] / 0.5 - args[0], thresholds)
+    assert prox(*args, 0.5).tobytes() == expected.tobytes()
 
 
 def test_trajectory_matches_line_by_line_transcription():

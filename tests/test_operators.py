@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egadm.operators import AffineProjector, MetricH, shrink, solve_l1_subproblem
+from egadm.operators import AffineProjector, shrink, solve_l1_subproblem
 from oracles import grid_prox_scalar
 
 
@@ -159,107 +159,65 @@ def test_projector_rejects_inf_in_rhs():
         AffineProjector(A, np.array([1.0, np.inf]))
 
 
-def test_metric_validation():
-    with pytest.raises(ValueError):
-        MetricH("nonsense")
-    with pytest.raises(ValueError):
-        MetricH("scaled_identity_minus_gram")
-    with pytest.raises(ValueError):
-        MetricH("zero", tau=1.0)
-    for tau in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite tau"):
-            MetricH.scaled_identity_minus_gram(tau)
-    assert MetricH.zero().kind == "zero"
-    assert MetricH.scaled_identity_minus_gram(2.0).tau == 2.0
-
-
 def test_l1_subproblem_identity_coupling_reduces_to_shrink():
     # offset = -y for the x - y = 0 split
     y = np.array([1.0, -2.0])
-    out = solve_l1_subproblem(
-        1.0, 1.0, MetricH.zero(), np.zeros(2), -y, np.zeros(2)
-    )
+    out = solve_l1_subproblem(1.0, 1.0, -y, np.zeros(2))
     assert np.array_equal(out, np.array([0.0, -1.0]))
 
 
 def test_l1_subproblem_multiplier_shifts_anchor():
     lam = np.array([2.0, 0.0])
-    out = solve_l1_subproblem(
-        1.0, 1.0, MetricH.zero(), np.zeros(2), np.zeros(2), lam
-    )
+    out = solve_l1_subproblem(1.0, 1.0, np.zeros(2), lam)
     assert np.array_equal(out, np.array([1.0, 0.0]))
-
-
-def _subproblem_objective(alpha, gamma, metric, A, x_prev, offset, lam):
-    def value(x):
-        r = (A @ x if A is not None else x) + offset
-        val = alpha * np.sum(np.abs(x)) - lam @ r + 0.5 * gamma * (r @ r)
-        if metric.kind == "scaled_identity_minus_gram":
-            gram = A if A is not None else np.eye(x.size)
-            h = metric.tau * np.eye(x.size) - gamma * gram.T @ gram
-            d = x - x_prev
-            val += 0.5 * d @ h @ d
-        return val
-
-    return value
 
 
 def test_l1_subproblem_matches_2d_grid_search():
     rng = np.random.default_rng(4)
-    A = rng.standard_normal((3, 2))
     gamma = 0.7
-    tau = gamma * np.linalg.norm(A, 2) ** 2 * 1.5
-    metric = MetricH.scaled_identity_minus_gram(tau)
-    x_prev = rng.standard_normal(2)
-    offset = rng.standard_normal(3)
-    lam = rng.standard_normal(3)
     alpha = 0.4
-    out = solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=A)
-    obj = _subproblem_objective(alpha, gamma, metric, A, x_prev, offset, lam)
-    grid = np.arange(-2.0, 2.0, 2.5e-3)
+    offset = rng.standard_normal(2)
+    lam = rng.standard_normal(2)
+    out = solve_l1_subproblem(alpha, gamma, offset, lam)
+
+    def obj(x):
+        r = x + offset
+        return alpha * np.sum(np.abs(x)) - r @ lam + 0.5 * gamma * (r @ r)
+
+    grid = np.arange(-4.0, 4.0, 2.5e-3)
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
-    best = None
     # vectorized scan of the 2-d lattice
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    r = pts @ A.T + offset
-    vals = (
-        alpha * np.sum(np.abs(pts), axis=1)
-        - r @ lam
-        + 0.5 * gamma * np.sum(r * r, axis=1)
-    )
-    h = tau * np.eye(2) - gamma * A.T @ A
-    d = pts - x_prev
-    vals += 0.5 * np.sum((d @ h) * d, axis=1)
+    r = pts + offset
+    vals = alpha * np.sum(np.abs(pts), axis=1) - r @ lam + 0.5 * gamma * np.sum(r * r, axis=1)
     best = pts[np.argmin(vals)]
-    assert np.max(np.abs(out - best)) <= 1e-3 + 2.5e-3
-    assert obj(out) <= obj(best) + 1e-9
+    assert np.max(np.abs(out - best)) <= 2.5e-3
+    assert obj(out) <= obj(best) + 1e-12
+
+
+def test_l1_subproblem_gives_the_bits_of_one_shrink():
+    # the prox closures of both front ends are compared to this bit for bit
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        gamma = float(rng.uniform(0.05, 3.0))
+        alpha = float(rng.uniform(0.0, 1.0))
+        offset = rng.standard_normal(n)
+        lam = rng.standard_normal(n)
+        out = solve_l1_subproblem(alpha, gamma, offset, lam)
+        assert out.tobytes() == shrink(lam / gamma - offset, alpha / gamma).tobytes()
 
 
 def test_l1_subproblem_subgradient_optimality():
     rng = np.random.default_rng(5)
-    for trial in range(20):
+    for _ in range(20):
         n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
         gamma = float(rng.uniform(0.2, 2.0))
         alpha = float(rng.uniform(0.05, 1.0))
-        x_prev = rng.standard_normal(n)
-        lam_dim = n if trial % 2 == 0 else m
-        if trial % 2 == 0:
-            A = None
-            metric = MetricH.zero()
-        else:
-            A = rng.standard_normal((m, n))
-            tau = gamma * np.linalg.norm(A, 2) ** 2 * float(rng.uniform(1.1, 3.0))
-            metric = MetricH.scaled_identity_minus_gram(tau)
-        offset = rng.standard_normal(lam_dim)
-        lam = rng.standard_normal(lam_dim)
-        x = solve_l1_subproblem(alpha, gamma, metric, x_prev, offset, lam, A=A)
-        gram = np.eye(n) if A is None else A
-        resid = gram @ x + offset
-        g = -gram.T @ lam + gamma * gram.T @ resid
-        if metric.kind == "scaled_identity_minus_gram":
-            h = metric.tau * np.eye(n) - gamma * gram.T @ gram
-            g = g + h @ (x - x_prev)
+        offset = rng.standard_normal(n)
+        lam = rng.standard_normal(n)
+        x = solve_l1_subproblem(alpha, gamma, offset, lam)
+        g = -lam + gamma * (x + offset)
         for i in range(n):
             if x[i] != 0.0:
                 assert abs(g[i] + alpha * np.sign(x[i])) <= 1e-8
@@ -267,22 +225,7 @@ def test_l1_subproblem_subgradient_optimality():
                 assert -alpha - 1e-8 <= g[i] <= alpha + 1e-8
 
 
-def test_l1_subproblem_rejects_general_matrix_with_zero_metric():
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((3, 2))
-    with pytest.raises(ValueError):
-        solve_l1_subproblem(
-            1.0, 1.0, MetricH.zero(), np.zeros(2), np.zeros(3), np.zeros(3), A=A
-        )
-
-
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
-@pytest.mark.parametrize(
-    "metric, A",
-    [(MetricH.zero(), None), (MetricH.scaled_identity_minus_gram(4.0), None),
-     (MetricH.scaled_identity_minus_gram(4.0), np.eye(2))],
-    ids=["zero", "gram", "gram-general-A"],
-)
-def test_l1_subproblem_rejects_a_gamma_that_is_not_positive_and_finite(metric, A, gamma):
+def test_l1_subproblem_rejects_a_gamma_that_is_not_positive_and_finite(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        solve_l1_subproblem(1.0, gamma, metric, np.ones(2), np.ones(2), np.ones(2), A=A)
+        solve_l1_subproblem(1.0, gamma, np.ones(2), np.ones(2))

@@ -295,9 +295,11 @@ def test_identity_map_rejects_a_sign_other_than_plus_or_minus_one():
         assert np.array_equal(np.asarray(identity_map(3, sign)), sign * np.eye(3))
 
 
-def test_coupling_lmax_ata_is_declared_or_exact_and_lazy(monkeypatch):
+def test_coupling_lmax_btb_is_declared_or_exact(monkeypatch):
+    # a dense B costs exactly one spectral_norm_sq call, a LinearMap B
+    # none, and a dense A is never measured
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((4, 6))
+    A, B = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
     calls = []
 
     def counted(mat, real=problem_module.spectral_norm_sq):
@@ -307,15 +309,13 @@ def test_coupling_lmax_ata_is_declared_or_exact_and_lazy(monkeypatch):
     monkeypatch.setattr(problem_module, "spectral_norm_sq", counted)
     for cls in (Coupling, _TaggedCoupling):
         calls.clear()
-        dense = cls(A=A, B=identity_map(4, -1.0), b=np.zeros(4))
-        assert calls == []  # B declares its norm; A's SVD waits for first use
-        lmax = np.linalg.eigvalsh(A.T @ A)[-1]
-        assert dense.lmax_ata == pytest.approx(lmax, rel=1e-12)
-        assert dense.lmax_ata == pytest.approx(lmax, rel=1e-12)
-        assert calls == [(4, 6)]
-    doubled = LinearMap((4, 4), lambda v: 2 * v, lambda v: 2 * v, 4.0)
-    assert Coupling(A=doubled, B=-np.eye(4), b=np.zeros(4)).lmax_ata == 4.0
-    assert calls == [(4, 6), (4, 4)]  # the dense B only
+        dense = cls(A=A, B=B, b=np.zeros(4))
+        assert dense.lmax_btb == pytest.approx(np.linalg.eigvalsh(B.T @ B)[-1], rel=1e-12)
+        assert calls == [(4, 3)]
+        calls.clear()
+        doubled = LinearMap((4, 4), lambda v: 2 * v, lambda v: 2 * v, 4.0)
+        assert cls(A=A, B=doubled, b=np.zeros(4)).lmax_btb == 4.0
+        assert calls == []
 
 
 def test_coupling_b_is_zero_only_for_positive_zeros():
@@ -342,15 +342,13 @@ def test_coupling_b_is_zero_only_for_positive_zeros():
 
 
 def test_coupling_keeps_read_only_copies_of_dense_matrices():
-    # writing into the caller's matrices must not leave lmax_btb or
-    # lmax_ata stale
+    # writing into the caller's matrices must not leave lmax_btb stale
     A, B = np.eye(3), np.eye(3)
     c = Coupling(A=A, B=B, b=np.zeros(3))
     A *= 10.0
     B *= 10.0
     assert c.lmax_btb == pytest.approx(np.linalg.svd(c.B, compute_uv=False)[0] ** 2)
-    assert c.lmax_ata == pytest.approx(np.linalg.svd(c.A, compute_uv=False)[0] ** 2)
-    assert c.lmax_btb == pytest.approx(1.0) and c.lmax_ata == pytest.approx(1.0)
+    assert c.lmax_btb == pytest.approx(1.0) and np.array_equal(c.A, np.eye(3))
     for mat in (c.A, c.B, c.Bt):
         with pytest.raises(ValueError):
             mat[0, 0] = 5.0

@@ -8,7 +8,7 @@ import pytest
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import solver as solver_module
-from egadm.operators import MetricH, solve_l1_subproblem
+from egadm.operators import solve_l1_subproblem
 from egadm.problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map,
 )
@@ -32,8 +32,8 @@ def _l1_quadratic_problem(B, b, x_dim=None, A=None):
     g = ||y||^2 / 2 over R^p, coupling A x + B y = b with A = I by default."""
     m = len(b)
 
-    def solve_subproblem(x_prev, offset, lam, gamma, metric):
-        head = solve_l1_subproblem(1.0, gamma, metric, x_prev[:m], offset, lam)
+    def solve_subproblem(offset, lam, gamma):
+        head = solve_l1_subproblem(1.0, gamma, offset, lam)
         return np.append(head, np.zeros((x_dim or m) - m))
 
     prox = ProxBlock(
@@ -389,29 +389,22 @@ def test_auto_step_size_needs_a_positive_finite_kkt_bound(monkeypatch, lhat, mes
         resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL))
 
 
-def test_solve_checks_the_gram_cancelling_metric():
-    # H = tau*I - gamma*A^T A is positive definite only for tau > gamma*lmax(A^T A),
-    # and lmax = 1 for the basis-pursuit coupling A = I
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_a_one_row_basis_pursuit_instance_is_solved_to_its_sparse_point(variant):
+    # min ||x||_1 s.t. x_1 = 1: the unique solution is (1, 0)
     inst = bp.BasisPursuitInstance(
         A=np.array([[1.0, 0.0]]), b=np.array([1.0]), xhat=np.array([1.0, 0.0]),
         s=1, seed=0,
     )
     prob = bp.as_problem(inst)
-    gamma = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGL))
-    bad = SolverConfig(
-        variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(gamma)
-    )
-    with pytest.raises(ValueError, match="tau"):
-        solve(prob, bad)
-    with pytest.raises(ValueError, match="tau"):
-        step(prob, bad, initial_state(prob))
-    with pytest.raises(ValueError, match="tau"):
-        ergodic_checkpoints(prob, bad, [5])
-    rep = solve(prob, SolverConfig(
-        variant=VariantKind.EGL, metric=MetricH.scaled_identity_minus_gram(2 * gamma)
-    ))
+    cfg = SolverConfig(variant=variant)
+    rep = solve(prob, cfg)
     assert rep.converged
     assert np.linalg.norm(rep.state.x - np.array([1.0, 0.0])) <= 1e-3
+    # step and ergodic_checkpoints take the same config
+    assert np.all(np.isfinite(step(prob, cfg, initial_state(prob)).x))
+    [average] = ergodic_checkpoints(prob, cfg, [5])
+    assert all(np.all(np.isfinite(part)) for part in average)
 
 
 def test_solver_config_validation():
@@ -426,16 +419,25 @@ def test_solver_config_validation():
             SolverConfig(variant=VariantKind.EGL, **setting)
 
 
+@pytest.mark.parametrize("bad", ["egal", None, 3])
+def test_solver_config_rejects_a_variant_that_is_not_a_variant_kind(bad):
+    # used to be accepted, then fail inside the first solve with an AttributeError
+    with pytest.raises(ValueError, match="VariantKind.GL, VariantKind.GAL, VariantKind.EGL, "
+                                         "VariantKind.EGAL, got"):
+        SolverConfig(variant=bad)
+
+
 def test_non_integer_iteration_counts_are_rejected():
     # 2.5 used to pass SolverConfig and fail later inside islice, and a
     # mark 2.7 was silently truncated to 2
-    for bad in (2.5, np.float64(3.0), np.nan, "10"):
+    # a bool passes operator.index as 0 or 1: max_iters=True ran one step
+    for bad in (2.5, np.float64(3.0), np.nan, "10", True, False, np.True_, np.False_):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             SolverConfig(variant=VariantKind.EGL, max_iters=bad)
     assert SolverConfig(variant=VariantKind.EGL, max_iters=np.int64(3)).max_iters == 3
     prob = _scalar_problem()
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
-    for marks in ([2.7, 3], [np.float64(2.0)]):
+    for marks in ([2.7, 3], [np.float64(2.0)], [True], [2, np.True_]):
         with pytest.raises(ValueError, match="checkpoint must be an integer"):
             ergodic_checkpoints(prob, cfg, marks)
     assert len(ergodic_checkpoints(prob, cfg, [np.int64(2), 3])) == 2
@@ -565,10 +567,10 @@ def test_iterate_matches_the_reference_step_bit_for_bit(case, variant):
     cfg = SolverConfig(variant=variant, monitor_certificate=monitor)
     gamma = resolve_gamma(prob, cfg)
     start = initial_state(prob) if init is None else init
-    x, y, lam = start.x, start.y, start.lam
+    y, lam = start.y, start.lam
     for state, info in itertools.islice(iterate(prob, cfg, init), 300):
         want, resid_norm, movement, certificate = reference_advance(
-            prob, variant, gamma, cfg.metric, monitor, x, y, lam
+            prob, variant, gamma, monitor, y, lam
         )
         for name, ref in zip(("x", "y", "lam", "y_mid", "lam_mid"), want):
             assert getattr(state, name).tobytes() == ref.tobytes(), (state.k, name)
@@ -576,7 +578,7 @@ def test_iterate_matches_the_reference_step_bit_for_bit(case, variant):
         got = (info.residual_norm, info.movement, info.certificate)
         assert list(map(_bits, got)) == list(map(_bits, (resid_norm, movement, certificate))), state.k
         assert (certificate is not None) == (monitor and variant.extragradient)
-        x, y, lam = want[:3]
+        y, lam = want[1:3]
 
 
 @pytest.mark.parametrize("variant", list(VariantKind))
@@ -616,19 +618,18 @@ def test_a_nan_only_in_x_plus_is_divergence():
         assert (exc.value.variant, exc.value.iteration) == (variant, 3)
 
 
-def test_gram_metric_check_reads_the_declared_norm(monkeypatch):
-    # bp's A is identity_map(n), which declares norm_sq = 1; densifying it
-    # into an n x n matrix for an SVD would go through __array__
+def test_a_solve_never_densifies_a_linear_map(monkeypatch):
+    # both front ends couple through LinearMaps that declare norm_sq;
+    # densifying one into a matrix would go through __array__
     def no_dense(*_args, **_kwargs):
         raise AssertionError("LinearMap densified")
 
     monkeypatch.setattr(LinearMap, "__array__", no_dense)
-    prob = bp.as_problem(bp.generate(40, 10, 2, 3))
-    gamma = resolve_gamma(prob, SolverConfig(variant=VariantKind.EGAL))
-    rep = solve(prob, SolverConfig(
-        variant=VariantKind.EGAL, metric=MetricH.scaled_identity_minus_gram(2 * gamma)
-    ))
-    assert rep.converged
+    cfg = SolverConfig(variant=VariantKind.EGAL)
+    assert solve(bp.as_problem(bp.generate(40, 10, 2, 3)), cfg).converged
+    inst = fl.generate_block_pattern(150, 40, 2)
+    rep = solve(fl.as_problem(inst, fl.FusedLogisticConfig()), cfg)
+    assert rep.iterations > 0
 
 
 def _certificate_problems():
