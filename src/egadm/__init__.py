@@ -3,7 +3,7 @@ programs ``min f(x) + g(y) s.t. A x + B y = b`` where f has a cheap
 structured prox and g is smooth with a known gradient Lipschitz bound."""
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, shrink, solve_l1_subproblem
+from .operators import AffineProjector, l1_prox, shrink
 from .problem import (
     Coupling,
     LinearMap,
@@ -47,11 +47,11 @@ __all__ = [
     "initial_state",
     "iterate",
     "kkt_lipschitz_bound",
+    "l1_prox",
     "lagrangian",
     "resolve_gamma",
     "shrink",
     "solve",
-    "solve_l1_subproblem",
     "spectral_norm_sq",
     "step",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, shrink_unchecked
+from .operators import AffineProjector, l1_prox
 from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map
 
 
@@ -48,36 +48,17 @@ class BasisPursuitInstance:
     def problem(self):
         """The two-block form ``as_problem`` returns: f = ||.||_1 over R^n,
         g = 0 over Y = {y : A y = b}, coupled by x - y = 0, the projection
-        being ``projector``.  The prox is one shrink at threshold 1 / gamma,
-        divided and checked only when gamma changes (a gamma that is not
-        positive and finite is a ValueError), so solves that share this
-        problem may run concurrently with different gammas.  The gradient
-        is one shared read-only zero vector."""
+        being ``projector``.  The x-step is ``l1_prox(1.0)``, one shrink at
+        threshold 1 / gamma.  The gradient is one shared read-only zero
+        vector."""
         n = self.n
-        # the last gamma and its threshold 1 / gamma, checked once; one slot,
-        # read once per call and replaced whole, so that a thread switch
-        # never pairs one solve's gamma with another's threshold
-        memo = None, None
-
-        def prox_solve(offset, lam, gamma):
-            nonlocal memo
-            last, threshold = memo
-            if gamma != last:
-                # written so that a NaN gamma fails the test
-                if not 0 < gamma < np.inf:
-                    raise ValueError("gamma must be positive and finite")
-                threshold = 1.0 / gamma
-                memo = gamma, threshold
-            # ``solve_l1_subproblem``'s shrink, in its operation order
-            return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), threshold)
-
         # the zero gradient, one read-only vector shared by every call
         zero = np.zeros(n)
         zero.flags.writeable = False
         prox = ProxBlock(
             dim=n,
             evaluate=lambda x: float(np.sum(np.abs(x))),
-            solve_subproblem=prox_solve,
+            solve_subproblem=l1_prox(1.0),
         )
         smooth = SmoothBlock(
             dim=n,

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import spectral_norm_sq
-from .operators import shrink_unchecked
+from .operators import l1_prox
 from .problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map,
 )
@@ -214,8 +214,9 @@ def fused_coupling(n):
 
 @dataclass(frozen=True)
 class FusedLogisticConfig:
-    """Penalty weights and step size; ``gamma=None`` selects it
-    automatically from the problem's Lipschitz data."""
+    """Penalty weights and step size.  Only ``solve_fused`` reads
+    ``gamma`` (``None`` selects it automatically from the problem's
+    Lipschitz data); ``as_problem`` ignores it."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
@@ -229,42 +230,26 @@ class FusedLogisticConfig:
 def as_problem(inst, cfg):
     """Two-block form of the fused logistic program.
 
-    The nonsmooth block stacks (x, w) and its prox is one shrink against
-    the per-component weights ``[alpha]*n + [beta]*(n-1)`` over gamma,
-    thresholds it divides and checks only when gamma changes (a gamma that
-    is not positive and finite is a ValueError).  The weights and the prox
-    are the only parts built per call, since only they depend on ``cfg``.
-    The smooth block stacks (y, c) and takes its gradient from one product
-    each way with the augmented data matrix; the coupling enforces x = y
-    and w = L y through A = I and ``B = fused_coupling(n)``, two structured
-    maps, so nothing of size n^2 is stored.  Both are the instance's cached
-    ``smooth_block`` and ``coupling``, shared by every config.
+    The nonsmooth block stacks (x, w); its x-step is ``l1_prox`` of the
+    weights ``[alpha]*n + [beta]*(n-1)``.  Only the weights and the prox
+    depend on ``cfg`` (``cfg.gamma`` is not read), so only they are built
+    per call.  The smooth block stacks (y, c) and takes its gradient from
+    one product each way with the augmented data matrix; the coupling
+    enforces x = y and w = L y through A = I and ``B = fused_coupling(n)``,
+    two structured maps, so nothing of size n^2 is stored.  Both are the
+    instance's cached ``smooth_block`` and ``coupling``, shared by every
+    config.
     """
     n = inst.n
-    p = 2 * n - 1
     weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
-    # the last gamma and its thresholds weights / gamma, checked once
-    memo = [None, None]
-
-    def prox_solve(offset, lam, gamma):
-        if gamma != memo[0]:
-            # written so that a NaN gamma fails the test; weights >= 0, so
-            # a positive finite gamma gives nonnegative thresholds
-            if not 0 < gamma < np.inf:
-                raise ValueError("gamma must be positive and finite")
-            memo[:] = gamma, weights / gamma
-        return shrink_unchecked(lam / gamma - offset, memo[1])
-
     prox = ProxBlock(
-        dim=p,
+        dim=weights.size,
         evaluate=lambda v: float(
             cfg.alpha * np.sum(np.abs(v[:n])) + cfg.beta * np.sum(np.abs(v[n:]))
         ),
-        solve_subproblem=prox_solve,
+        solve_subproblem=l1_prox(weights),
     )
-    return TwoBlockProblem(
-        prox_block=prox, smooth_block=inst.smooth_block, coupling=inst.coupling
-    )
+    return TwoBlockProblem(prox, inst.smooth_block, inst.coupling)
 
 
 def _finish_instance(rng, xhat, n, m, seed, pattern):

@@ -1,5 +1,5 @@
 """Concrete operators used by the specializations: soft-thresholding,
-projection onto an affine set, and the closed-form l1 x-subproblem."""
+projection onto an affine set, and the closed-form weighted l1 x-step."""
 
 import numpy as np
 
@@ -60,18 +60,22 @@ class AffineProjector:
         return w - self._mdot(self._adot(w)) + self._c
 
 
-def solve_l1_subproblem(alpha, gamma, offset, lam):
-    """Exact minimizer of the l1 x-subproblem with identity coupling.
+def l1_prox(weights):
+    """The x-step of ``f(x) = sum_j weights_j |x_j|`` with identity coupling:
+    ``solve_subproblem(offset, lam, gamma)`` minimizes over x
 
-    Minimizes, over x,
+        f(x) - <lam, x + offset> + (gamma/2)||x + offset||^2
 
-        alpha*||x||_1 - <lam, x + offset> + (gamma/2)||x + offset||^2
-
-    with ``offset = B y - b``: one shrink of ``lam/gamma - offset`` at
-    threshold ``alpha/gamma``.  A gamma that is not positive and finite is
-    a ValueError.
+    by one shrink of ``lam/gamma - offset`` at ``weights/gamma``; a gamma
+    that is not positive and finite is a ValueError.  It keeps no state, so
+    solves with different gammas may share it.  ``weights``, a nonnegative
+    float or float array that broadcasts against x, is not checked.
     """
-    # written so that a NaN gamma fails the test
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
-    return shrink(lam / gamma - offset, alpha / gamma)
+
+    def solve_subproblem(offset, lam, gamma):
+        # written so that a NaN gamma fails the test
+        if not 0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), weights / gamma)
+
+    return solve_subproblem

@@ -100,7 +100,7 @@ def _product(M):
 
 
 def frozen_copy(m):
-    """A read-only float copy of ``m`` (its memory layout kept)."""
+    """A read-only float copy of ``m`` (its C or Fortran order kept)."""
     out = np.array(m, dtype=float)
     out.flags.writeable = False
     return out

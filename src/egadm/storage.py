@@ -17,9 +17,10 @@ directories written before format 2 hold and which still load.  A is
 read with ``allow_pickle=False``: loading never unpickles.  Each JSON
 value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
 ``c_true`` a number and ``pattern`` a string (a bool is none of these);
-anything else is a ValueError naming the file and the key.  Every error
-a broken directory raises is a ValueError or an OSError naming a file in
-it.
+anything else is a ValueError naming the file and the key.  Every value
+in A and in the vector files must be finite, and every label -1 or +1.
+Every error a broken directory raises is a ValueError or an OSError
+naming a file in it.
 """
 
 import json
@@ -48,11 +49,12 @@ def _read_matrix(d, meta):
     """A as a C-ordered float64 array of ``meta.json``'s shape (m, n).
 
     A format-2 ``A.npy`` of C-ordered float64 comes back as a read-only
-    memory map of the file, so the instance's read-only copy is the one
-    full-size allocation A needs; other layouts and real dtypes are
-    converted.
-    Anything that is not a real 2-d array of that shape is a ValueError
-    naming the file; a missing file is an OSError naming it."""
+    map of the file (``mmap_mode="r"``), so the instance's read-only copy
+    is the one full-size allocation A needs; other layouts and real dtypes
+    are converted.
+    Anything that is not a real 2-d array of that shape with finite
+    entries is a ValueError naming the file; a missing file is an OSError
+    naming it."""
     version = meta.get("format_version", 1)
     if type(version) is not int or version not in _MATRIX_FILES:
         raise ValueError(f"{meta.path} has unknown format_version {version!r}")
@@ -78,6 +80,8 @@ def _read_matrix(d, meta):
     shape = (meta.typed("m", int), meta.typed("n", int))
     if A.shape != shape:
         raise ValueError(f"{path.name} shape {A.shape} disagrees with meta.json's {shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{path} has non-finite entries")
     return np.require(A, dtype=np.float64, requirements="C")
 
 
@@ -91,6 +95,8 @@ def _read_vector(path, length):
         raise ValueError(f"{path} does not hold one number per line: {exc}") from None
     if v.shape != (length,):
         raise ValueError(f"{path.name} has {v.size} entries, meta.json says {length}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{path} has non-finite entries")
     return v
 
 
@@ -191,6 +197,8 @@ def load_instance(directory):
     pattern = _JsonObject(d / "pattern.json") if kind == "fused_logistic" else None
     fields = {"A": _read_matrix(d, meta)}
     fields |= {f: _read_vector(d / f"{f}.txt", meta.typed(key, int)) for f, key in vectors.items()}
+    if kind == "fused_logistic" and not np.isin(fields["labels"], (-1.0, 1.0)).all():
+        raise ValueError(f"{d / 'labels.txt'} holds a label other than -1 or +1")
     fields |= {key: meta.typed(key, t) for key, t in scalars.items()}
     if pattern is not None:
         fields["pattern"] = pattern.typed("pattern", str)

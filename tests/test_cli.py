@@ -116,7 +116,8 @@ def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
     storage.save_fused_instance(dataclasses.replace(inst, A=bad), tmp_path / "nan")
     rc = main(["solve", str(tmp_path / "nan")])
     assert rc == 1
-    assert "non-finite entries" in capsys.readouterr().err
+    # rejected on load, naming the file
+    assert f"{tmp_path / 'nan' / 'A.npy'} has non-finite entries" in capsys.readouterr().err
 
 
 def test_solve_overflowing_instance_exits_one(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from egadm import fused_logistic as fl
+from egadm.operators import l1_prox
 from egadm.problem import kkt_lipschitz_bound
 from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve, step
 from oracles import central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues
@@ -331,46 +332,15 @@ def test_problem_prox_block_is_two_shrinks():
     assert np.allclose(out[4:], shrink(ly + lam[4:] / gamma, cfg.beta / gamma), atol=1e-14)
 
 
-def test_prox_thresholds_are_remembered_per_gamma_without_changing_a_bit():
-    inst = fl.generate_block_pattern(140, 30, 5)
-    cfg = fl.FusedLogisticConfig(alpha=2e-2)
-    reused = fl.as_problem(inst, cfg)
-    states = [initial_state(reused)] * 2
-
-    def take_steps(gamma):
-        for variant in VariantKind:
-            config = SolverConfig(variant=variant, gamma=gamma)
-            states[:] = step(reused, config, states[0]), step(fl.as_problem(inst, cfg), config, states[1])
-            for name in ("x", "y", "lam", "y_mid", "lam_mid"):
-                assert getattr(states[0], name).tobytes() == getattr(states[1], name).tobytes()
-
-    for gamma in (0.1, 0.05, 0.1):
-        take_steps(gamma)
-    p = reused.prox_block.dim
-    for bad in (0.0, -0.1, float("nan")):
-        with pytest.raises(ValueError, match="gamma"):
-            reused.prox_block.solve_subproblem(np.zeros(p), np.ones(p), bad)
-    # a rejected gamma leaves the remembered thresholds alone
-    take_steps(0.05)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_prox_rejects_a_gamma_that_is_not_positive_and_finite(bad):
-    from egadm.operators import shrink
-
+def test_prox_is_l1_prox_of_the_penalty_weights():
     cfg = fl.FusedLogisticConfig(alpha=0.3, beta=0.7)
     prox = fl.as_problem(_tiny_instance(m=5, n=4), cfg).prox_block.solve_subproblem
+    weights = np.array([cfg.alpha] * 4 + [cfg.beta] * 3)
     rng = np.random.default_rng(9)
-    args = rng.standard_normal(7), rng.standard_normal(7)
-    with pytest.raises(ValueError, match="gamma"):
-        prox(*args, bad)
-    # also right after a valid call, whose thresholds are remembered
-    prox(*args, 0.5)
-    with pytest.raises(ValueError, match="gamma"):
-        prox(*args, bad)
-    thresholds = np.array([cfg.alpha] * 4 + [cfg.beta] * 3) / 0.5
-    expected = shrink(args[1] / 0.5 - args[0], thresholds)
-    assert prox(*args, 0.5).tobytes() == expected.tobytes()
+    for gamma in (0.1, 0.05, 0.1, 2.0):
+        args = rng.standard_normal((2, 7))
+        want = l1_prox(weights)(*args, gamma)
+        assert prox(*args, gamma).tobytes() == want.tobytes(), gamma
 
 
 def test_trajectory_matches_line_by_line_transcription():

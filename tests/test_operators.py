@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egadm.operators import AffineProjector, shrink, solve_l1_subproblem
+from egadm import basis_pursuit as bp
+from egadm import fused_logistic as fl
+from egadm.operators import AffineProjector, l1_prox, shrink
 from oracles import grid_prox_scalar
 
 
@@ -159,73 +164,176 @@ def test_projector_rejects_inf_in_rhs():
         AffineProjector(A, np.array([1.0, np.inf]))
 
 
-def test_l1_subproblem_identity_coupling_reduces_to_shrink():
+def test_l1_prox_identity_coupling_reduces_to_shrink():
     # offset = -y for the x - y = 0 split
     y = np.array([1.0, -2.0])
-    out = solve_l1_subproblem(1.0, 1.0, -y, np.zeros(2))
+    out = l1_prox(1.0)(-y, np.zeros(2), 1.0)
     assert np.array_equal(out, np.array([0.0, -1.0]))
 
 
-def test_l1_subproblem_multiplier_shifts_anchor():
+def test_l1_prox_multiplier_shifts_anchor():
     lam = np.array([2.0, 0.0])
-    out = solve_l1_subproblem(1.0, 1.0, np.zeros(2), lam)
+    out = l1_prox(1.0)(np.zeros(2), lam, 1.0)
     assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
-def test_l1_subproblem_matches_2d_grid_search():
+def _weights(kind, n):
+    """The weights of each front end's x-step: basis pursuit's scalar 1,
+    or per-component weights like the fused ``[alpha]*k + [beta]*(n-k)``,
+    here with a zero weight as well."""
+    if kind == "scalar":
+        return 1.0
+    w = np.concatenate([np.full(n // 2, 0.4), np.full(n - n // 2, 1.3)])
+    w[-1] = 0.0
+    return w
+
+
+WEIGHT_KINDS = ["scalar", "array"]
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_l1_prox_matches_2d_grid_search(kind):
     rng = np.random.default_rng(4)
     gamma = 0.7
-    alpha = 0.4
+    weights = 0.4 if kind == "scalar" else np.array([0.4, 1.3])
     offset = rng.standard_normal(2)
     lam = rng.standard_normal(2)
-    out = solve_l1_subproblem(alpha, gamma, offset, lam)
+    out = l1_prox(weights)(offset, lam, gamma)
+    w = np.broadcast_to(weights, 2)
 
     def obj(x):
         r = x + offset
-        return alpha * np.sum(np.abs(x)) - r @ lam + 0.5 * gamma * (r @ r)
+        return w @ np.abs(x) - r @ lam + 0.5 * gamma * (r @ r)
 
     grid = np.arange(-4.0, 4.0, 2.5e-3)
     xs, ys = np.meshgrid(grid, grid, indexing="ij")
     # vectorized scan of the 2-d lattice
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     r = pts + offset
-    vals = alpha * np.sum(np.abs(pts), axis=1) - r @ lam + 0.5 * gamma * np.sum(r * r, axis=1)
+    vals = np.abs(pts) @ w - r @ lam + 0.5 * gamma * np.sum(r * r, axis=1)
     best = pts[np.argmin(vals)]
     assert np.max(np.abs(out - best)) <= 2.5e-3
     assert obj(out) <= obj(best) + 1e-12
 
 
-def test_l1_subproblem_gives_the_bits_of_one_shrink():
-    # the prox closures of both front ends are compared to this bit for bit
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(1, 9))
-        gamma = float(rng.uniform(0.05, 3.0))
-        alpha = float(rng.uniform(0.0, 1.0))
-        offset = rng.standard_normal(n)
-        lam = rng.standard_normal(n)
-        out = solve_l1_subproblem(alpha, gamma, offset, lam)
-        assert out.tobytes() == shrink(lam / gamma - offset, alpha / gamma).tobytes()
-
-
-def test_l1_subproblem_subgradient_optimality():
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_l1_prox_gives_the_bits_of_one_shrink_at_each_calls_gamma(kind):
+    # the operation order both front ends' iterates are pinned to
+    weights = _weights(kind, 40)
+    prox = l1_prox(weights)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        gamma = float(rng.uniform(0.2, 2.0))
-        alpha = float(rng.uniform(0.05, 1.0))
-        offset = rng.standard_normal(n)
-        lam = rng.standard_normal(n)
-        x = solve_l1_subproblem(alpha, gamma, offset, lam)
-        g = -lam + gamma * (x + offset)
-        for i in range(n):
-            if x[i] != 0.0:
-                assert abs(g[i] + alpha * np.sign(x[i])) <= 1e-8
-            else:
-                assert -alpha - 1e-8 <= g[i] <= alpha + 1e-8
+    for gamma in (0.3, 0.3, 0.07, 0.3, 2.0):
+        for dtype in (np.float64, np.float32):
+            offset, lam = rng.standard_normal((2, 40)).astype(dtype)
+            # the inputs hold negative zeros, where the shrink's sign matters
+            offset[:5], lam[:5] = -0.0, -0.0
+            # a float32 anchor is shrunk in float64
+            want = shrink(np.asarray(lam / gamma - offset, dtype=float), np.divide(weights, gamma))
+            out = prox(offset, lam, gamma)
+            assert out.dtype == np.float64 and out.tobytes() == want.tobytes(), (gamma, dtype)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
-def test_l1_subproblem_rejects_a_gamma_that_is_not_positive_and_finite(gamma):
+def test_l1_prox_recomputes_the_threshold_when_gamma_changes():
+    prox = l1_prox(1.0)
+    zeros, ones = np.zeros(40), np.ones(40)
+    # lam / gamma = 2 against the thresholds 1 / gamma = 2 and 4
+    assert np.array_equal(prox(zeros, ones, 0.5), zeros)
+    assert np.array_equal(prox(zeros, 2 * ones, 0.5), 2 * ones)
+    assert np.array_equal(prox(zeros, 0.5 * ones, 0.25), zeros)
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_l1_prox_rejects_a_gamma_that_is_not_positive_and_finite(kind, gamma):
+    weights = _weights(kind, 7)
+    prox = l1_prox(weights)
+    args = np.random.default_rng(9).standard_normal((2, 7))
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        solve_l1_subproblem(1.0, gamma, np.ones(2), np.ones(2))
+        prox(*args, gamma)
+    # also right after a valid call, and a rejected gamma changes nothing after it
+    want = prox(*args, 0.5)
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        prox(*args, gamma)
+    assert prox(*args, 0.5).tobytes() == want.tobytes()
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def l1_subproblems(draw):
+    """Weights (zeros among them, as a scalar or per component), gamma,
+    offset and lam of one x-step."""
+    n = draw(st.integers(1, 12))
+    vector = st.lists(_finite, min_size=n, max_size=n).map(np.array)
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    weights = draw(st.one_of(weight, st.lists(weight, min_size=n, max_size=n).map(np.array)))
+    gamma = draw(st.floats(1e-3, 1e3))
+    return weights, gamma, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(l1_subproblems())
+def test_l1_prox_satisfies_the_optimality_condition(case):
+    # 0 is in w * d|x| - r with r = lam - gamma * (x + offset): |r_j| <= w_j
+    # where x_j = 0, and r_j = w_j * sign(x_j) elsewhere
+    weights, gamma, offset, lam = case
+    x = l1_prox(weights)(offset, lam, gamma)
+    w = np.broadcast_to(weights, x.shape)
+    r = lam - gamma * (x + offset)
+    slack = 1e-12 * (np.abs(lam) + gamma * (np.abs(x) + np.abs(offset)) + w)
+    zero = x == 0.0
+    assert np.all(np.abs(r[zero]) <= w[zero] + slack[zero])
+    assert np.all(np.abs(r[~zero] - w[~zero] * np.sign(x[~zero])) <= slack[~zero])
+
+
+def _front_end_prox(front_end):
+    """A prox of each kind shared by the threads, with its weights; every
+    array holds at least 1000 entries, since numpy keeps the GIL through
+    the elementwise loops of shorter ones."""
+    if front_end == "l1_prox-scalar":
+        return l1_prox(1.0), 1000, 1.0
+    if front_end == "l1_prox-array":
+        weights = _weights("array", 1000)
+        return l1_prox(weights), 1000, weights
+    if front_end == "basis_pursuit":
+        inst = bp.generate(1000, 10, 2, 3)
+        return bp.as_problem(inst).prox_block.solve_subproblem, 1000, 1.0
+    cfg = fl.FusedLogisticConfig(alpha=0.3, beta=0.7)
+    prox = fl.as_problem(fl.generate_block_pattern(1000, 10, 0), cfg).prox_block.solve_subproblem
+    return prox, 1999, np.concatenate([np.full(1000, 0.3), np.full(999, 0.7)])
+
+
+@pytest.mark.parametrize(
+    "front_end", ["l1_prox-scalar", "l1_prox-array", "basis_pursuit", "fused_logistic"]
+)
+def test_a_shared_prox_keeps_each_threads_gamma(front_end):
+    # four threads (more than the cores) share one prox and alternate two
+    # gammas, with a thread switch forced about every microsecond: each
+    # output must be the shrink at its own call's gamma, never at another
+    # thread's thresholds
+    prox, p, weights = _front_end_prox(front_end)
+    offset, lam = np.random.default_rng(8).standard_normal((2, p))
+    gammas = (0.3, 0.7)
+    want = {g: shrink(lam / g - offset, np.divide(weights, g)).tobytes() for g in gammas}
+    wrong, finished = [], []
+
+    def run(first):
+        for k in range(5_000):
+            gamma = gammas[(first + k) % 2]
+            if prox(offset, lam, gamma).tobytes() != want[gamma]:
+                wrong.append(gamma)
+        finished.append(first)
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1, 0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(finished) == len(threads)
+    assert wrong == []

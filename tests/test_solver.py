@@ -8,7 +8,7 @@ import pytest
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import solver as solver_module
-from egadm.operators import solve_l1_subproblem
+from egadm.operators import l1_prox
 from egadm.problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map,
 )
@@ -31,9 +31,10 @@ def _l1_quadratic_problem(B, b, x_dim=None, A=None):
     """f = ||.||_1 (x beyond A's columns is left at 0 by the subproblem),
     g = ||y||^2 / 2 over R^p, coupling A x + B y = b with A = I by default."""
     m = len(b)
+    head_step = l1_prox(1.0)
 
     def solve_subproblem(offset, lam, gamma):
-        head = solve_l1_subproblem(1.0, gamma, offset, lam)
+        head = head_step(offset, lam, gamma)
         return np.append(head, np.zeros((x_dim or m) - m))
 
     prox = ProxBlock(

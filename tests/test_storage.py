@@ -384,6 +384,12 @@ def _save_A(make):
     return lambda d, inst: np.save(d / "A.npy", make(inst.A), allow_pickle=False)
 
 
+def _with_entry(A, value):
+    A = A.copy()
+    A[-1, 0] = value
+    return A
+
+
 def _vector_lines(name, keep=slice(None), extra=""):
     def edit(d, inst):
         lines = (d / name).read_text().splitlines(keepends=True)
@@ -490,6 +496,14 @@ _EDITS = {
         "{d}/A.npy is not a .npy array file: ...",
     ),
     "A-empty": (_BOTH, _write("A.npy", ""), ValueError, "{d}/A.npy is not a .npy array file: ..."),
+    "A-nan": (
+        _BOTH, _save_A(lambda A: _with_entry(A, np.nan)), ValueError,
+        "{d}/A.npy has non-finite entries",
+    ),
+    "A-inf": (
+        _BOTH, _save_A(lambda A: _with_entry(A, -np.inf)), ValueError,
+        "{d}/A.npy has non-finite entries",
+    ),
     "A-directory": (
         _BOTH, _A_is_a_directory, IsADirectoryError, "[Errno 21] Is a directory: '{d}/A.npy'"
     ),
@@ -509,6 +523,10 @@ _EDITS = {
         _BOTH, _vector_lines("xhat.txt", slice(1), "abc\n"), ValueError,
         "{d}/xhat.txt does not hold one number per line: ...",
     ),
+    "xhat-nan": (
+        _BOTH, _vector_lines("xhat.txt", slice(1, None), "nan\n"), ValueError,
+        "{d}/xhat.txt has non-finite entries",
+    ),
     "b-missing": (_BP, _unlink("b.txt"), FileNotFoundError, "{d}/b.txt not found."),
     "b-short": (
         _BP, _vector_lines("b.txt", slice(-1)), ValueError,
@@ -517,12 +535,28 @@ _EDITS = {
     "b-blank": (
         _BP, _write("b.txt", "\n \n"), ValueError, "b.txt has 0 entries, meta.json says {m}"
     ),
+    "b-inf": (
+        _BP, _vector_lines("b.txt", slice(1, None), "inf\n"), ValueError,
+        "{d}/b.txt has non-finite entries",
+    ),
     "labels-missing": (
         _FUSED, _unlink("labels.txt"), FileNotFoundError, "{d}/labels.txt not found."
     ),
     "labels-short": (
         _FUSED, _vector_lines("labels.txt", slice(-1)), ValueError,
         "labels.txt has {m_short} entries, meta.json says {m}",
+    ),
+    "labels-nan": (
+        _FUSED, _vector_lines("labels.txt", slice(1, None), "nan\n"), ValueError,
+        "{d}/labels.txt has non-finite entries",
+    ),
+    "labels-half": (
+        _FUSED, _vector_lines("labels.txt", slice(1, None), "0.5\n"), ValueError,
+        "{d}/labels.txt holds a label other than -1 or +1",
+    ),
+    "labels-zero": (
+        _FUSED, _vector_lines("labels.txt", slice(1, None), "-0\n"), ValueError,
+        "{d}/labels.txt holds a label other than -1 or +1",
     ),
     "pattern-missing": (
         _FUSED, _unlink("pattern.json"), FileNotFoundError,
