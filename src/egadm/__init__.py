@@ -26,7 +26,6 @@ from .solver import (
     iterate,
     resolve_gamma,
     solve,
-    step,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "shrink",
     "solve",
     "spectral_norm_sq",
-    "step",
 ]
 
 __version__ = "0.1.0"

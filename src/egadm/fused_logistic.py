@@ -162,17 +162,6 @@ def _loss_gradient(data, z):
     return (data.T @ (1.0 - _sigmoid(data @ z))) / -data.shape[0]
 
 
-def logistic_value(aux, y, c):
-    """Average logistic loss at coefficients y and intercept c."""
-    return _loss(aux.data, np.append(y, c))
-
-
-def logistic_gradient(aux, y, c):
-    """Gradient of the average logistic loss, split as (d/dy, d/dc)."""
-    g = _loss_gradient(aux.data, np.append(y, c))
-    return g[:-1], float(g[-1])
-
-
 def logistic_lipschitz(aux):
     """Upper bound on the loss gradient's Lipschitz constant in (y, c).
 

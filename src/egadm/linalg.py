@@ -9,41 +9,16 @@ eigenvalue keeps a relative error of a few units in the last place
 """
 
 import numpy as np
-import scipy.linalg
 
 
 class SpectralNormError(RuntimeError):
     """Kept for importers only; ``spectral_norm_sq`` no longer raises it."""
 
 
-def gram_lmax(gram):
-    """Largest eigenvalue of the symmetric positive semidefinite ``gram``,
-    from LAPACK ``dsyevr`` on the top index only; ``gram`` is overwritten.
-
-    Raises
-    ------
-    ValueError
-        If ``gram`` has non-finite entries (its matrix had some, or forming
-        it overflowed) or its largest eigenvalue overflows float64.
-    """
-    if not np.all(np.isfinite(gram)):
-        raise ValueError(
-            "Gram matrix has non-finite entries: the matrix has non-finite "
-            "entries, or lmax(M^T M) overflows float64"
-        )
-    k = gram.shape[0]
-    lmax = float(scipy.linalg.eigh(
-        gram, subset_by_index=[k - 1, k - 1], eigvals_only=True,
-        driver="evr", overwrite_a=True, check_finite=False,
-    )[0])
-    if not np.isfinite(lmax):
-        raise ValueError("lmax(M^T M) overflows float64")
-    return lmax
-
-
 def spectral_norm_sq(mat):
     """Largest eigenvalue of ``mat.T @ mat``, i.e. the squared largest
-    singular value, from the top eigenvalue of the smaller Gram matrix.
+    singular value, from the top eigenvalue of the smaller Gram matrix
+    (LAPACK ``dsyevr`` on the top index only).
 
     Exact to rounding, so callers that need an upper bound (a Lipschitz
     constant, a unit-norm rescaling) never get a value from below.
@@ -52,7 +27,7 @@ def spectral_norm_sq(mat):
     ------
     ValueError
         If ``mat`` is not a nonempty 2-d matrix, has non-finite entries,
-        or its lmax overflows float64.
+        or its Gram matrix or lmax overflows float64.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -61,4 +36,17 @@ def spectral_norm_sq(mat):
         raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    return gram_lmax(gram)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("Gram matrix has non-finite entries: lmax(M^T M) overflows float64")
+    # imported here, so that a process that never needs a spectral norm
+    # (loading and solving a basis-pursuit directory) never imports scipy
+    import scipy.linalg
+
+    k = gram.shape[0]
+    lmax = float(scipy.linalg.eigh(
+        gram, subset_by_index=[k - 1, k - 1], eigvals_only=True,
+        driver="evr", overwrite_a=True, check_finite=False,
+    )[0])
+    if not np.isfinite(lmax):
+        raise ValueError("lmax(M^T M) overflows float64")
+    return lmax

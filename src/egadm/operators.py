@@ -37,8 +37,8 @@ class AffineProjector:
 
     Raises ValueError at construction if the shapes disagree or A or rhs
     has a non-finite entry, and ``np.linalg.LinAlgError`` (a ValueError
-    subclass) if A is rank deficient, so that ``A A^T`` has no Cholesky
-    factor.
+    subclass) if A is rank deficient: ``A A^T`` has no Cholesky factor, or
+    ``A M`` misses the identity by more than 1e-2 in some entry.
     """
 
     def __init__(self, A, rhs):
@@ -53,6 +53,11 @@ class AffineProjector:
         # factor once is cheaper here than two solves with n right-hand sides.
         inv_lower = np.linalg.inv(np.linalg.cholesky(A @ A.T))
         self._M = (inv_lower.T @ (inv_lower @ A)).T
+        # Cholesky passes some rank-deficient A on a rounding-sized pivot; their
+        # A M misses I by 0.25 or more, a full-rank A's by 2e-3 even at cond 1e7
+        miss = float(np.max(np.abs(A @ self._M - np.eye(A.shape[0]))))
+        if not miss <= 1e-2:  # NaN fails the test too
+            raise np.linalg.LinAlgError(f"A is rank deficient: max|A M - I| = {miss:.2g}")
         self._c = self._M @ rhs
         self._mdot, self._adot = self._M.dot, A.dot
 

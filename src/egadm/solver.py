@@ -1,13 +1,11 @@
 """Variant-parametric iteration engine.
 
 Four variants share one loop body, run by the generator ``iterate``
-that ``solve``, ``step`` and ``ergodic_checkpoints`` consume.  Each call
-of ``iterate`` resolves the step size once, and its loop looks up every
-callable of the problem it uses once, before the first step, so a
-callable replaced during a run reaches only a new ``iterate``.  Every
-iteration first solves the structured x-subproblem at the current
-(y, lam), then advances the (y, lam) pair with projected gradient steps
-on the Lagrangian (plain or augmented).  The plain-gradient variants
+that ``solve`` and ``ergodic_checkpoints`` consume; one iteration from a
+state is ``next(iterate(problem, config, state))[0]``.  Every iteration
+first solves the structured x-subproblem at the current (y, lam), then
+advances the (y, lam) pair with projected gradient steps on the
+Lagrangian (plain or augmented).  The plain-gradient variants
 take a single step; the extragradient variants first move to a midpoint
 and take the final step using gradients evaluated there:
 
@@ -264,16 +262,6 @@ def iterate(problem, config, init=None):
     gamma = resolve_gamma(problem, config)
     state = initial_state(problem) if init is None else init
     return _run(problem, config, gamma, state)
-
-
-def step(problem, config, state):
-    """One full iteration of the configured variant from ``state``.
-
-    Raises DivergenceError on non-finite iterates.  Each call sets up
-    afresh, resolving the step size and looking up the problem's
-    callables; loops should use ``iterate``, which does both once.
-    """
-    return next(iterate(problem, config, state))[0]
 
 
 def gap_surrogate(problem, avg_x, avg_y, avg_lam, reference):

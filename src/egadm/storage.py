@@ -16,14 +16,17 @@ no ``format_version``) is ``A.mtx``, MatrixMarket array text, which
 directories written before format 2 hold and which still load.  A is
 read with ``allow_pickle=False``: loading never unpickles.  Each JSON
 value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
-``c_true`` a number and ``pattern`` a string (a bool is none of these);
-anything else is a ValueError naming the file and the key.  Every value
-in A and in the vector files must be finite, and every label -1 or +1.
+``c_true`` a finite number and ``pattern`` a string (a bool is none of
+these); anything else is a ValueError naming the file and the key, and
+saving a non-finite ``c_true`` is one too.  Every value in A and in the
+vector files must be finite, and every label -1 or +1.
 Every error a broken directory raises is a ValueError or an OSError
 naming a file in it.
 """
 
 import json
+import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -127,11 +130,15 @@ class _JsonObject(dict):
 
     def typed(self, key, t):
         """``self[key]`` as a ``t`` (int, float or str), if it is a JSON
-        value of that type."""
+        value of that type; a float must also be finite."""
         value = self[key]
         allowed, name = _JSON_TYPES[t]
         if type(value) not in allowed:
             raise ValueError(f"{self.path} key {key!r} must be a JSON {name}, got {value!r}")
+        # ``json`` reads NaN and +-Infinity, and an integer may lie past
+        # float64's range (int and float compare exactly; NaN fails the test)
+        if t is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{self.path} key {key!r} must be a finite JSON number, got {value!r}")
         return t(value)
 
 
@@ -155,6 +162,8 @@ _KINDS = {
 
 def _save(inst, directory, kind):
     _, scalars, vectors = _KINDS[kind]
+    if not math.isfinite(getattr(inst, "c_true", 0.0)):  # JSON has no NaN or infinity
+        raise ValueError(f"cannot save a {kind} instance whose c_true is {inst.c_true!r}")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     meta = {"kind": kind, "n": int(inst.n), "m": int(inst.m), "format_version": FORMAT_VERSION}

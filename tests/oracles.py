@@ -10,7 +10,8 @@ algebra.  The first-order oracles (``augmented_lagrangian``, ``kkt_map``,
 ``gradient``, the coupling products), never through the solver's
 iteration; so does ``reference_advance``, one whole iteration written
 out in the solver's operation order, which the solver must match bit
-for bit.
+for bit.  ``next_state`` is no oracle but the solver itself: the one
+iteration the transcription and hand-computation tests compare with.
 """
 
 import json
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.io import mmwrite
 
 from egadm.problem import lagrangian
+from egadm.solver import iterate
 
 
 def augmented_lagrangian(problem, x, y, lam, gamma):
@@ -58,6 +60,12 @@ def extragradient_certificate(problem, gamma, x_next, z_prev, z_mid, z_next):
     dist_sq = sum(float(np.linalg.norm(p - q) ** 2) for p, q in zip(z_prev, z_next))
     inner = float(f_top @ (y_mid - y_next)) + float(f_bottom @ (lam_mid - lam_next))
     return gamma * inner - 0.5 * dist_sq
+
+
+def next_state(problem, config, state):
+    """The state one iteration after ``state``, from the loop ``solve``
+    runs: a fresh ``iterate`` from ``state``, advanced once."""
+    return next(iterate(problem, config, state))[0]
 
 
 def reference_advance(problem, variant, gamma, monitor, y, lam):

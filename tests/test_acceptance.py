@@ -24,13 +24,13 @@ from egadm.solver import (
     initial_state,
     resolve_gamma,
     solve,
-    step,
 )
 from oracles import (
     bp_midpoint_transcription,
     central_diff_gradient,
     fused_midpoint_transcription,
     grid_prox_scalar,
+    next_state,
 )
 
 
@@ -77,13 +77,13 @@ def test_criterion_2_logistic_gradient():
     xh = np.zeros(n)
     xh[:5] = rng.uniform(0.5, 2.0, 5)
     labels = np.where(A @ xh + 0.4 >= 0, 1.0, -1.0)
-    aux = fl.LogisticAux.from_data(A, labels)
+    # the smooth block's own callables, the ones a solve runs
+    smooth = fl.FusedLogisticInstance(A=A, labels=labels, xhat=xh, c_true=0.4, seed=0).smooth_block
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal(n + 1)
-        gy, gc = fl.logistic_gradient(aux, z[:n], float(z[n]))
-        grad = np.concatenate([gy, [gc]])
-        fd = central_diff_gradient(lambda v: fl.logistic_value(aux, v[:n], float(v[n])), z)
+        grad = smooth.gradient(z)
+        fd = central_diff_gradient(smooth.evaluate, z)
         worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(grad)))
     elapsed = time.perf_counter() - start
     _gate(2, "logistic gradient vs finite differences", worst <= 1e-6,
@@ -217,7 +217,7 @@ def test_criterion_8_transcription_equivalence():
     state = initial_state(prob)
     worst_bp = 0.0
     for ox, oyb, olb, oy, ol in oracle:
-        state = step(prob, cfg, state)
+        state = next_state(prob, cfg, state)
         worst_bp = max(
             worst_bp,
             float(np.max(np.abs(state.x - ox))),
@@ -240,7 +240,7 @@ def test_criterion_8_transcription_equivalence():
     worst_fl = 0.0
     n = 3
     for ox, ow, oyb, ocb, ol1b, ol2b, oy, oc, ol1, ol2 in foracle:
-        fstate = step(fprob, fcfg, fstate)
+        fstate = next_state(fprob, fcfg, fstate)
         worst_fl = max(
             worst_fl,
             float(np.max(np.abs(fstate.x[:n] - ox))),

@@ -7,8 +7,8 @@ from egadm import basis_pursuit as bp
 from egadm.linalg import spectral_norm_sq
 from egadm.operators import l1_prox
 from egadm.problem import kkt_lipschitz_bound
-from egadm.solver import SolverConfig, VariantKind, initial_state, solve, step
-from oracles import jacobi_eigenvalues, kkt_map
+from egadm.solver import SolverConfig, VariantKind, initial_state, solve
+from oracles import jacobi_eigenvalues, kkt_map, next_state
 
 
 def test_generate_shapes_and_planted_solution():
@@ -107,7 +107,7 @@ def test_midpoint_iterates_stay_feasible():
     state = initial_state(prob)
     tol = 1e-9 * (1 + np.linalg.norm(inst.b))
     for _ in range(50):
-        state = step(prob, cfg, state)
+        state = next_state(prob, cfg, state)
         assert np.linalg.norm(inst.A @ state.y - inst.b) <= tol
         assert np.linalg.norm(inst.A @ state.y_mid - inst.b) <= tol
 

@@ -128,6 +128,23 @@ def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
     assert "overflows float64" in capsys.readouterr().err
 
 
+def test_solve_rank_deficient_bp_instance_exits_one(tmp_path, capsys):
+    # row 0 of this saved A copied into row 1: Cholesky of A A^T passes on a
+    # rounding-sized pivot, and the solve would report a wrong x as converged
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "100", "--m", "20", "--s", "2", "--seed", "7",
+          "--out", str(out)])
+    A = np.load(out / "A.npy")
+    A[1] = A[0]
+    np.save(out / "A.npy", A)
+    capsys.readouterr()
+    rc = main(["solve", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error: A is rank deficient" in captured.err
+
+
 def test_solve_truncated_labels_exits_one(tmp_path, capsys):
     out = tmp_path / "inst"
     main(["gen", "fused", "--pattern", "blocks", "--n", "200", "--m", "20",

@@ -6,9 +6,11 @@ import pytest
 
 from egadm import fused_logistic as fl
 from egadm.operators import l1_prox
-from egadm.problem import kkt_lipschitz_bound
-from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve, step
-from oracles import central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues
+from egadm.problem import kkt_lipschitz_bound, lagrangian
+from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve
+from oracles import (
+    central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, next_state,
+)
 
 
 def _tiny_instance(m=4, n=3, seed=42, c_true=0.3):
@@ -19,36 +21,42 @@ def _tiny_instance(m=4, n=3, seed=42, c_true=0.3):
     return fl.FusedLogisticInstance(A=A, labels=labels, xhat=xh, c_true=c_true, seed=seed)
 
 
+def _instance_of(A, labels):
+    """A ``FusedLogisticInstance`` of this data, for its ``smooth_block``:
+    the loss and gradient callables a solve runs, at stacked points
+    ``[y, c]``."""
+    return fl.FusedLogisticInstance(
+        A=A, labels=labels, xhat=np.zeros(A.shape[1]), c_true=0.0, seed=0
+    )
+
+
 def test_logistic_value_at_origin_is_log_two():
-    inst = _tiny_instance()
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
-    assert fl.logistic_value(aux, np.zeros(3), 0.0) == pytest.approx(np.log(2.0), rel=1e-14)
+    loss = _tiny_instance().smooth_block.evaluate
+    assert loss(np.zeros(4)) == pytest.approx(np.log(2.0), rel=1e-14)
 
 
 def test_logistic_value_vanishes_for_separating_intercept():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 4))
-    aux = fl.LogisticAux.from_data(A, np.ones(6))
-    assert fl.logistic_value(aux, np.zeros(4), 50.0) <= 1e-20
+    loss = _instance_of(A, np.ones(6)).smooth_block.evaluate
+    assert loss(np.append(np.zeros(4), 50.0)) <= 1e-20
 
 
 def test_logistic_value_matches_naive_formula():
     rng = np.random.default_rng(1)
     inst = _tiny_instance(m=12, n=5)
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
     for _ in range(20):
         y = rng.standard_normal(5)
         c = float(rng.standard_normal())
         t = inst.labels * (inst.A @ y + c)
         naive = float(np.mean(np.log1p(np.exp(-t))))
-        assert fl.logistic_value(aux, y, c) == pytest.approx(naive, rel=1e-12)
+        assert inst.smooth_block.evaluate(np.append(y, c)) == pytest.approx(naive, rel=1e-12)
 
 
 def test_logistic_value_is_overflow_safe():
-    inst = _tiny_instance()
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+    loss = _tiny_instance().smooth_block.evaluate
     for c in (-1e4, 1e4):
-        assert np.isfinite(fl.logistic_value(aux, np.full(3, c / 10), c))
+        assert np.isfinite(loss(np.append(np.full(3, c / 10), c)))
 
 
 def _masked_sigmoid(t):
@@ -71,32 +79,27 @@ def test_sigmoid_equals_the_masked_form_bit_for_bit():
 
 def test_logistic_gradient_at_origin():
     inst = _tiny_instance(m=8, n=4)
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
-    gy, gc = fl.logistic_gradient(aux, np.zeros(4), 0.0)
-    assert np.allclose(gy, -aux.signed.T @ np.ones(8) / 16.0, rtol=1e-13)
-    assert gc == pytest.approx(-np.sum(inst.labels) / 16.0, rel=1e-13)
+    grad = inst.smooth_block.gradient(np.zeros(5))
+    signed = inst.labels[:, None] * inst.A
+    assert np.allclose(grad[:4], -signed.T @ np.ones(8) / 16.0, rtol=1e-13)
+    assert grad[4] == pytest.approx(-np.sum(inst.labels) / 16.0, rel=1e-13)
 
 
 def test_logistic_gradient_intercept_zero_for_balanced_labels():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((6, 3))
     labels = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    aux = fl.LogisticAux.from_data(A, labels)
-    _, gc = fl.logistic_gradient(aux, np.zeros(3), 0.0)
-    assert gc == pytest.approx(0.0, abs=1e-15)
+    grad = _instance_of(A, labels).smooth_block.gradient(np.zeros(4))
+    assert grad[3] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    inst = _tiny_instance(m=15, n=6)
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
+    smooth = _tiny_instance(m=15, n=6).smooth_block
     for _ in range(20):
         z = rng.standard_normal(7)
-        gy, gc = fl.logistic_gradient(aux, z[:6], float(z[6]))
-        grad = np.concatenate([gy, [gc]])
-        fd = central_diff_gradient(
-            lambda v: fl.logistic_value(aux, v[:6], float(v[6])), z
-        )
+        grad = smooth.gradient(z)
+        fd = central_diff_gradient(smooth.evaluate, z)
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(grad), 1e-12)
 
 
@@ -183,11 +186,10 @@ def test_logistic_lipschitz_bounds_sampled_gradient_differences():
     inst = _tiny_instance(m=20, n=5)
     aux = fl.LogisticAux.from_data(inst.A, inst.labels)
     lip = fl.logistic_lipschitz(aux)
+    gradient = inst.smooth_block.gradient
     for _ in range(1000):
         z1, z2 = rng.standard_normal(6), rng.standard_normal(6)
-        g1y, g1c = fl.logistic_gradient(aux, z1[:5], float(z1[5]))
-        g2y, g2c = fl.logistic_gradient(aux, z2[:5], float(z2[5]))
-        diff = np.linalg.norm(np.concatenate([g1y - g2y, [g1c - g2c]]))
+        diff = np.linalg.norm(gradient(z1) - gradient(z2))
         assert diff <= lip * np.linalg.norm(z1 - z2) * (1 + 1e-12)
 
 
@@ -343,6 +345,31 @@ def test_prox_is_l1_prox_of_the_penalty_weights():
         assert prox(*args, gamma).tobytes() == want.tobytes(), gamma
 
 
+def test_prox_block_value_is_the_two_weighted_l1_norms():
+    cfg = fl.FusedLogisticConfig(alpha=0.3, beta=0.7)
+    evaluate = fl.as_problem(_tiny_instance(m=5, n=4), cfg).prox_block.evaluate
+    # x = (1, -2, 0, 3) and w = (-0.5, 0.25, 1): 0.3 * 6 + 0.7 * 1.75
+    assert evaluate(np.array([1.0, -2.0, 0.0, 3.0, -0.5, 0.25, 1.0])) == pytest.approx(3.025)
+    assert evaluate(np.zeros(7)) == 0.0
+
+
+def test_lagrangian_of_the_fused_problem_equals_the_hand_formula():
+    # loss + alpha |x|_1 + beta |w|_1 - <lam, (x - y, w - L y)>, (L y)_j = y_j - y_{j+1}
+    inst = _tiny_instance(m=6, n=3)
+    alpha, beta = 0.2, 0.5
+    prob = fl.as_problem(inst, fl.FusedLogisticConfig(alpha=alpha, beta=beta))
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x, w, y = rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(3)
+        c = float(rng.standard_normal())
+        lam = rng.standard_normal(5)
+        loss = np.mean(np.log1p(np.exp(-inst.labels * (inst.A @ y + c))))
+        penalties = alpha * np.sum(np.abs(x)) + beta * np.sum(np.abs(w))
+        residual = np.concatenate([x - y, w - (y[:-1] - y[1:])])
+        got = lagrangian(prob, np.concatenate([x, w]), np.append(y, c), lam)
+        assert got == pytest.approx(loss + penalties - lam @ residual, rel=1e-12, abs=1e-14)
+
+
 def test_trajectory_matches_line_by_line_transcription():
     inst = _tiny_instance()
     alpha, beta, gamma = 0.05, 0.1, 0.1
@@ -352,7 +379,7 @@ def test_trajectory_matches_line_by_line_transcription():
     state = initial_state(prob)
     n = 3
     for ox, ow, oyb, ocb, ol1b, ol2b, oy, oc, ol1, ol2 in oracle:
-        state = step(prob, cfg, state)
+        state = next_state(prob, cfg, state)
         assert np.max(np.abs(state.x[:n] - ox)) <= 1e-12
         assert np.max(np.abs(state.x[n:] - ow)) <= 1e-12
         assert np.max(np.abs(state.y_mid[:n] - oyb)) <= 1e-12
@@ -367,13 +394,12 @@ def test_trajectory_matches_line_by_line_transcription():
 
 def test_unregularized_solve_decreases_loss():
     inst = _tiny_instance(m=30, n=4, seed=7)
-    aux = fl.LogisticAux.from_data(inst.A, inst.labels)
-    initial = fl.logistic_value(aux, np.zeros(4), 0.0)
+    loss = inst.smooth_block.evaluate
+    initial = loss(np.zeros(5))
     rep = fl.solve_fused(
         inst, fl.FusedLogisticConfig(alpha=0.0, beta=0.0), max_iters=500, tol=1e-6
     )
-    y = rep.state.y
-    assert fl.logistic_value(aux, y[:4], float(y[4])) < initial
+    assert loss(rep.state.y) < initial
 
 
 def test_simple_pattern_recovers_block_structure():

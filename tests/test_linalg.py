@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import gram_lmax, spectral_norm_sq
+from egadm.linalg import spectral_norm_sq
 from oracles import jacobi_eigenvalues
 
 
@@ -11,6 +11,7 @@ def test_spectral_norm_identity():
 
 def test_spectral_norm_diagonal():
     assert spectral_norm_sq(np.diag([2.0, 1.0])) == pytest.approx(4.0, rel=1e-12)
+    assert spectral_norm_sq(np.array([[2.0]])) == 4.0
 
 
 # The Jacobi oracle stops once its off-diagonal Frobenius norm is below
@@ -71,22 +72,12 @@ def test_spectral_norm_input_validation():
 
 def test_spectral_norm_overflow_is_a_value_error():
     # lmax = 6e400 is past float64; the error names the overflow
-    with pytest.raises(ValueError, match="overflows float64"):
+    with pytest.raises(ValueError, match="Gram matrix has non-finite entries.*overflows float64"):
         spectral_norm_sq(np.full((2, 3), 1e200))
-    with pytest.raises(ValueError, match="overflows float64"):
+    with pytest.raises(ValueError, match="Gram matrix has non-finite entries.*overflows float64"):
         spectral_norm_sq(np.full((3, 2), 1e200))
+    # here the Gram entries are finite (1.62e308) and only lmax = 3.24e308 overflows
+    with pytest.raises(ValueError, match=r"^lmax\(M\^T M\) overflows float64"):
+        spectral_norm_sq(np.full((2, 2), 0.9e154))
     # the largest finite case still comes back exact
     assert spectral_norm_sq(np.full((2, 3), 1e150)) == pytest.approx(6e300, rel=1e-12)
-
-
-def test_gram_lmax_top_eigenvalue():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((6, 9))
-    gram = m @ m.T
-    expected = jacobi_eigenvalues(gram)[-1]
-    assert gram_lmax(gram.copy()) == pytest.approx(expected, rel=1e-12)
-    assert gram_lmax(np.array([[4.0]])) == 4.0
-    with pytest.raises(ValueError, match="non-finite entries"):
-        gram_lmax(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    with pytest.raises(ValueError, match="overflows float64"):
-        gram_lmax(np.array([[np.inf]]))

@@ -152,6 +152,40 @@ def test_projector_rank_deficient_rejected_at_construction():
         AffineProjector(A, np.zeros(2))
 
 
+def _rank_deficient(kind):
+    """The 20 x 100 A of ``bp.generate(100, 20, 2, 7)`` with one row made
+    a combination of others: row 1 equal to row 0, three times row 0, or
+    row 2 equal to row 0 - 2 row 1."""
+    A = np.array(bp.generate(100, 20, 2, 7).A)
+    if kind == "duplicate":
+        A[1] = A[0]
+    elif kind == "scaled":
+        A[1] = 3.0 * A[0]
+    else:
+        A[2] = A[0] - 2.0 * A[1]
+    return A
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "scaled", "combined"])
+def test_projector_rejects_a_rank_deficient_A_that_passes_cholesky(kind):
+    A = _rank_deficient(kind)
+    # rounding leaves A A^T a tiny positive pivot, so Cholesky alone passes
+    np.linalg.cholesky(A @ A.T)
+    with pytest.raises(np.linalg.LinAlgError, match="A is rank deficient"):
+        AffineProjector(A, np.zeros(20))
+
+
+def test_projector_accepts_an_ill_conditioned_full_rank_A():
+    # cond(A) = 1e7: A M misses I by about 1e-3, within the tolerance
+    rng = np.random.default_rng(8)
+    left, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    right, _ = np.linalg.qr(rng.standard_normal((100, 20)))
+    A = (left * np.logspace(0, -7, 20)) @ right.T
+    assert np.linalg.cond(A) == pytest.approx(1e7, rel=1e-6)
+    proj = AffineProjector(A, np.zeros(20))
+    assert 0 < np.max(np.abs(A @ proj._M - np.eye(20))) <= 1e-2
+
+
 def test_projector_rejects_nan_in_matrix():
     A = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):

@@ -22,9 +22,10 @@ from egadm.solver import (
     iterate,
     resolve_gamma,
     solve,
-    step,
 )
-from oracles import bp_midpoint_transcription, extragradient_certificate, reference_advance
+from oracles import (
+    bp_midpoint_transcription, extragradient_certificate, next_state, reference_advance,
+)
 
 
 def _l1_quadratic_problem(B, b, x_dim=None, A=None):
@@ -70,7 +71,7 @@ def test_midpoint_step_matches_hand_computation():
     prob = _scalar_problem(rhs=0.5)
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
     st = _state_at(prob, [0.0], [0.3], [0.2])
-    new = step(prob, cfg, st)
+    new = next_state(prob, cfg, st)
     # worked by hand: x+ = shrink(2.2, 10) = 0, y_mid = 0.29,
     # lam_mid = 0.22, y+ = 0.293, lam+ = 0.221
     assert new.x[0] == pytest.approx(0.0, abs=1e-15)
@@ -90,7 +91,7 @@ def test_all_variants_match_hand_computation():
         VariantKind.EGAL: (0.29488, 0.2208),
     }
     for variant, (y1, lam1) in expected.items():
-        new = step(prob, SolverConfig(variant=variant, gamma=0.1), st)
+        new = next_state(prob, SolverConfig(variant=variant, gamma=0.1), st)
         assert new.y[0] == pytest.approx(y1, abs=1e-12), variant
         assert new.lam[0] == pytest.approx(lam1, abs=1e-12), variant
 
@@ -99,7 +100,7 @@ def test_step_stays_at_zero_fixed_point():
     prob = _scalar_problem(rhs=0.0)
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
     st = initial_state(prob)
-    new = step(prob, cfg, st)
+    new = next_state(prob, cfg, st)
     for field in ("x", "y", "lam", "y_mid", "lam_mid"):
         assert np.all(getattr(new, field) == 0.0)
 
@@ -111,7 +112,7 @@ def test_step_fixed_point_of_identity_split():
     prob = bp.as_problem(inst)
     st = _state_at(prob, b, b, np.sign(b))
     for variant in VariantKind:
-        new = step(prob, SolverConfig(variant=variant, gamma=0.25), st)
+        new = next_state(prob, SolverConfig(variant=variant, gamma=0.25), st)
         assert np.max(np.abs(new.x - b)) <= 1e-14
         assert np.max(np.abs(new.y - b)) <= 1e-14
         assert np.max(np.abs(new.lam - np.sign(b))) <= 1e-14
@@ -126,7 +127,7 @@ def test_multiplier_update_structure():
         state = initial_state(prob)
         for _ in range(3):
             prev = state
-            state = step(prob, cfg, state)
+            state = next_state(prob, cfg, state)
             r = prob.coupling.residual
             if variant.extragradient:
                 # midpoint multiplier from the previous y, final from y_mid
@@ -150,7 +151,7 @@ def test_midpoint_trajectory_equals_direct_transcription():
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=gamma)
     state = initial_state(prob)
     for ox, oyb, olb, oy, ol in oracle:
-        state = step(prob, cfg, state)
+        state = next_state(prob, cfg, state)
         assert np.max(np.abs(state.x - ox)) <= 1e-12
         assert np.max(np.abs(state.y_mid - oyb)) <= 1e-12
         assert np.max(np.abs(state.lam_mid - olb)) <= 1e-12
@@ -176,7 +177,7 @@ def test_ergodic_averages_two_step_mean_and_replay():
     state = initial_state(prob)
     xs, ys, lams = [], [], []
     for _ in range(50):
-        state = step(prob, cfg, state)
+        state = next_state(prob, cfg, state)
         xs.append(state.x)
         ys.append(state.y_mid)
         lams.append(state.lam_mid)
@@ -402,8 +403,8 @@ def test_a_one_row_basis_pursuit_instance_is_solved_to_its_sparse_point(variant)
     rep = solve(prob, cfg)
     assert rep.converged
     assert np.linalg.norm(rep.state.x - np.array([1.0, 0.0])) <= 1e-3
-    # step and ergodic_checkpoints take the same config
-    assert np.all(np.isfinite(step(prob, cfg, initial_state(prob)).x))
+    # one iteration and ergodic_checkpoints take the same config
+    assert np.all(np.isfinite(next_state(prob, cfg, initial_state(prob)).x))
     [average] = ergodic_checkpoints(prob, cfg, [5])
     assert all(np.all(np.isfinite(part)) for part in average)
 

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import pickle
 import shutil
@@ -159,6 +161,14 @@ def test_load_takes_an_integral_c_true_as_a_number(tmp_path):
     (d / "meta.json").write_text(json.dumps(meta))
     c_true = storage.load_instance(d).c_true
     assert type(c_true) is float and c_true == 1.0
+
+
+@pytest.mark.parametrize("c_true", [math.nan, math.inf, -math.inf])
+def test_save_refuses_a_non_finite_c_true_and_writes_nothing(tmp_path, c_true):
+    inst = dataclasses.replace(fl.generate_block_pattern(130, 20, 2), c_true=c_true)
+    with pytest.raises(ValueError, match=f"fused_logistic instance whose c_true is {c_true!r}"):
+        storage.save_fused_instance(inst, tmp_path / "inst")
+    assert not (tmp_path / "inst").exists()
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
@@ -467,6 +477,24 @@ _EDITS = {
         _FUSED, _meta(c_true=False), ValueError,
         "{d}/meta.json key 'c_true' must be a JSON number, got False",
     ),
+    # json writes and reads NaN, Infinity and -Infinity, which are no JSON numbers
+    "c_true-nan": (
+        _FUSED, _meta(c_true=math.nan), ValueError,
+        "{d}/meta.json key 'c_true' must be a finite JSON number, got nan",
+    ),
+    "c_true-inf": (
+        _FUSED, _meta(c_true=math.inf), ValueError,
+        "{d}/meta.json key 'c_true' must be a finite JSON number, got inf",
+    ),
+    "c_true--inf": (
+        _FUSED, _meta(c_true=-math.inf), ValueError,
+        "{d}/meta.json key 'c_true' must be a finite JSON number, got -inf",
+    ),
+    # a JSON integer past float64's range, which float() would not take
+    "c_true-huge-integer": (
+        _FUSED, _meta(c_true=2**1024), ValueError,
+        f"{{d}}/meta.json key 'c_true' must be a finite JSON number, got {2**1024}",
+    ),
     "n-too-large": (
         _BOTH, _meta(n=1000), ValueError,
         "A.npy shape ({m}, {n}) disagrees with meta.json's ({m}, 1000)",
@@ -642,18 +670,38 @@ def test_two_broken_files_raise_only_a_value_or_os_error_naming_a_file(saved, pa
             assert any(f in str(exc) for f in _FILES), (pair, exc)
 
 
+def _fresh_modules(script, *args):
+    """The last stdout line of ``script`` run with ``args`` in a fresh
+    interpreter on this checkout's ``src``: this test process has scipy
+    already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_loading_a_format_2_directory_never_imports_scipy_io(tmp_path):
-    # in a fresh interpreter: this test process has scipy.io already
     d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
     script = (
         "import sys, egadm, egadm.cli, egadm.storage\n"
         "egadm.storage.load_instance(sys.argv[1])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(d)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    assert _fresh_modules(script, d) == "[]"
+
+
+def test_loading_and_solving_a_format_2_bp_directory_never_imports_scipy(tmp_path):
+    # a bp solve needs no spectral norm: its coupling declares its constants
+    d = storage.save_bp_instance(bp.generate(10, 4, 1, 9), tmp_path / "inst")
+    script = (
+        "import sys, egadm.cli, egadm.storage\n"
+        "egadm.storage.load_instance(sys.argv[1])\n"
+        "for variant in ('gl', 'gal', 'egl', 'egal'):\n"
+        # 2 is a run that hit the iteration cap, which gl may on this draw
+        "    assert egadm.cli.main(['solve', sys.argv[1], '--variant', variant]) in (0, 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_modules(script, d) == "[]"
