@@ -7,8 +7,6 @@ import dataclasses
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,42 +31,19 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class SolveOverrides:
-    """The solver and penalty flags of ``solve`` and ``bench``.  Each
-    default is the library's, from ``SolverConfig`` or
-    ``FusedLogisticConfig``; the argument parser reads them from here."""
-
-    gamma: Optional[float] = SolverConfig.gamma
-    safety: float = SolverConfig.safety
-    tol: float = SolverConfig.tol
-    max_iters: int = SolverConfig.max_iters
-    alpha: float = fl.FusedLogisticConfig.alpha
-    beta: float = fl.FusedLogisticConfig.beta
-    monitor: bool = SolverConfig.monitor_certificate
-
-    def solver_config(self, variant):
-        return SolverConfig(
-            variant=variant,
-            gamma=self.gamma,
-            safety=self.safety,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            monitor_certificate=self.monitor,
-        )
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BenchSpec:
-    """One benchmark sweep: problems x instances x variants."""
+    """One benchmark sweep: problems x instances x solver configs.  Each
+    config is one variant's ``SolverConfig``; fused instances take their
+    penalty weights from ``penalties``, basis pursuit ignores them."""
 
     problem: str                  # "bp" | "fused"
     dims: tuple                   # bp: (n, m, s) triples; fused: (m, n) pairs
     instances: int
-    variants: tuple
     seed_base: int
     pattern: str
-    overrides: SolveOverrides
+    configs: tuple                # SolverConfig, one per variant swept
+    penalties: fl.FusedLogisticConfig = fl.FusedLogisticConfig()
 
 
 def _fmt(value):
@@ -94,32 +69,33 @@ def _instance(problem, dims, seed, pattern):
     return fl.generate_block_pattern(n, m, seed)
 
 
-def _run_cell(inst, variant, ov):
-    """Solve one (instance, variant) cell; failures become a row with
+def _run_cell(inst, config, penalties):
+    """Solve one (instance, config) cell; failures become a row with
     converged=false rather than aborting the sweep.  The problem id, the
     solve, the coefficients ``x[:n]`` and the row metrics come from the
     instance: basis pursuit runs with the solver's stop rule, fused
-    logistic with the penalty weights and ``fl.stop_rule``.  Returns the
-    row, the coefficients (None on failure), and whether the cell errored."""
+    logistic with ``penalties`` and ``fl.stop_rule``.  ``lemma_violations``
+    is filled only where the certificate is recorded: a monitored
+    midpoint variant.  Returns the row, the coefficients (None on
+    failure), and whether the cell errored."""
     row = dict.fromkeys(CSV_COLUMNS)
-    row.update(problem=inst.problem_id, variant=variant.value, seed=inst.seed)
-    config = ov.solver_config(variant)
+    row.update(problem=inst.problem_id, variant=config.variant.value, seed=inst.seed)
     try:
         if isinstance(inst, bp.BasisPursuitInstance):
             report = solve(bp.as_problem(inst), config)
         else:
-            penalties = fl.FusedLogisticConfig(alpha=ov.alpha, beta=ov.beta)
             report = solve(fl.as_problem(inst, penalties), config, stop_rule=fl.stop_rule(config.tol))
     except DivergenceError as exc:
         row.update(iters=exc.iteration, converged=False)
         return row, None, True
     coef = report.state.x[: inst.n]
+    monitored = config.monitor_certificate and config.variant.extragradient
     row.update(inst.row_metrics(coef))
     row.update(
         iters=report.iterations,
         seconds=report.wall_time,
         converged=report.converged,
-        lemma_violations=report.lemma_violations if ov.monitor else None,
+        lemma_violations=report.lemma_violations if monitored else None,
     )
     return row, coef, False
 
@@ -134,7 +110,8 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     inst = storage.load_instance(args.instance)
-    row, coef, failed = _run_cell(inst, VariantKind(args.variant), _overrides(args))
+    (config,), penalties = _configs(args)
+    row, coef, failed = _run_cell(inst, config, penalties)
     if args.emit_coef and coef is not None:
         storage.write_vector(args.emit_coef, coef)
     print(json.dumps(row))
@@ -144,12 +121,12 @@ def cmd_solve(args):
 
 
 def run_bench(spec):
-    """Execute a sweep and return its rows in (problem, variant, seed)
-    order, followed by per-(problem, variant) median summary rows."""
+    """Execute a sweep, each of ``spec.configs`` on every instance, and
+    return its rows in (problem, variant, seed) order, followed by
+    per-(problem, variant) median summary rows."""
     seeds = range(spec.seed_base, spec.seed_base + spec.instances)
     cells = [_instance(spec.problem, dims, seed, spec.pattern) for dims in spec.dims for seed in seeds]
-    rows = [_run_cell(inst, variant, spec.overrides)[0]
-            for variant in VARIANT_ORDER if variant in spec.variants for inst in cells]
+    rows = [_run_cell(inst, config, spec.penalties)[0] for config in spec.configs for inst in cells]
     rows.sort(key=lambda r: (r["problem"], VARIANT_ORDER.index(VariantKind(r["variant"])), r["seed"]))
 
     summaries = []
@@ -185,15 +162,15 @@ def cmd_bench(args):
                 f"--dims for {args.problem} needs {expected} comma-separated integers"
             )
         dims.append(parts)
-    variants = tuple(VariantKind(v.strip()) for v in args.variants.split(","))
+    configs, penalties = _configs(args)
     spec = BenchSpec(
         problem=args.problem,
         dims=tuple(dims),
         instances=args.instances,
-        variants=variants,
         seed_base=args.seed_base,
         pattern=args.pattern,
-        overrides=_overrides(args),
+        configs=configs,
+        penalties=penalties,
     )
     rows, summaries = run_bench(spec)
     write_csv(args.out, rows, summaries)
@@ -213,19 +190,27 @@ def _positive_int(text):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--gamma", type=float, help="explicit step size (bypasses the automatic rule)")
-    p.add_argument("--safety", type=float, help="automatic step size scale in (0, 1]")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--alpha", type=float, help="l1 weight (fused problems)")
-    p.add_argument("--beta", type=float, help="fusion weight (fused problems)")
-    p.add_argument("--monitor-lemma", dest="monitor", action="store_true", help="record the extragradient certificate and count violations")
-    p.set_defaults(**dataclasses.asdict(SolveOverrides()))
+    """Flags whose dest is a ``SolverConfig`` or ``FusedLogisticConfig`` field, with its default."""
+    cfg, pen = SolverConfig, fl.FusedLogisticConfig
+    p.add_argument("--gamma", type=float, default=cfg.gamma, help="explicit step size (default %(default)s: the automatic rule)")
+    p.add_argument("--safety", type=float, default=cfg.safety, help="automatic step scale in (0, 1] (default %(default)s)")
+    p.add_argument("--tol", type=float, default=cfg.tol, help="stop tolerance (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=cfg.max_iters, help="iteration cap (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=pen.alpha, help="l1 weight, fused problems (default %(default)s)")
+    p.add_argument("--beta", type=float, default=pen.beta, help="fusion weight, fused problems (default %(default)s)")
+    p.add_argument("--monitor-lemma", dest="monitor_certificate", action="store_true", default=cfg.monitor_certificate,
+                   help="record the extragradient certificate and count violations (midpoint variants)")
 
 
-def _overrides(args):
-    """The ``_add_solver_flags`` values of a parsed ``solve`` or ``bench``."""
-    return SolveOverrides(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolveOverrides)})
+def _configs(args):
+    """The library configs of a parsed ``solve`` or ``bench``: one
+    ``SolverConfig`` per requested variant, each once and in
+    ``VariantKind`` order, and the ``FusedLogisticConfig`` penalties."""
+    names = args.variants.split(",") if args.command == "bench" else [args.variant]
+    variants = {VariantKind(name.strip()) for name in names}
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig) if f.name != "variant"}
+    configs = tuple(SolverConfig(variant, **settings) for variant in VARIANT_ORDER if variant in variants)
+    return configs, fl.FusedLogisticConfig(alpha=args.alpha, beta=args.beta)
 
 
 def build_parser():

@@ -212,6 +212,9 @@ class FusedLogisticConfig:
     gamma: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):  # True would pass as 1.0
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
             raise ValueError("penalty weights must be nonnegative and finite")
 

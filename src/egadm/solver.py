@@ -102,6 +102,9 @@ class SolverConfig:
         if not isinstance(self.variant, VariantKind):
             kinds = ", ".join(str(v) for v in VariantKind)
             raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
+        for name in ("gamma", "safety", "tol"):  # True would pass as 1.0
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # each test is written so that NaN fails it
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")

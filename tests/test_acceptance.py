@@ -14,7 +14,7 @@ import pytest
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
-from egadm.cli import CSV_COLUMNS, BenchSpec, SolveOverrides, run_bench, write_csv
+from egadm.cli import CSV_COLUMNS, BenchSpec, run_bench, write_csv
 from egadm.operators import AffineProjector, shrink
 from egadm.solver import (
     SolverConfig,
@@ -110,10 +110,9 @@ def test_criterion_4_benchmark_pattern():
         problem="bp",
         dims=((100, 20, 2),),
         instances=10,
-        variants=tuple(VariantKind),
         seed_base=0,
         pattern="blocks",
-        overrides=SolveOverrides(gamma=0.1, tol=1e-4, max_iters=20000),
+        configs=tuple(SolverConfig(v, gamma=0.1, tol=1e-4, max_iters=20000) for v in VariantKind),
     )
     rows, _ = run_bench(spec)
     by_variant = {
@@ -233,7 +232,7 @@ def test_criterion_8_transcription_equivalence():
     labels = np.where(A @ xh + 0.3 >= 0, 1.0, -1.0)
     finst = fl.FusedLogisticInstance(A=A, labels=labels, xhat=xh, c_true=0.3, seed=0)
     alpha, beta, fgamma = 0.05, 0.1, 0.1
-    fprob = fl.as_problem(finst, fl.FusedLogisticConfig(alpha=alpha, beta=beta, gamma=fgamma))
+    fprob = fl.as_problem(finst, fl.FusedLogisticConfig(alpha=alpha, beta=beta))
     fcfg = SolverConfig(variant=VariantKind.EGAL, gamma=fgamma)
     foracle = fused_midpoint_transcription(A, labels, alpha, beta, fgamma, 50)
     fstate = initial_state(fprob)
@@ -266,10 +265,9 @@ def test_criterion_9_bench_determinism(tmp_path):
         problem="bp",
         dims=((60, 15, 2),),
         instances=3,
-        variants=(VariantKind.GAL, VariantKind.EGAL),
         seed_base=0,
         pattern="blocks",
-        overrides=SolveOverrides(tol=1e-4, max_iters=20000),
+        configs=tuple(SolverConfig(v, tol=1e-4, max_iters=20000) for v in (VariantKind.GAL, VariantKind.EGAL)),
     )
     paths = []
     for tag in ("one", "two"):

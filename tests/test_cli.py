@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ from oracles import write_format_1_matrix
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import storage
-from egadm.cli import CSV_COLUMNS, BenchSpec, SolveOverrides, main, run_bench
+from egadm.cli import CSV_COLUMNS, BenchSpec, build_parser, main, run_bench
 from egadm.solver import SolverConfig, VariantKind, solve
 
 
@@ -316,7 +317,9 @@ def test_fused_row_equals_the_library_solve(tmp_path, capsys):
     assert row["problem"] == "fused_blocks_m30_n140"
     assert (row["iters"], row["converged"]) == (rep.iterations, rep.converged)
     assert [row["l0"], row["tv0"]] == list(fl.sparsity_report(coefs))
-    assert row["err"] is None and row["lemma_violations"] == rep.lemma_violations == 0
+    # gal records no certificate: the row leaves the count empty, not 0
+    assert rep.lemma_violations == 0 and rep.certificate_history == []
+    assert row["err"] is None and row["lemma_violations"] is None
     assert np.array_equal(np.loadtxt(coef), coefs)
 
 
@@ -395,20 +398,58 @@ def test_bench_builds_one_projector_per_bp_instance(monkeypatch):
     monkeypatch.setattr(bp, "AffineProjector", counting)
     # one Coupling per instance: the whole problem is assembled once
     monkeypatch.setattr(bp, "Coupling", counting_coupling)
-    spec = BenchSpec(problem="bp", dims=((40, 10, 2),), instances=2, variants=tuple(VariantKind),
-                     seed_base=0, pattern="simple", overrides=SolveOverrides(max_iters=50))
+    spec = BenchSpec(problem="bp", dims=((40, 10, 2),), instances=2, seed_base=0, pattern="simple",
+                     configs=tuple(SolverConfig(v, max_iters=50) for v in VariantKind))
     rows, _ = run_bench(spec)
     assert len(rows) == 8
     assert len(calls) == 2 and len(couplings) == 2
 
 
-def test_every_solver_knob_is_a_cli_override_with_the_library_default():
-    # a new SolverConfig field must get a flag or be excluded here on purpose
-    renamed = {"monitor_certificate": "monitor"}
-    overrides = {f.name: f.default for f in dataclasses.fields(SolveOverrides)}
-    for f in dataclasses.fields(SolverConfig):
-        if f.name == "variant":
-            continue
-        name = renamed.get(f.name, f.name)
-        assert name in overrides, f.name
-        assert overrides[name] == f.default, f.name
+def _flag_defaults(command):
+    """``{dest: default}`` of the flags of ``egadm <command>``, read from the real parser."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.default for a in sub.choices[command]._actions if a.option_strings}
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_every_solver_knob_is_a_cli_flag_with_the_library_default(command):
+    # a new SolverConfig or FusedLogisticConfig field must get a flag or be excluded here on purpose
+    flags = _flag_defaults(command)
+    library = [f for f in dataclasses.fields(SolverConfig) if f.name != "variant"]
+    library += [f for f in dataclasses.fields(fl.FusedLogisticConfig) if f.name != "gamma"]
+    assert len(library) == 7
+    for f in library:
+        assert f.name in flags, f.name
+        assert flags[f.name] == f.default and type(flags[f.name]) is type(f.default), f.name
+    # the two flags whose name is not the field's keep their names
+    head = ["solve", "inst"] if command == "solve" else ["bench", "--problem", "bp", "--dims", "1,1,1", "--out", "x"]
+    args = build_parser().parse_args(head + ["--max-iters", "5", "--monitor-lemma"])
+    assert (args.max_iters, args.monitor_certificate) == (5, True)
+
+
+def test_bench_leaves_lemma_violations_empty_for_plain_gradient_variants(tmp_path):
+    # gl records no certificate; a monitored gl row used to report 0 violations
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--problem", "bp", "--dims", "40,10,2", "--instances", "2",
+                 "--variants", "gl,egl", "--max-iters", "300", "--monitor-lemma",
+                 "--out", str(out)]) == 0
+    col = CSV_COLUMNS.index("lemma_violations")
+    rows = _read_csv(out)[1:]
+    assert [(r[1], r[2]) for r in rows] == [("gl", "0"), ("gl", "1"), ("egl", "0"), ("egl", "1"),
+                                            ("gl", "median"), ("egl", "median")]
+    assert [r[col] for r in rows] == ["", "", "0", "0", "", "0.0"]
+
+
+def test_bench_runs_each_listed_variant_once_in_canonical_order(tmp_path):
+    paths = [tmp_path / "dup.csv", tmp_path / "plain.csv"]
+    for variants, out in zip(["egal,gl,egal", "gl,egal"], paths):
+        assert main(["bench", "--problem", "bp", "--dims", "40,10,2", "--instances", "2",
+                     "--variants", variants, "--max-iters", "300", "--out", str(out)]) == 0
+    seconds_col = CSV_COLUMNS.index("seconds")
+    tables = [_read_csv(p) for p in paths]
+    for table in tables:
+        for r in table:
+            r[seconds_col] = ""
+    assert tables[0] == tables[1]
+    assert [r[1] for r in tables[0][1:]] == ["gl", "gl", "egal", "egal", "gl", "egal"]

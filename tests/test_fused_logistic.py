@@ -373,7 +373,7 @@ def test_lagrangian_of_the_fused_problem_equals_the_hand_formula():
 def test_trajectory_matches_line_by_line_transcription():
     inst = _tiny_instance()
     alpha, beta, gamma = 0.05, 0.1, 0.1
-    prob = fl.as_problem(inst, fl.FusedLogisticConfig(alpha=alpha, beta=beta, gamma=gamma))
+    prob = fl.as_problem(inst, fl.FusedLogisticConfig(alpha=alpha, beta=beta))
     cfg = SolverConfig(variant=VariantKind.EGAL, gamma=gamma)
     oracle = fused_midpoint_transcription(inst.A, inst.labels, alpha, beta, gamma, 50)
     state = initial_state(prob)

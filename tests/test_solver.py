@@ -429,6 +429,17 @@ def test_solver_config_rejects_a_variant_that_is_not_a_variant_kind(bad):
         SolverConfig(variant=bad)
 
 
+@pytest.mark.parametrize("name", ["gamma", "safety", "tol", "alpha", "beta"])
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_a_bool_is_not_a_float_setting(name, flag):
+    # gamma=True used to run with step 1.0, tol=False stopped only on an exact fixed point
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        if name in ("alpha", "beta"):
+            fl.FusedLogisticConfig(**{name: flag})
+        else:
+            SolverConfig(VariantKind.EGL, **{name: flag})
+
+
 def test_non_integer_iteration_counts_are_rejected():
     # 2.5 used to pass SolverConfig and fail later inside islice, and a
     # mark 2.7 was silently truncated to 2
