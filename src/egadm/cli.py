@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -108,7 +109,14 @@ def cmd_gen(args):
     return 0
 
 
+def _check_out_dir(path):
+    """Refuse an output ``path`` (None: no output) whose directory does not exist."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise FileNotFoundError(f"the directory {str(Path(path).parent)!r} of {path!r} does not exist")
+
+
 def cmd_solve(args):
+    _check_out_dir(args.emit_coef)
     inst = storage.load_instance(args.instance)
     (config,), penalties = _configs(args)
     row, coef, failed = _run_cell(inst, config, penalties)
@@ -153,6 +161,7 @@ def write_csv(path, rows, summaries):
 
 
 def cmd_bench(args):
+    _check_out_dir(args.out)
     expected = 3 if args.problem == "bp" else 2
     dims = []
     for spec_str in args.dims:
@@ -193,7 +202,6 @@ def _add_solver_flags(p):
     """Flags whose dest is a ``SolverConfig`` or ``FusedLogisticConfig`` field, with its default."""
     cfg, pen = SolverConfig, fl.FusedLogisticConfig
     p.add_argument("--gamma", type=float, default=cfg.gamma, help="explicit step size (default %(default)s: the automatic rule)")
-    p.add_argument("--safety", type=float, default=cfg.safety, help="automatic step scale in (0, 1] (default %(default)s)")
     p.add_argument("--tol", type=float, default=cfg.tol, help="stop tolerance (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=cfg.max_iters, help="iteration cap (default %(default)s)")
     p.add_argument("--alpha", type=float, default=pen.alpha, help="l1 weight, fused problems (default %(default)s)")

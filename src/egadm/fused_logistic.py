@@ -296,22 +296,16 @@ def generate_block_pattern(n, m, seed):
     return _finish_instance(rng, xhat, n, m, seed, "blocks")
 
 
-def sparsity_report(x, threshold=None):
-    """Counts of coefficients and of successive differences above threshold.
-
-    The default threshold is ``1e-6 * max|x|`` (an exact zero count is
-    meaningless on a float solution).  Returns ``(nnz(x), nnz(L x))``.
+def sparsity_report(x):
+    """Counts of coefficients and of successive differences above
+    ``1e-6 * max|x|`` (an exact zero count is meaningless on a float
+    solution).  Returns ``(nnz(x), nnz(L x))``.
     """
     x = np.asarray(x, dtype=float)
     top = float(np.max(np.abs(x))) if x.size else 0.0
     if not np.isfinite(top):  # max|x| is inf or NaN exactly when an entry is
         raise ValueError("x has non-finite entries")
-    if threshold is None:
-        if top == 0.0:
-            return 0, 0
-        threshold = 1e-6 * top
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    threshold = 1e-6 * top  # 0 where it underflows: then every nonzero counts
     diffs = x[:-1] - x[1:]
     return (
         int(np.count_nonzero(np.abs(x) > threshold)),
@@ -331,7 +325,7 @@ def solve_fused(inst, cfg, variant=VariantKind.EGAL, **settings):
     """``solve`` on ``as_problem(inst, cfg)`` with ``stop_rule``.
 
     ``settings`` are further ``SolverConfig`` fields (``tol``,
-    ``max_iters``, ``safety``, ``monitor_certificate``); any not given
+    ``max_iters``, ``monitor_certificate``); any not given
     keeps ``SolverConfig``'s default.  The step size is ``cfg.gamma``.  The
     run stops by ``stop_rule(tol)`` or at the iteration cap.
     """

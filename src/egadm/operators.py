@@ -28,17 +28,19 @@ def shrink_unchecked(z, tau):
 class AffineProjector:
     """Euclidean projection onto ``{w : A w = rhs}`` for full-row-rank A.
 
-    Everything is computed once at construction: the Cholesky factor L of
-    ``A A^T``, ``M = A^T (A A^T)^{-1}`` and ``c = M rhs``.  Each call
-    returns ``w - M (A w) + c``, two m x n matvecs and no triangular
-    solves.  The matvecs go through ``M.dot`` and ``A.dot``, bound once
-    here: the same gemv as ``@``, bit for bit, without the ``matmul``
+    Built once from the reduced QR factorization ``A^T = Q R`` (Golub &
+    Van Loan, *Matrix Computations*, 4th ed., §5.3), each call returns
+    ``w - Q (Q^T w) + c`` with ``c = Q R^{-T} rhs``: two m x n matvecs, on
+    the set to machine precision whatever cond(A) is.  ``Q^T`` is kept
+    C-ordered like A, and the matvecs go through ``Q^T.dot`` and ``Q.dot``,
+    bound once: the same gemv as ``@``, bit for bit, without the ``matmul``
     ufunc's dispatch, which costs more than the product at these sizes.
 
     Raises ValueError at construction if the shapes disagree or A or rhs
     has a non-finite entry, and ``np.linalg.LinAlgError`` (a ValueError
-    subclass) if A is rank deficient: ``A A^T`` has no Cholesky factor, or
-    ``A M`` misses the identity by more than 1e-2 in some entry.
+    subclass) if A is rank deficient: fewer than m of R's diagonal entries
+    exceed ``max(m, n) * eps * max_j |R_jj|`` in magnitude, the tolerance
+    of ``np.linalg.matrix_rank``.
     """
 
     def __init__(self, A, rhs):
@@ -49,20 +51,17 @@ class AffineProjector:
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
             raise ValueError("A and rhs must have finite entries")
         self.A = A
-        # M^T = (A A^T)^{-1} A = L^{-T} L^{-1} A.  Inverting the m x m
-        # factor once is cheaper here than two solves with n right-hand sides.
-        inv_lower = np.linalg.inv(np.linalg.cholesky(A @ A.T))
-        self._M = (inv_lower.T @ (inv_lower @ A)).T
-        # Cholesky passes some rank-deficient A on a rounding-sized pivot; their
-        # A M misses I by 0.25 or more, a full-rank A's by 2e-3 even at cond 1e7
-        miss = float(np.max(np.abs(A @ self._M - np.eye(A.shape[0]))))
-        if not miss <= 1e-2:  # NaN fails the test too
-            raise np.linalg.LinAlgError(f"A is rank deficient: max|A M - I| = {miss:.2g}")
-        self._c = self._M @ rhs
-        self._mdot, self._adot = self._M.dot, A.dot
+        q, r = np.linalg.qr(A.T)
+        diag = np.abs(np.diagonal(r))  # min(m, n) entries, so m > n is deficient
+        rank = np.count_nonzero(diag > max(A.shape) * np.finfo(float).eps * diag.max(initial=0.0))
+        if rank < len(rhs):
+            raise np.linalg.LinAlgError(f"A is rank deficient: numerical rank {rank} < {len(rhs)} rows")
+        self._qt = np.ascontiguousarray(q.T)
+        self._c = q @ np.linalg.solve(r.T, rhs)
+        self._qt_dot, self._q_dot = self._qt.dot, self._qt.T.dot
 
     def __call__(self, w):
-        return w - self._mdot(self._adot(w)) + self._c
+        return w - self._q_dot(self._qt_dot(w)) + self._c
 
 
 def l1_prox(weights):

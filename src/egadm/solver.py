@@ -37,6 +37,9 @@ from .problem import kkt_lipschitz_bound, lagrangian
 #: Residual magnitude past which an iterate counts as diverged.
 DIVERGENCE_LIMIT = 1e12
 
+#: Fraction of the stability limit ``1 / (2 * Lhat)`` the automatic step size takes.
+STEP_SAFETY = 0.9
+
 #: Slack applied before a positive certificate value counts as a violation.
 CERTIFICATE_SLACK = 1e-10
 
@@ -85,7 +88,7 @@ class SolverConfig:
     """Solver knobs.
 
     ``gamma=None`` selects the step size automatically as
-    ``safety / (2 * Lhat)`` where Lhat is the problem's KKT-map Lipschitz
+    ``STEP_SAFETY / (2 * Lhat)`` where Lhat is the problem's KKT-map Lipschitz
     bound; an explicit gamma is taken as-is.  ``monitor_certificate``
     records the extragradient contraction certificate each iteration
     (midpoint variants only) and counts violations.
@@ -93,7 +96,6 @@ class SolverConfig:
 
     variant: VariantKind
     gamma: Optional[float] = None
-    safety: float = 0.9
     max_iters: int = 20000
     tol: float = 1e-4
     monitor_certificate: bool = False
@@ -102,14 +104,12 @@ class SolverConfig:
         if not isinstance(self.variant, VariantKind):
             kinds = ", ".join(str(v) for v in VariantKind)
             raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
-        for name in ("gamma", "safety", "tol"):  # True would pass as 1.0
+        for name in ("gamma", "tol"):  # True would pass as 1.0
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # each test is written so that NaN fails it
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
         if not (_count(self.max_iters, "max_iters") >= 0 and 0 <= self.tol < math.inf):
             raise ValueError("max_iters and tol must be nonnegative, tol finite")
 
@@ -157,14 +157,14 @@ class SolveReport:
 
 
 def resolve_gamma(problem, config):
-    """Step size actually used: explicit gamma, or safety / (2 * Lhat)."""
+    """Step size actually used: explicit gamma, or STEP_SAFETY / (2 * Lhat)."""
     if config.gamma is not None:
         return float(config.gamma)
     lhat = kkt_lipschitz_bound(problem)
     if not 0.0 < lhat < np.inf:  # NaN fails the test too
         what = "zero" if lhat == 0 else f"{lhat!r}, not positive and finite"
         raise ValueError(f"cannot auto-select a step size: the KKT map bound is {what}")
-    return config.safety / (2.0 * lhat)
+    return STEP_SAFETY / (2.0 * lhat)
 
 
 def initial_state(problem):

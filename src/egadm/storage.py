@@ -11,10 +11,11 @@ so float64 values round-trip.  Basis-pursuit directories carry ``b.txt``
 and ``xhat.txt``; fused directories carry ``labels.txt``, ``xhat.txt``,
 and a ``pattern.json`` naming the generator and its parameters.
 
-``meta.json``'s ``format_version`` says where A is: 2 is ``A.npy``; 1 (or
-no ``format_version``) is ``A.mtx``, MatrixMarket array text, which
-directories written before format 2 hold and which still load.  A is
-read with ``allow_pickle=False``: loading never unpickles.  Each JSON
+``meta.json`` must hold the ``kind`` and the ``format_version`` (every
+writer has written both), which says where A is: 2 is ``A.npy``; 1 is
+``A.mtx``, MatrixMarket array text, which directories written before
+format 2 hold and which still load.  A is read with ``allow_pickle=False``:
+loading never unpickles.  Each JSON
 value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
 ``c_true`` a finite number and ``pattern`` a string (a bool is none of
 these); anything else is a ValueError naming the file and the key, and
@@ -58,7 +59,7 @@ def _read_matrix(d, meta):
     Anything that is not a real 2-d array of that shape with finite
     entries is a ValueError naming the file; a missing file is an OSError
     naming it."""
-    version = meta.get("format_version", 1)
+    version = meta["format_version"]
     if type(version) is not int or version not in _MATRIX_FILES:
         raise ValueError(f"{meta.path} has unknown format_version {version!r}")
     path = d / _MATRIX_FILES[version]
@@ -188,17 +189,14 @@ def save_fused_instance(inst, directory):
 
 
 def load_instance(directory):
-    """Load either instance kind, dispatching on meta.json (falling back
-    to the presence of pattern.json for directories written elsewhere).
+    """Load either instance kind, dispatching on meta.json's ``kind``.
     Files are read in the order meta.json, pattern.json, A, vectors."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
         raise FileNotFoundError(f"no meta.json under {d}")
     meta = _JsonObject(meta_path)
-    kind = meta.get("kind")
-    if kind is None:
-        kind = "fused_logistic" if (d / "pattern.json").is_file() else "basis_pursuit"
+    kind = meta["kind"]
     # the list compares by ==, so a kind that is a JSON list or object is unknown, not unhashable
     if kind not in list(_KINDS):
         raise ValueError(f"{meta_path} has unknown instance kind {kind!r}")

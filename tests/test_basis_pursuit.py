@@ -39,7 +39,7 @@ def test_generate_retries_a_rank_deficient_draw(monkeypatch):
     def flaky(A, rhs):
         calls.append(A)
         if len(calls) == 1:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            raise np.linalg.LinAlgError("A is rank deficient: numerical rank 9 < 10 rows")
         return real(A, rhs)
 
     monkeypatch.setattr(bp, "AffineProjector", flaky)

@@ -13,6 +13,7 @@ import pytest
 from oracles import write_format_1_matrix
 
 from egadm import basis_pursuit as bp
+from egadm import cli
 from egadm import fused_logistic as fl
 from egadm import storage
 from egadm.cli import CSV_COLUMNS, BenchSpec, build_parser, main, run_bench
@@ -130,8 +131,8 @@ def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
 
 
 def test_solve_rank_deficient_bp_instance_exits_one(tmp_path, capsys):
-    # row 0 of this saved A copied into row 1: Cholesky of A A^T passes on a
-    # rounding-sized pivot, and the solve would report a wrong x as converged
+    # row 0 of this saved A copied into row 1: the solve must refuse it, not
+    # report a point off {y : A y = b} as converged
     out = tmp_path / "inst"
     main(["gen", "bp", "--n", "100", "--m", "20", "--s", "2", "--seed", "7",
           "--out", str(out)])
@@ -177,6 +178,37 @@ def test_solve_emits_coefficients(tmp_path, capsys):
     lines = coef.read_text().strip().splitlines()
     assert len(lines) == 40
     float(lines[0])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
+def test_solve_refuses_an_emit_coef_path_without_its_directory_before_solving(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "2", "--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "solve", _must_not_run)
+    coef = tmp_path / "nodir" / "c.txt"
+    assert main(["solve", str(out), "--emit-coef", str(coef)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the directory {str(coef.parent)!r} of {str(coef)!r} does not exist\n"
+
+
+def test_bench_refuses_an_out_path_without_its_directory_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_bench", _must_not_run)
+    monkeypatch.setattr(cli, "_instance", _must_not_run)
+    out = tmp_path / "nodir" / "x.csv"
+    rc = main(["bench", "--problem", "bp", "--dims", "30,8,2", "--instances", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: the directory {str(out.parent)!r} of {str(out)!r} does not exist\n"
+    assert not out.parent.exists()
 
 
 def test_solve_fused_reports_sparsity(tmp_path, capsys):
@@ -418,7 +450,7 @@ def test_every_solver_knob_is_a_cli_flag_with_the_library_default(command):
     flags = _flag_defaults(command)
     library = [f for f in dataclasses.fields(SolverConfig) if f.name != "variant"]
     library += [f for f in dataclasses.fields(fl.FusedLogisticConfig) if f.name != "gamma"]
-    assert len(library) == 7
+    assert len(library) == 6
     for f in library:
         assert f.name in flags, f.name
         assert flags[f.name] == f.default and type(flags[f.name]) is type(f.default), f.name

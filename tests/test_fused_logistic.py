@@ -285,23 +285,25 @@ def test_generators_are_deterministic_and_labels_consistent():
 def test_sparsity_report_basics():
     assert fl.sparsity_report(np.zeros(10)) == (0, 0)
     assert fl.sparsity_report(np.full(7, 3.0)) == (7, 0)
-    with pytest.raises(ValueError):
-        fl.sparsity_report(np.ones(3), threshold=0.0)
-    with pytest.raises(ValueError):
-        fl.sparsity_report(np.ones(3), threshold=np.nan)
+    assert fl.sparsity_report(np.array([])) == (0, 0)
+
+
+def test_sparsity_report_counts_exact_nonzeros_where_the_threshold_underflows():
+    # 1e-6 * 5e-324 rounds to 0, which used to raise "threshold must be positive"
+    assert fl.sparsity_report(np.array([5e-324, 0.0])) == (1, 1)
+    assert fl.sparsity_report(np.array([-5e-324, -5e-324, 0.0])) == (2, 1)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("threshold", [None, 0.5])
-def test_sparsity_report_rejects_non_finite_entries(bad, threshold):
+def test_sparsity_report_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="x has non-finite entries"):
-        fl.sparsity_report(np.array([bad, 1.0]), threshold=threshold)
+        fl.sparsity_report(np.array([bad, 1.0]))
 
 
 def test_sparsity_report_on_planted_blocks():
     inst = fl.generate_block_pattern(500, 50, 0)
     # 41 nonzeros; the pattern has 7 level changes (counted directly)
-    assert fl.sparsity_report(inst.xhat, threshold=1e-6) == (41, 7)
+    assert fl.sparsity_report(inst.xhat) == (41, 7)
 
 
 def test_problem_coupling_spectrum_small_case():

@@ -138,12 +138,12 @@ def projectors_and_points(draw):
 @given(projectors_and_points())
 def test_projector_gives_the_bits_of_its_matmul_form(case):
     proj, w = case
-    M, A, c = proj._M, proj.A, proj._c
+    Q, c = proj._qt.T, proj._c
     if w.ndim == 1:
-        assert proj(w).tobytes() == (w - M @ (A @ w) + c).tobytes()
+        assert proj(w).tobytes() == (w - Q @ (Q.T @ w) + c).tobytes()
     else:
         # c is one vector, so a block goes only through the call's two products
-        assert proj._mdot(proj._adot(w)).tobytes() == (M @ (A @ w)).tobytes()
+        assert proj._q_dot(proj._qt_dot(w)).tobytes() == (Q @ (Q.T @ w)).tobytes()
 
 
 def test_projector_rank_deficient_rejected_at_construction():
@@ -154,36 +154,68 @@ def test_projector_rank_deficient_rejected_at_construction():
 
 def _rank_deficient(kind):
     """The 20 x 100 A of ``bp.generate(100, 20, 2, 7)`` with one row made
-    a combination of others: row 1 equal to row 0, three times row 0, or
-    row 2 equal to row 0 - 2 row 1."""
+    a combination of others (row 1 equal to row 0, three times row 0, or
+    row 2 equal to row 0 - 2 row 1) or zero, or its first 21 columns: a
+    tall 20 x 21 block read as 21 x 20."""
     A = np.array(bp.generate(100, 20, 2, 7).A)
     if kind == "duplicate":
         A[1] = A[0]
     elif kind == "scaled":
         A[1] = 3.0 * A[0]
-    else:
+    elif kind == "combined":
         A[2] = A[0] - 2.0 * A[1]
+    elif kind == "zero row":
+        A[5] = 0.0
+    else:
+        return A[:, :21].T.copy()
     return A
 
 
-@pytest.mark.parametrize("kind", ["duplicate", "scaled", "combined"])
-def test_projector_rejects_a_rank_deficient_A_that_passes_cholesky(kind):
+@pytest.mark.parametrize(
+    "kind, rank",
+    [("duplicate", 19), ("scaled", 19), ("combined", 19), ("zero row", 19), ("more rows than columns", 20)],
+)
+def test_projector_rejects_a_rank_deficient_A_by_its_numerical_rank(kind, rank):
     A = _rank_deficient(kind)
-    # rounding leaves A A^T a tiny positive pivot, so Cholesky alone passes
-    np.linalg.cholesky(A @ A.T)
-    with pytest.raises(np.linalg.LinAlgError, match="A is rank deficient"):
-        AffineProjector(A, np.zeros(20))
+    m = A.shape[0]
+    with pytest.raises(np.linalg.LinAlgError, match=rf"A is rank deficient: numerical rank {rank} < {m} rows"):
+        AffineProjector(A, np.zeros(m))
 
 
-def test_projector_accepts_an_ill_conditioned_full_rank_A():
-    # cond(A) = 1e7: A M misses I by about 1e-3, within the tolerance
-    rng = np.random.default_rng(8)
-    left, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    right, _ = np.linalg.qr(rng.standard_normal((100, 20)))
-    A = (left * np.logspace(0, -7, 20)) @ right.T
-    assert np.linalg.cond(A) == pytest.approx(1e7, rel=1e-6)
+def _conditioned(m, n, cond, rng):
+    """An m x n A (m <= n) with singular values spaced log-uniformly from
+    1 down to 1/cond, between random orthonormal bases."""
+    left, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    right, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    return (left * np.logspace(0, -np.log10(cond), m)) @ right.T
+
+
+@pytest.mark.parametrize("cond", [1e7, 1e9])
+def test_projector_accepts_an_ill_conditioned_full_rank_A(cond):
+    A = _conditioned(20, 100, cond, np.random.default_rng(8))
+    assert np.linalg.cond(A) == pytest.approx(cond, rel=1e-6)
+    assert np.linalg.matrix_rank(A) == 20
     proj = AffineProjector(A, np.zeros(20))
-    assert 0 < np.max(np.abs(A @ proj._M - np.eye(20))) <= 1e-2
+    Q = proj._qt.T
+    assert np.max(np.abs(Q.T @ Q - np.eye(20))) <= 1e-14
+    w = np.random.default_rng(9).standard_normal(100)
+    assert np.linalg.norm(A @ proj(w)) <= 1e-14 * np.linalg.norm(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 120))),
+    st.floats(0.0, 8.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_projector_is_feasible_and_idempotent_to_machine_precision(shape, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    A = _conditioned(*shape, 10.0**log_cond, rng)
+    bvec = rng.standard_normal(shape[0])
+    proj = AffineProjector(A, bvec)
+    out = proj(rng.standard_normal(shape[1]))
+    assert np.linalg.norm(A @ out - bvec) <= 1e-13 * (np.linalg.norm(out) + np.linalg.norm(bvec))
+    assert np.linalg.norm(proj(out) - out) <= 1e-13 * np.linalg.norm(out)
 
 
 def test_projector_rejects_nan_in_matrix():

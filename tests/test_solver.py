@@ -413,8 +413,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(variant=VariantKind.EGL, gamma=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(variant=VariantKind.EGL, safety=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(variant=VariantKind.EGL, tol=-1e-3)
     for setting in ({"gamma": np.nan}, {"gamma": np.inf}, {"tol": np.nan}, {"tol": np.inf}):
         with pytest.raises(ValueError):
@@ -429,7 +427,7 @@ def test_solver_config_rejects_a_variant_that_is_not_a_variant_kind(bad):
         SolverConfig(variant=bad)
 
 
-@pytest.mark.parametrize("name", ["gamma", "safety", "tol", "alpha", "beta"])
+@pytest.mark.parametrize("name", ["gamma", "tol", "alpha", "beta"])
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
 def test_a_bool_is_not_a_float_setting(name, flag):
     # gamma=True used to run with step 1.0, tol=False stopped only on an exact fixed point
@@ -598,9 +596,9 @@ def test_iterate_matches_the_reference_step_bit_for_bit(case, variant):
 def test_bp_iterates_keep_their_bits_under_a_matmul_projector(variant):
     prob = bp.as_problem(bp.generate(100, 20, 2, 0))
     proj = prob.smooth_block.project
-    M, A, c = proj._M, proj.A, proj._c
+    Q, c = proj._qt.T, proj._c
     by_matmul = replace(
-        prob, smooth_block=replace(prob.smooth_block, project=lambda w: w - M @ (A @ w) + c)
+        prob, smooth_block=replace(prob.smooth_block, project=lambda w: w - Q @ (Q.T @ w) + c)
     )
     cfg = SolverConfig(variant=variant)
     runs = (itertools.islice(iterate(p, cfg), 300) for p in (prob, by_matmul))

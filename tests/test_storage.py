@@ -79,12 +79,14 @@ def test_load_instance_dispatches_on_kind(tmp_path):
     assert isinstance(storage.load_instance(fused_dir), fl.FusedLogisticInstance)
 
 
-def test_load_instance_falls_back_to_pattern_sniffing(tmp_path):
+def test_meta_without_kind_is_refused_beside_pattern_json(tmp_path):
+    # the kind is never guessed from the files present
     d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 5), tmp_path / "x")
     meta = json.loads((d / "meta.json").read_text())
     del meta["kind"]
     (d / "meta.json").write_text(json.dumps(meta))
-    assert isinstance(storage.load_instance(d), fl.FusedLogisticInstance)
+    with pytest.raises(ValueError, match=r"meta\.json lacks the key 'kind'"):
+        storage.load_instance(d)
 
 
 def test_load_instance_missing_meta(tmp_path):
@@ -212,14 +214,17 @@ def test_format_2_A_has_the_bits_mmread_gives_for_format_1(tmp_path):
     assert old.A.flags.c_contiguous and old.A.base is None
 
 
-def test_meta_without_format_version_reads_A_mtx(tmp_path):
+def test_meta_without_format_version_is_refused_beside_A_mtx(tmp_path):
+    # a format-1 directory loads when it says so, and the version is never guessed
     inst = bp.generate(40, 10, 3, 21)
     d = storage.save_bp_instance(inst, tmp_path / "inst")
     write_format_1_matrix(d, inst.A)
+    assert storage.load_instance(d).A.tobytes() == inst.A.tobytes()
     meta = json.loads((d / "meta.json").read_text())
     del meta["format_version"]
     (d / "meta.json").write_text(json.dumps(meta))
-    assert storage.load_instance(d).A.tobytes() == inst.A.tobytes()
+    with pytest.raises(ValueError, match=r"meta\.json lacks the key 'format_version'"):
+        storage.load_instance(d)
 
 
 @pytest.mark.parametrize("version", [0, 3, 7, "2", 2.5, None, True])
@@ -424,6 +429,7 @@ _EDITS = {
         _BOTH, _meta_as_pairs, ValueError,
         "{d}/meta.json does not hold a JSON object: it holds a list",
     ),
+    "kind-missing": (_BOTH, _meta(kind=_DROP), ValueError, "{d}/meta.json lacks the key 'kind'"),
     "kind-unknown": (
         _BOTH, _meta(kind="lasso"), ValueError, "{d}/meta.json has unknown instance kind 'lasso'"
     ),
@@ -441,6 +447,10 @@ _EDITS = {
     ),
     "kind-bp-on-fused": (
         _FUSED, _meta(kind="basis_pursuit"), FileNotFoundError, "{d}/b.txt not found."
+    ),
+    "version-missing": (
+        _BOTH, _meta(format_version=_DROP), ValueError,
+        "{d}/meta.json lacks the key 'format_version'",
     ),
     "version-unknown": (
         _BOTH, _meta(format_version=3), ValueError, "{d}/meta.json has unknown format_version 3"
