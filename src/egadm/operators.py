@@ -3,6 +3,11 @@ projection onto an affine set, and the closed-form weighted l1 x-step."""
 
 import numpy as np
 
+from .problem import frozen_copy
+
+# a read-only 0-d float64 operand: a Python float would be converted on every call
+_ZERO = frozen_copy(0.0)
+
 
 def shrink(z, tau):
     """Soft-threshold ``z`` componentwise at level ``tau``.
@@ -22,7 +27,7 @@ def shrink_unchecked(z, tau):
     """``shrink`` of a float array ``z`` without validating ``tau``: the
     caller has checked that every threshold is nonnegative."""
     # not np.copysign: at z = -0.0 it returns -0.0, where np.sign(-0.0) is +0.0
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    return np.sign(z) * np.maximum(np.abs(z) - tau, _ZERO)
 
 
 class AffineProjector:
@@ -74,12 +79,18 @@ def l1_prox(weights):
     that is not positive and finite is a ValueError.  It keeps no state, so
     solves with different gammas may share it.  ``weights``, a nonnegative
     float or float array that broadcasts against x, is not checked.
+
+    The threshold reaches the shrink as an array, 0-d for a scalar weight,
+    and the shrink's zero is a read-only 0-d array: a ufunc converts a
+    Python-float operand on every call, about 0.3 us each at these sizes,
+    for the same bits.
     """
 
     def solve_subproblem(offset, lam, gamma):
         # written so that a NaN gamma fails the test
         if not 0 < gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        return shrink_unchecked(np.asarray(lam / gamma - offset, dtype=float), weights / gamma)
+        anchor = np.asarray(lam / gamma - offset, dtype=float)
+        return shrink_unchecked(anchor, np.asarray(weights / gamma))
 
     return solve_subproblem

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import kkt_lipschitz_bound, lagrangian
+from .problem import frozen_copy, kkt_lipschitz_bound, lagrangian
 
 #: Residual magnitude past which an iterate counts as diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -181,7 +181,11 @@ def _run(problem, config, gamma, state):
     a local once, before the first step: the coupling's ``apply_*`` as
     bound methods (so a subclass's overrides still see every product),
     the prox and the smooth block's callables, ``b``, the variant's
-    traits and whether to monitor.
+    traits and whether to monitor.  The step products take gamma as
+    ``g``, a read-only 0-d float64 array: a ufunc converts a Python-float
+    operand on every call, about 0.3 us each at these sizes, and the
+    product is the same, bit for bit.  ``solve_subproblem`` and the
+    certificate keep the Python float.
     """
     c = problem.coupling
     apply_a, apply_b, apply_bt = c.apply_a, c.apply_b, c.apply_bt
@@ -192,6 +196,7 @@ def _run(problem, config, gamma, state):
     extragradient, augmented = variant.extragradient, variant.augmented
     monitor = config.monitor_certificate and extragradient
     sqrt, isfinite, add_reduce = math.sqrt, math.isfinite, np.add.reduce
+    g = frozen_copy(gamma)
 
     while True:
         y, lam = state.y, state.lam
@@ -205,21 +210,21 @@ def _run(problem, config, gamma, state):
         # the augmented pull and the extragradient lam_mid; GL reads neither
         if augmented or extragradient:
             resid_k = ax_next + offset
-            lam_mid = lam - gamma * resid_k
+            lam_mid = lam - g * resid_k
         # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
         # lam - gamma * resid_k for the augmented variants
         bt_pull = apply_bt(lam_mid if augmented else lam)
-        y_mid = project(y - gamma * (gradient(y) - bt_pull))
+        y_mid = project(y - g * (gradient(y) - bt_pull))
         resid_mid = ax_next + apply_b(y_mid)
         if not b_is_zero:
             resid_mid = resid_mid - b
-        step_mid = gamma * resid_mid
+        step_mid = g * resid_mid
         lam_next = lam - step_mid
         if extragradient:
             grad_mid = gradient(y_mid)
             pull = lam_mid - step_mid if augmented else lam_mid
             g_mid = grad_mid - apply_bt(pull)
-            y_next = project(y - gamma * g_mid)
+            y_next = project(y - g * g_mid)
         else:
             # Plain-gradient variants end at (y_mid, lam_next); the midpoint
             # fields repeat that pair so downstream code has one shape to handle.

@@ -159,6 +159,25 @@ def central_diff_gradient(fun, point, h=1e-6):
     return out
 
 
+def masked_sigmoid(t):
+    """``1 / (1 + exp(-t))`` where ``t >= 0`` and ``exp(t) / (1 + exp(t))``
+    elsewhere, each branch on its own entries."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def logistic_gradient(data, z):
+    """The average logistic loss's gradient at the stacked point ``z`` for
+    the augmented data matrix ``data``, as one formula written with ``@``
+    and Python-number operands: ``(data.T @ (1 - sigmoid(data @ z))) / -m``,
+    the sigmoid in its masked form."""
+    return (data.T @ (1.0 - masked_sigmoid(data @ z))) / -data.shape[0]
+
+
 def bp_midpoint_transcription(A, b, gamma, iters):
     """Direct transcription of the five-line midpoint iteration for
     min ||x||_1 s.t. x = y, A y = b, using its own LU-based projection.

@@ -65,3 +65,41 @@ def test_the_traced_fused_solve_takes_the_iterations_of_solve_fused():
     proc = _run_with_bench(_TRACED_FUSED)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+_TRACED_BP = """
+import tracing, workloads
+from egadm import basis_pursuit as bp
+from egadm.solver import SolverConfig, VariantKind, solve
+
+inst = bp.generate(100, 20, 2, 0)
+for variant in VariantKind:
+    config = SolverConfig(variant=variant, tol=workloads.TOL, max_iters=workloads.MAX_ITERS)
+    tracer = tracing.Tracer()
+    problem = tracing.traced_problem(bp.as_problem(inst), tracer, "basis_pursuit")
+    report, span = workloads._traced_solve(tracer, problem, config)
+    plain = solve(bp.as_problem(inst), config)
+    assert tracer.spans[span][0] == "solver.solve"
+    assert (report.iterations, report.converged) == (plain.iterations, plain.converged)
+    for name in ("x", "y", "lam", "y_mid", "lam_mid"):
+        traced, want = getattr(report.state, name), getattr(plain.state, name)
+        assert traced.tobytes() == want.tobytes(), (variant, name)
+    # the calls per iteration of test_monitored_iteration_reuses_the_products_it_computed;
+    # the start's projection adds one affine_project span
+    k, steps = report.iterations, 2 if variant.extragradient else 1
+    names = [s[0] for s in tracer.spans]
+    counts = {name: names.count(name) for name in set(names)}
+    assert counts == {
+        "solver.solve": 1, "operators.shrink": k, "problem.apply_a": k,
+        "problem.apply_b": 2 * k, "problem.apply_bt": steps * k,
+        "basis_pursuit.gradient": steps * k, "operators.affine_project": steps * k + 1,
+    }, (variant, k, counts)
+    print(variant.value, k)
+"""
+
+
+def test_the_traced_bp_solves_keep_the_bits_and_calls_of_solve():
+    # the traced path of the bp_variants workload, every variant
+    proc = _run_with_bench(_TRACED_BP)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 8 and all(int(k) > 0 for k in proc.stdout.split()[1::2])

@@ -3,13 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egadm import fused_logistic as fl
 from egadm.operators import l1_prox
 from egadm.problem import kkt_lipschitz_bound, lagrangian
 from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve
 from oracles import (
-    central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, next_state,
+    central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, logistic_gradient,
+    masked_sigmoid, next_state,
 )
 
 
@@ -59,20 +63,11 @@ def test_logistic_value_is_overflow_safe():
         assert np.isfinite(loss(np.append(np.full(3, c / 10), c)))
 
 
-def _masked_sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
-
-
 def test_sigmoid_equals_the_masked_form_bit_for_bit():
     special = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0, np.inf, -np.inf]
     rng = np.random.default_rng(4)
     for t in (np.array(special), rng.standard_normal(5000) * 40, rng.standard_normal(500)):
-        assert fl._sigmoid(t).tobytes() == _masked_sigmoid(t).tobytes()
+        assert fl._sigmoid(t).tobytes() == masked_sigmoid(t).tobytes()
     # a NaN stays NaN; only its sign bit may differ from the masked form
     assert np.isnan(fl._sigmoid(np.array([np.nan, -np.nan]))).all()
 
@@ -120,9 +115,64 @@ def test_smooth_gradient_matches_the_split_formula(pattern):
         gradient = fl.as_problem(inst, fl.FusedLogisticConfig()).smooth_block.gradient
         aux = fl.LogisticAux.from_data(inst.A, inst.labels)
         rng = np.random.default_rng(s)
-        for z in (rng.standard_normal(inst.n + 1), np.append(inst.xhat, inst.c_true)):
+        planted = np.append(inst.xhat, inst.c_true)
+        for z in (rng.standard_normal(inst.n + 1), planted, 100.0 * planted):
             split = _split_gradient(aux, z)
             assert np.linalg.norm(gradient(z) - split) <= 1e-15 * np.linalg.norm(split)
+            # and the bits of the one-formula oracle, at the gemv sizes of the benchmark
+            assert gradient(z).tobytes() == logistic_gradient(aux.data, z).tobytes()
+
+
+@st.composite
+def _logistic_points(draw):
+    """Data ``A`` and labels of up to 8 x 5, and a stacked point ``z`` whose
+    margins reach both signs, zero, and past 745 in magnitude, where
+    ``exp(-|t|)`` underflows to 0."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    A = draw(arrays(np.float64, (m, n), elements=st.floats(-10.0, 10.0)))
+    labels = draw(arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
+    z = draw(st.one_of(
+        st.just(np.zeros(n + 1)),
+        arrays(np.float64, n + 1, elements=st.floats(-1e4, 1e4)),
+    ))
+    return A, labels, z
+
+
+_EDGE_DATA = (np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logistic_points())
+@example((*_EDGE_DATA, np.zeros(2)))                # t = +0.0 in every row
+@example((*_EDGE_DATA, np.array([-0.0, -0.0])))     # still +0.0: a gemv sums from +0.0
+@example((*_EDGE_DATA, np.array([800.0, -1600.0])))  # t = -800 and 3200
+@example((*_EDGE_DATA, np.array([0.25, -1.0])))     # t = -0.75 and 0.5
+def test_the_solvers_logistic_gradient_gives_the_bits_of_its_formula(case):
+    # the gradient a solve runs, with its bound products and 0-d operands,
+    # against the formula written with ``@`` and Python numbers.  A margin
+    # of -0.0 cannot come out of the gemv ``data @ z``;
+    # test_sigmoid_equals_the_masked_form_bit_for_bit covers that input.
+    A, labels, z = case
+    inst = _instance_of(A, labels)
+    want = logistic_gradient(inst.aux.data, z)
+    assert inst.smooth_block.gradient(z).tobytes() == want.tobytes()
+
+
+_residuals = arrays(
+    np.float64, st.integers(1, 20),
+    elements=st.floats(allow_nan=True, allow_infinity=True, width=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residuals, st.floats(0.0, 1e3))
+@example(np.array([0.0, np.nan]), 1.0)
+@example(np.array([-0.0, -1e-3, 1e-3]), 1e-3)
+def test_the_fused_stop_rule_is_the_max_abs_residual_below_tol(r, tol):
+    stop = fl.stop_rule(tol)(StepInfo(r, 0.0, 0.0))
+    assert bool(stop) == bool(np.abs(r).max() < tol)
+    if np.isnan(r).any():  # a NaN residual never stops the run
+        assert not stop
 
 
 def test_aux_signed_and_labels_are_views_of_the_augmented_matrix():
@@ -292,6 +342,13 @@ def test_sparsity_report_counts_exact_nonzeros_where_the_threshold_underflows():
     # 1e-6 * 5e-324 rounds to 0, which used to raise "threshold must be positive"
     assert fl.sparsity_report(np.array([5e-324, 0.0])) == (1, 1)
     assert fl.sparsity_report(np.array([-5e-324, -5e-324, 0.0])) == (2, 1)
+
+
+def test_sparsity_report_counts_a_difference_that_overflows():
+    # 1e308 - (-1e308) overflows to inf, above the threshold 1e-6 * 1e308;
+    # under the suite's warning filter an overflow warning would fail this
+    assert fl.sparsity_report(np.array([1e308, -1e308])) == (2, 1)
+    assert fl.sparsity_report(np.array([-1.7e308, 1.7e308, 1.7e308])) == (3, 1)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

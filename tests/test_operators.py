@@ -299,6 +299,35 @@ def test_l1_prox_gives_the_bits_of_one_shrink_at_each_calls_gamma(kind):
             assert out.dtype == np.float64 and out.tobytes() == want.tobytes(), (gamma, dtype)
 
 
+def _python_float_l1_step(weights, offset, lam, gamma):
+    # the x-step with its threshold and zero as Python floats for a scalar weight
+    z = np.asarray(lam / gamma - offset, dtype=float)
+    return np.sign(z) * np.maximum(np.abs(z) - weights / gamma, 0.0)
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_l1_prox_gives_the_bits_of_the_python_float_formula(kind):
+    n = 40
+    weights = _weights(kind, n)
+    w = np.broadcast_to(weights, n)
+    prox = l1_prox(weights)
+    rng = np.random.default_rng(6)
+    for gamma in (0.3, 0.07, 1.0, 2.0, 1e-3):
+        offset, lam = rng.standard_normal((2, n))
+        # anchors lam / gamma - offset at exactly +threshold and -threshold
+        offset[:10] = 0.0
+        lam[:5], lam[5:10] = w[:5], -w[5:10]
+        # anchors -0.0 - 0.0 = -0.0 and 0.0 - (-0.0) = +0.0, and NaNs
+        lam[10:12], offset[10:12] = -0.0, 0.0
+        lam[12:14], offset[12:14] = 0.0, -0.0
+        lam[14], offset[15] = np.nan, np.nan
+        out = prox(offset, lam, gamma)
+        assert out.tobytes() == _python_float_l1_step(weights, offset, lam, gamma).tobytes()
+        # the sign of zero: sign(-t) * 0.0 is -0.0, and sign(-0.0) is +0.0
+        assert np.array_equal(np.signbit(out[:14]), [False] * 5 + [True] * 5 + [False] * 4)
+        assert np.isnan(out[14:16]).all()
+
+
 def test_l1_prox_recomputes_the_threshold_when_gamma_changes():
     prox = l1_prox(1.0)
     zeros, ones = np.zeros(40), np.ones(40)
