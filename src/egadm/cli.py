@@ -131,10 +131,15 @@ def cmd_solve(args):
 def run_bench(spec):
     """Execute a sweep, each of ``spec.configs`` on every instance, and
     return its rows in (problem, variant, seed) order, followed by
-    per-(problem, variant) median summary rows."""
+    per-(problem, variant) median summary rows.  Each instance is built,
+    solved under every config and dropped before the next is built, so
+    one instance is alive at a time."""
     seeds = range(spec.seed_base, spec.seed_base + spec.instances)
-    cells = [_instance(spec.problem, dims, seed, spec.pattern) for dims in spec.dims for seed in seeds]
-    rows = [_run_cell(inst, config, spec.penalties)[0] for config in spec.configs for inst in cells]
+    rows = []
+    for dims, seed in itertools.product(spec.dims, seeds):
+        inst = _instance(spec.problem, dims, seed, spec.pattern)
+        rows += [_run_cell(inst, config, spec.penalties)[0] for config in spec.configs]
+        del inst
     rows.sort(key=lambda r: (r["problem"], VARIANT_ORDER.index(VariantKind(r["variant"])), r["seed"]))
 
     summaries = []

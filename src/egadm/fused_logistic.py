@@ -28,18 +28,46 @@ from .problem import (
 from .solver import SolverConfig, VariantKind, solve
 
 
-@dataclass(frozen=True)
+class _DataFromAux:
+    """The field ``A`` of a ``FusedLogisticInstance``, rebuilt from the
+    instance's augmented matrix on each access as ``signed * labels``:
+    exact, since each label is -1.0 or +1.0, so every bit of the
+    constructor's A comes back, signed zeros included.  The result is a
+    fresh read-only m x n array.
+
+    Access on the class raises AttributeError, so the dataclass gives the
+    field no default; having no ``__set__``, the generated ``__init__``
+    stores the caller's A in the instance's ``__dict__``, from where
+    ``__post_init__`` takes it.
+    """
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            raise AttributeError("A")
+        A = inst.aux.signed * inst.aux.labels[:, None]
+        A.flags.writeable = False
+        return A
+
+
+@dataclass(frozen=True, eq=False)
 class FusedLogisticInstance:
     """Binary-labelled data with a planted piecewise-constant coefficient
     vector; labels are exactly -1.0 or +1.0.
 
-    A, labels and xhat are kept as read-only float copies, so the set-up
-    derived from the data alone, ``aux``, ``lipschitz``, ``coupling`` and
-    ``smooth_block``, is built on first use and reused by every later solve
-    of this object without going stale; ``dataclasses.replace`` makes a
-    new instance with its own cache."""
+    The data are held once, as ``aux``, the read-only ``LogisticAux`` the
+    constructor builds from A and labels (a label other than -1 or +1, or
+    a label count other than A's row count, is a ValueError there).
+    ``labels`` is a view into it, and ``A`` is rebuilt from it on each
+    access, bit for bit, at the cost of one m x n array; ``m``, ``n``,
+    ``problem_id`` and the solves read ``aux`` alone.  With ``xhat`` a
+    read-only float copy, the set-up derived from the data, ``lipschitz``,
+    ``coupling`` and ``smooth_block``, is built on first use and reused by
+    every later solve of this object without going stale;
+    ``dataclasses.replace`` makes a new instance with its own set-up.
+    Instances compare by identity: the generated ``__eq__`` would compare
+    the rebuilt arrays."""
 
-    A: np.ndarray
+    A: np.ndarray = _DataFromAux()
     labels: np.ndarray
     xhat: np.ndarray
     c_true: float
@@ -47,13 +75,10 @@ class FusedLogisticInstance:
     pattern: str = "custom"
 
     def __post_init__(self):
-        for name in ("A", "labels", "xhat"):
-            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
-
-    @functools.cached_property
-    def aux(self):
-        """The ``LogisticAux`` of A and labels."""
-        return LogisticAux.from_data(self.A, self.labels)
+        aux = LogisticAux.from_data(vars(self).pop("A"), self.labels)
+        object.__setattr__(self, "aux", aux)
+        object.__setattr__(self, "labels", aux.labels)
+        object.__setattr__(self, "xhat", frozen_copy(self.xhat))
 
     @functools.cached_property
     def lipschitz(self):
@@ -84,11 +109,11 @@ class FusedLogisticInstance:
 
     @property
     def m(self):
-        return self.A.shape[0]
+        return self.aux.data.shape[0]
 
     @property
     def n(self):
-        return self.A.shape[1]
+        return self.aux.data.shape[1] - 1
 
     @property
     def problem_id(self):

@@ -18,7 +18,8 @@ class SpectralNormError(RuntimeError):
 def spectral_norm_sq(mat):
     """Largest eigenvalue of ``mat.T @ mat``, i.e. the squared largest
     singular value, from the top eigenvalue of the smaller Gram matrix
-    (LAPACK ``dsyevr`` on the top index only).
+    (LAPACK ``dsyevr`` on the top index only, in place: the one
+    full-size temporary is the Gram matrix, beside its finiteness mask).
 
     Exact to rounding, so callers that need an upper bound (a Lipschitz
     constant, a unit-norm rescaling) never get a value from below.
@@ -42,9 +43,15 @@ def spectral_norm_sq(mat):
     # (loading and solving a basis-pursuit directory) never imports scipy
     import scipy.linalg
 
+    # The Gram matrix is exactly symmetric: numpy forms ``a @ a.T`` of a
+    # contiguous ``a`` with syrk and mirrors the triangle, and of a strided
+    # one entry by entry, the same products summed in the same order.  So
+    # its F-ordered view ``gram.T`` holds the same lower triangle, which is
+    # all LAPACK reads, and f2py passes that view without the copy it makes
+    # of a C-ordered argument: ``overwrite_a`` then really works in place.
     k = gram.shape[0]
     lmax = float(scipy.linalg.eigh(
-        gram, subset_by_index=[k - 1, k - 1], eigvals_only=True,
+        gram.T, subset_by_index=[k - 1, k - 1], eigvals_only=True,
         driver="evr", overwrite_a=True, check_finite=False,
     )[0])
     if not np.isfinite(lmax):

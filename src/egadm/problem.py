@@ -63,7 +63,9 @@ class SmoothBlock:
 class LinearMap:
     """A matrix M given by its products ``M @ v`` and ``M.T @ w`` and a
     declared upper bound ``norm_sq`` on ``lmax(M^T M)``.  The products also
-    take a matrix of columns, so ``np.asarray(M)`` is ``M @ I``."""
+    take a matrix of columns, so ``np.asarray(M)`` is ``M @ I``, a new
+    dense matrix; asked for no copy (``copy=False``), it raises ValueError,
+    as NumPy's ``__array__`` protocol says."""
 
     shape: tuple
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -81,6 +83,8 @@ class LinearMap:
         return LinearMap(self.shape[::-1], self.rmatvec, self.matvec, self.norm_sq)
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a LinearMap has no dense array to share: np.asarray(M) builds M @ I")
         return np.asarray(self.matvec(np.eye(self.shape[1])), dtype=dtype)
 
 

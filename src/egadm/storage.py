@@ -53,9 +53,10 @@ def _read_matrix(d, meta):
     """A as a C-ordered float64 array of ``meta.json``'s shape (m, n).
 
     A format-2 ``A.npy`` of C-ordered float64 comes back as a read-only
-    map of the file (``mmap_mode="r"``), so the instance's read-only copy
-    is the one full-size allocation A needs; other layouts and real dtypes
-    are converted.
+    map of the file (``mmap_mode="r"``), so the instance's own copy of the
+    data, a basis-pursuit instance's read-only A or a fused instance's
+    augmented matrix, is the one full-size allocation A needs; other
+    layouts and real dtypes are converted.
     Anything that is not a real 2-d array of that shape with finite
     entries is a ValueError naming the file; a missing file is an OSError
     naming it."""

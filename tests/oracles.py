@@ -15,6 +15,7 @@ iteration the transcription and hand-computation tests compare with.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,37 @@ def central_diff_gradient(fun, point, h=1e-6):
         e[i] = h
         out[i] = (fun(point + e) - fun(point - e)) / (2.0 * h)
     return out
+
+
+def c_ordered_spectral_norm_sq(mat):
+    """``lmax(M^T M)`` from ``dsyevr`` (top index only) on the C-ordered
+    Gram matrix, which f2py copies into Fortran order before the solve:
+    the lower triangle of that copy is what LAPACK reads.  The in-place
+    solve of ``spectral_norm_sq`` must give these bits."""
+    import scipy.linalg
+
+    a = np.asarray(mat, dtype=float)
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    k = gram.shape[0]
+    return float(scipy.linalg.eigh(
+        gram, subset_by_index=[k - 1, k - 1], eigvals_only=True,
+        driver="evr", overwrite_a=True, check_finite=False,
+    )[0])
+
+
+def traced_call(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), held, peak)``: the call's result, the bytes
+    tracemalloc sees still allocated when it returns (what the result and
+    anything the call cached keep alive), and the most it saw allocated
+    during the call, both counted from the call's start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - start, peak - start
 
 
 def masked_sigmoid(t):

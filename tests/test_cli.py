@@ -1,11 +1,13 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +437,28 @@ def test_bench_builds_one_projector_per_bp_instance(monkeypatch):
     rows, _ = run_bench(spec)
     assert len(rows) == 8
     assert len(calls) == 2 and len(couplings) == 2
+
+
+@pytest.mark.parametrize("problem, dims", [("bp", (40, 10, 2)), ("fused", (30, 140))])
+def test_bench_keeps_one_instance_alive_at_a_time(monkeypatch, problem, dims):
+    # each instance is solved under every config and dropped before the
+    # next one is built
+    built, alive_at_build = [], []
+    real = cli._instance
+
+    def tracked(*args):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        inst = real(*args)
+        built.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(cli, "_instance", tracked)
+    spec = BenchSpec(problem=problem, dims=(dims,), instances=3, seed_base=0, pattern="blocks",
+                     configs=tuple(SolverConfig(v, max_iters=20) for v in VariantKind))
+    rows, _ = run_bench(spec)
+    assert len(rows) == 12 and len(built) == 3
+    assert alive_at_build == [0, 0, 0]
 
 
 def _flag_defaults(command):

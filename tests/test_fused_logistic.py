@@ -13,7 +13,7 @@ from egadm.problem import kkt_lipschitz_bound, lagrangian
 from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve
 from oracles import (
     central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, logistic_gradient,
-    masked_sigmoid, next_state,
+    masked_sigmoid, next_state, traced_call,
 )
 
 
@@ -193,11 +193,12 @@ def test_from_data_rejects_labels_of_the_wrong_shape():
         fl.LogisticAux.from_data(A, np.ones((20, 1)))
     with pytest.raises(ValueError, match=r"\(200,\)"):
         fl.LogisticAux.from_data(np.ones(200), np.ones(200))
-    inst = fl.FusedLogisticInstance(
-        A=A, labels=np.ones(1), xhat=np.zeros(200), c_true=0.0, seed=0
-    )
+    # the instance builds its augmented matrix at construction, so a
+    # mismatch is refused there, before any solve
     with pytest.raises(ValueError, match="one label per row"):
-        fl.solve_fused(inst, fl.FusedLogisticConfig(), max_iters=2)
+        fl.FusedLogisticInstance(A=A, labels=np.ones(1), xhat=np.zeros(200), c_true=0.0, seed=0)
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+        fl.FusedLogisticInstance(A=A, labels=np.zeros(20), xhat=np.zeros(200), c_true=0.0, seed=0)
 
 
 def test_logistic_lipschitz_rank_one():
@@ -541,7 +542,68 @@ def test_instance_keeps_read_only_copies_of_its_arrays():
             held.flat[0] = 7.0
         v.flat[0] = 7  # the caller's array stays writable
         assert np.array_equal(held, before[name])
+    # the augmented matrix is built at construction and holds the data
+    # once: labels is a view of its last column, A is rebuilt on each access
+    assert "aux" in vars(inst) and "A" not in vars(inst)
     assert not inst.aux.data.flags.writeable
+    assert np.shares_memory(inst.labels, inst.aux.data)
+    assert inst.A is not inst.A and not np.shares_memory(inst.A, inst.aux.data)
+    assert (inst.m, inst.n, inst.problem_id) == (4, 3, "fused_custom_m4_n3")
+
+
+finite_entries = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def data_and_labels(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = draw(arrays(float, (m, n), elements=finite_entries))
+    labels = draw(arrays(float, m, elements=st.sampled_from([-1.0, 1.0])))
+    return A, labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(data_and_labels())
+@example((np.array([[-0.0, 0.0, 5e-324], [-5e-324, 1.7976931348623157e308, -2.2e-308]]),
+          np.array([-1.0, 1.0])))
+@example((np.array([[-0.0, 0.0, -5e-324, -1.7976931348623157e308]]), np.array([-1.0])))
+def test_instance_A_gives_back_the_constructors_bits(case):
+    A, labels = case
+    inst = fl.FusedLogisticInstance(A=A, labels=labels, xhat=np.zeros(A.shape[1]), c_true=0.0, seed=0)
+    held = inst.A
+    # signed zeros, subnormals and the largest finite entries all survive
+    # the trip through [diag(labels) A, labels] and back
+    assert held.dtype == np.float64 and held.flags.c_contiguous
+    assert held.shape == A.shape and held.tobytes() == A.tobytes()
+    assert not held.flags.writeable
+    assert not np.shares_memory(held, A) and not np.shares_memory(held, inst.aux.data)
+
+
+def test_a_fused_instance_holds_its_data_once():
+    # the instance keeps one m x (n+1) float64 matrix, the augmented one,
+    # both once built and after a first solve: no copy of A beside it
+    m, n = 200, 2000
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((m, n))
+    labels = np.where(rng.standard_normal(m) >= 0.0, 1.0, -1.0)
+    data_bytes = 8 * m * (n + 1)
+
+    def build():
+        return fl.FusedLogisticInstance(A=A, labels=labels, xhat=np.zeros(n), c_true=0.0, seed=0)
+
+    inst, held, _ = traced_call(build)
+    assert data_bytes <= held < 1.05 * data_bytes
+    inst = None
+    # a first solve imports scipy.linalg, whose module objects would count
+    fl.solve_fused(_tiny_instance(), fl.FusedLogisticConfig(), max_iters=1)
+
+    def build_and_solve():
+        inst = build()
+        return inst, fl.solve_fused(inst, fl.FusedLogisticConfig(), max_iters=5)
+
+    (inst, report), held, _ = traced_call(build_and_solve)
+    assert report.iterations == 5
+    assert data_bytes <= held < 1.1 * data_bytes
 
 
 def test_four_solves_of_one_instance_compute_the_lipschitz_constant_once(monkeypatch):
@@ -582,3 +644,9 @@ def test_replace_gives_a_new_instance_with_its_own_set_up():
     assert doubled.lipschitz == fl.logistic_lipschitz(doubled.aux) > lip
     prob = fl.as_problem(doubled, fl.FusedLogisticConfig())
     assert prob.smooth_block.lipschitz_constant == doubled.lipschitz
+    # a replace that leaves A out rebuilds the same augmented matrix from
+    # the derived A, and one that breaks the labels fails right there
+    moved = dataclasses.replace(inst, c_true=0.5)
+    assert moved.aux is not aux and moved.aux.data.tobytes() == aux.data.tobytes()
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+        dataclasses.replace(inst, labels=np.zeros(inst.m))

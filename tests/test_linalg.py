@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from egadm.linalg import spectral_norm_sq
-from oracles import jacobi_eigenvalues
+from oracles import c_ordered_spectral_norm_sq, jacobi_eigenvalues, traced_call
 
 
 def test_spectral_norm_identity():
@@ -81,3 +81,37 @@ def test_spectral_norm_overflow_is_a_value_error():
         spectral_norm_sq(np.full((2, 2), 0.9e154))
     # the largest finite case still comes back exact
     assert spectral_norm_sq(np.full((2, 3), 1e150)) == pytest.approx(6e300, rel=1e-12)
+
+
+def _layouts():
+    """Wide, tall and square matrices, each C-ordered, F-ordered and as a
+    strided view, with the augmented matrix's shape of the fused benchmark
+    among them."""
+    rng = np.random.default_rng(7)
+    for shape in ((1, 9), (9, 1), (5, 8), (8, 5), (6, 6), (40, 90), (90, 40), (500, 1001)):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+        yield f"{shape}", a
+        yield f"{shape}-F", np.asfortranarray(a)
+        yield f"{shape}-strided", np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[::2, ::3]
+    yield "every-other", rng.standard_normal((30, 70))[::2, 1::2]
+
+
+@pytest.mark.parametrize("name, mat", list(_layouts()))
+def test_spectral_norm_has_the_bits_of_the_c_ordered_eigensolve(name, mat):
+    # handing LAPACK the F-ordered view of the Gram matrix, not a copy,
+    # changes no bit of lmax, whatever the input's shape or layout
+    assert np.float64(spectral_norm_sq(mat)).tobytes() == np.float64(
+        c_ordered_spectral_norm_sq(mat)
+    ).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(300, 400), (400, 300)])
+def test_spectral_norm_solves_the_gram_matrix_in_place(shape):
+    # the one full-size temporary is the 300 x 300 Gram matrix, beside its
+    # 1-byte finiteness mask and dsyevr's O(k) workspace; a copy of the Gram
+    # matrix for LAPACK would put the peak past twice its size
+    mat = np.random.default_rng(3).standard_normal(shape)
+    gram_bytes = 8 * min(shape) ** 2
+    lmax, _, peak = traced_call(spectral_norm_sq, mat)
+    assert lmax == c_ordered_spectral_norm_sq(mat)
+    assert gram_bytes < peak < 1.25 * gram_bytes

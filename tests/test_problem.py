@@ -295,6 +295,20 @@ def test_identity_map_rejects_a_sign_other_than_plus_or_minus_one():
         assert np.array_equal(np.asarray(identity_map(3, sign)), sign * np.eye(3))
 
 
+def test_a_linear_map_refuses_to_become_an_array_without_a_copy():
+    # NumPy 2's __array__ protocol: copy=False must raise when the array
+    # cannot be shared, and a LinearMap has no dense array to share
+    for M in (identity_map(3), identity_map(3, -1.0), fl.fused_coupling(4)):
+        with pytest.raises(ValueError, match="no dense array to share"):
+            np.asarray(M, copy=False)
+        with pytest.raises(ValueError, match="no dense array to share"):
+            np.array(M, copy=False)
+        dense = np.asarray(M @ np.eye(M.shape[1]))
+        for built in (np.asarray(M), np.array(M), np.array(M, copy=True), np.asarray(M, dtype=float)):
+            assert built.dtype == np.float64 and np.array_equal(built, dense)
+        assert np.asarray(M, dtype=np.float32).dtype == np.float32
+
+
 def test_coupling_lmax_btb_is_declared_or_exact(monkeypatch):
     # a dense B costs exactly one spectral_norm_sq call, a LinearMap B
     # none, and a dense A is never measured

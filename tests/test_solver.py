@@ -767,7 +767,8 @@ _FRONT_ENDS = (
     (
         lambda: fl.generate_block_pattern(150, 40, 2),
         lambda inst: fl.as_problem(inst, fl.FusedLogisticConfig()),
-        ("aux", "lipschitz", "coupling", "smooth_block"),
+        # the augmented matrix ``aux`` is built with the instance, not on first use
+        ("lipschitz", "coupling", "smooth_block"),
     ),
 )
 

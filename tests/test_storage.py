@@ -199,8 +199,20 @@ def test_loaded_A_is_one_read_only_c_ordered_copy_of_the_saved_bits(tmp_path, ki
     assert not A.flags.writeable and A.flags.c_contiguous
     assert A.base is None and A.dtype == np.float64
     assert A.tobytes() == inst.A.tobytes()
-    # One full-size allocation: the instance's copy of a memory-mapped A.
+    # One full-size allocation: the instance's copy of a memory-mapped A,
+    # for a fused instance its m x (n+1) augmented matrix.
     assert A.nbytes <= peak < 1.5 * A.nbytes
+
+
+def test_a_saved_fused_A_npy_holds_the_generators_draw_byte_for_byte(tmp_path):
+    # the block generator's A is the first draw of default_rng([seed, 0]);
+    # rebuilt from the augmented matrix, it is saved with the same bytes
+    # as np.save of that draw
+    inst = fl.generate_block_pattern(130, 20, 2)
+    d = storage.save_fused_instance(inst, tmp_path / "inst")
+    expected = io.BytesIO()
+    np.save(expected, np.random.default_rng([2, 0]).standard_normal((20, 130)), allow_pickle=False)
+    assert (d / "A.npy").read_bytes() == expected.getvalue()
 
 
 def test_format_2_A_has_the_bits_mmread_gives_for_format_1(tmp_path):
