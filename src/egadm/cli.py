@@ -4,6 +4,7 @@ benchmark sweeps with CSV output."""
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -226,7 +227,12 @@ def _configs(args):
     return configs, fl.FusedLogisticConfig(alpha=args.alpha, beta=args.beta)
 
 
+@functools.cache
 def build_parser():
+    """The ``egadm`` parser, built on the first call and then shared: the
+    tree of sub-parsers and flags costs about a millisecond to build, and
+    ``parse_args`` never changes it, so each call still starts from the
+    declared defaults.  Callers must not change it either."""
     parser = argparse.ArgumentParser(
         prog="egadm",
         description="Extragradient-based alternating-direction solvers",
@@ -271,8 +277,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError, KeyError) as exc:

@@ -18,9 +18,10 @@ format 2 hold and which still load.  A is read with ``allow_pickle=False``:
 loading never unpickles.  Each JSON
 value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
 ``c_true`` a finite number and ``pattern`` a string (a bool is none of
-these); anything else is a ValueError naming the file and the key, and
-saving a non-finite ``c_true`` is one too.  Every value in A and in the
-vector files must be finite, and every label -1 or +1.
+these); anything else is a ValueError naming the file and the key.
+Every value in A and in the vector files must be finite, and every label
+-1 or +1.  Saving an instance with a non-finite ``c_true``, A or vector
+is a ValueError naming the field, and writes nothing.
 Every error a broken directory raises is a ValueError or an OSError
 naming a file in it.
 """
@@ -43,8 +44,15 @@ _MATRIX_FILES = {1: "A.mtx", 2: "A.npy"}
 
 
 def write_vector(path, v):
-    """Write ``v`` one value per line with 17 significant digits."""
-    text = "".join(f"{val:.17g}\n" for val in np.asarray(v, dtype=float).tolist())
+    """Write ``v`` one value per line with 17 significant digits.
+
+    The text is one ``%`` operation over the whole vector, one ``%.17g``
+    per value: ``%`` and ``format`` render a float through the same
+    CPython routine, so each line is ``f"{val:.17g}"`` byte for byte,
+    while a single format string skips a generator step and an f-string
+    per value."""
+    values = tuple(np.asarray(v, dtype=float).tolist())
+    text = ("%.17g\n" * len(values)) % values
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -163,9 +171,16 @@ _KINDS = {
 
 
 def _save(inst, directory, kind):
+    """Write ``inst`` under ``directory``, after checking every value that
+    ``load_instance`` checks for finiteness, so a refused instance writes
+    nothing."""
     _, scalars, vectors = _KINDS[kind]
     if not math.isfinite(getattr(inst, "c_true", 0.0)):  # JSON has no NaN or infinity
         raise ValueError(f"cannot save a {kind} instance whose c_true is {inst.c_true!r}")
+    A = inst.A  # a fused instance rebuilds A on each access
+    for field, values in [("A", A)] + [(f, getattr(inst, f)) for f in vectors]:
+        if not np.isfinite(values).all():
+            raise ValueError(f"cannot save a {kind} instance whose {field} has non-finite entries")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     meta = {"kind": kind, "n": int(inst.n), "m": int(inst.m), "format_version": FORMAT_VERSION}
@@ -175,7 +190,7 @@ def _save(inst, directory, kind):
             d / "pattern.json",
             {"pattern": inst.pattern, "n": int(inst.n), "m": int(inst.m), "seed": int(inst.seed)},
         )
-    np.save(d / "A.npy", inst.A, allow_pickle=False)
+    np.save(d / "A.npy", A, allow_pickle=False)
     for field in vectors:
         write_vector(d / f"{field}.txt", getattr(inst, field))
     return d

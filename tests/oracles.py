@@ -307,3 +307,9 @@ def write_format_1_matrix(directory, A):
     meta = json.loads((d / "meta.json").read_text())
     meta["format_version"] = 1
     (d / "meta.json").write_text(json.dumps(meta))
+
+
+def vector_text(v):
+    """The text ``storage.write_vector`` must write for ``v``: each value
+    as float64, formatted on its own as ``f"{val:.17g}\\n"``."""
+    return "".join(f"{val:.17g}\n" for val in np.asarray(v, dtype=float).tolist())

@@ -117,7 +117,9 @@ def test_solve_non_finite_instance_exits_one(tmp_path, capsys):
     inst = fl.generate_block_pattern(500, 100, 0)
     bad = inst.A.copy()
     bad[3, 7] = np.nan
-    storage.save_fused_instance(dataclasses.replace(inst, A=bad), tmp_path / "nan")
+    # saving refuses a NaN, so the NaN goes into the saved A.npy afterwards
+    d = storage.save_fused_instance(inst, tmp_path / "nan")
+    np.save(d / "A.npy", bad, allow_pickle=False)
     rc = main(["solve", str(tmp_path / "nan")])
     assert rc == 1
     # rejected on load, naming the file
@@ -509,3 +511,62 @@ def test_bench_runs_each_listed_variant_once_in_canonical_order(tmp_path):
             r[seconds_col] = ""
     assert tables[0] == tables[1]
     assert [r[1] for r in tables[0][1:]] == ["gl", "gl", "egal", "egal", "gl", "egal"]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = tmp_path / "inst"
+    argv = ["gen", "bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    one_tree = list(built)
+    assert one_tree[0] == "egadm" and len(one_tree) == 6  # the root and its five sub-parsers
+    assert main(argv) == 0 and main(["solve", str(out), "--max-iters", "5"]) == 2
+    assert built == one_tree
+
+
+def test_a_solve_after_a_monitored_solve_gets_the_library_defaults(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "2", "--out", str(out)])
+    seen = []
+    real_run_cell = cli._run_cell
+
+    def recording_run_cell(inst, config, penalties):
+        seen.append((config, penalties))
+        return real_run_cell(inst, config, penalties)
+
+    monkeypatch.setattr(cli, "_run_cell", recording_run_cell)
+    main(["solve", str(out), "--monitor-lemma", "--gamma", "0.1", "--max-iters", "5"])
+    assert main(["solve", str(out)]) == 0
+    assert seen[0] == (
+        SolverConfig(VariantKind.EGAL, gamma=0.1, max_iters=5, monitor_certificate=True),
+        fl.FusedLogisticConfig(),
+    )
+    assert seen[1] == (SolverConfig(VariantKind.EGAL), fl.FusedLogisticConfig())
+
+
+def test_a_gen_after_a_bench_writes_its_instance(tmp_path, capsys):
+    csv_path, out = tmp_path / "bench.csv", tmp_path / "inst"
+    assert main(["bench", "--problem", "bp", "--dims", "30,8,2", "--instances", "1",
+                 "--variants", "gl", "--max-iters", "50", "--out", str(csv_path)]) == 0
+    assert main(["gen", "bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert storage.load_instance(out).A.shape == (8, 30)
+
+
+def test_a_call_argparse_rejects_leaves_the_next_call_working(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--max-iters", "not-a-number"])
+    assert exc.value.code == 2
+    out = tmp_path / "inst"
+    assert main(["gen", "bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out}\n"

@@ -339,6 +339,11 @@ def test_sparsity_report_basics():
     assert fl.sparsity_report(np.array([])) == (0, 0)
 
 
+def test_sparsity_report_threshold_is_one_millionth_of_the_largest_entry():
+    # 5e-6 lies above 1e-6 * 1.0: it counts, and so do both differences
+    assert fl.sparsity_report(np.array([1.0, 5e-6, 0.0])) == (2, 2)
+
+
 def test_sparsity_report_counts_exact_nonzeros_where_the_threshold_underflows():
     # 1e-6 * 5e-324 rounds to 0, which used to raise "threshold must be positive"
     assert fl.sparsity_report(np.array([5e-324, 0.0])) == (1, 1)

@@ -13,8 +13,10 @@ from egadm.problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, identity_map,
 )
 from egadm.solver import (
+    CERTIFICATE_SLACK,
     DivergenceError,
     SolverConfig,
+    StepInfo,
     VariantKind,
     ergodic_checkpoints,
     gap_surrogate,
@@ -627,6 +629,42 @@ def test_a_nan_only_in_x_plus_is_divergence():
         with pytest.raises(DivergenceError) as exc:
             solve(prob, SolverConfig(variant=variant, tol=0.0, max_iters=10))
         assert (exc.value.variant, exc.value.iteration) == (variant, 3)
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_a_residual_past_the_divergence_limit_stops_the_first_iteration(variant):
+    # x + y = 0 in one dimension from y = lam = 0, with an x-step that
+    # returns x_out: the first residual is x_out, less the midpoint y the
+    # augmented variants pull to -gamma^2 x_out (gamma is about 0.26)
+    def problem_with_x_step(x_out):
+        base = _scalar_problem(rhs=0.0)
+        step = replace(base.prox_block, solve_subproblem=lambda *_: np.array([x_out]))
+        return replace(base, prox_block=step)
+
+    cfg = SolverConfig(variant=variant, tol=0.0, max_iters=1)
+    with pytest.raises(DivergenceError) as exc:
+        solve(problem_with_x_step(5e12), cfg)
+    assert (exc.value.variant, exc.value.iteration) == (variant, 1)
+    assert solve(problem_with_x_step(5e11), cfg).iterations == 1
+
+
+def test_lemma_violations_count_certificates_above_the_slack(monkeypatch):
+    prob = _scalar_problem()
+    state = initial_state(prob)
+
+    def certificates(values):
+        def fake_iterate(problem, config, init=None):
+            for k, value in enumerate(values, start=1):
+                yield replace(state, k=k), StepInfo(np.ones(1), 1.0, 1.0, value)
+        return fake_iterate
+
+    cfg = SolverConfig(variant=VariantKind.EGAL, monitor_certificate=True)
+    monkeypatch.setattr(solver_module, "iterate", certificates([5e-10, 2e-10, -1.0]))
+    rep = solve(prob, cfg)
+    assert (rep.certificate_history, rep.lemma_violations, rep.iterations) == ([5e-10, 2e-10, -1.0], 2, 3)
+    # a certificate equal to the slack is no violation
+    monkeypatch.setattr(solver_module, "iterate", certificates([CERTIFICATE_SLACK]))
+    assert solve(prob, cfg).lemma_violations == 0
 
 
 def test_a_solve_never_densifies_a_linear_map(monkeypatch):

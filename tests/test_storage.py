@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import write_format_1_matrix
+from oracles import vector_text, write_format_1_matrix
 from scipy.io import mmread
 
 from egadm import basis_pursuit as bp
@@ -338,6 +338,46 @@ def test_write_vector_round_trips_every_finite_float64_bit_for_bit(tmp_path_fact
     path = tmp_path_factory.mktemp("vec") / "v.txt"
     storage.write_vector(path, v)
     assert storage._read_vector(path, len(v)).tobytes() == v.tobytes()
+
+
+_float64_bit_patterns = st.lists(st.integers(0, 2**64 - 1), max_size=64).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)
+)
+_MAX = np.finfo(np.float64).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float64_bit_patterns)
+@example(np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, _MAX, -_MAX]))
+@example(np.array([], dtype=np.float64))
+@example(np.array([3, -7, 0], dtype=np.int64))
+@example(np.array([0.1, -3.4028235e38, 1e-45, np.nan], dtype=np.float32))
+def test_write_vector_writes_the_per_value_format_of_every_float64(tmp_path_factory, v):
+    # NaN payloads, signed zeros, subnormals and infinities included
+    path = tmp_path_factory.mktemp("vec") / "v.txt"
+    storage.write_vector(path, v)
+    assert path.read_bytes() == vector_text(v).encode("utf-8")
+
+
+def _with_non_finite(inst, field, value):
+    """``inst`` with entry 0 of ``field`` (an array) set to ``value``."""
+    arr = np.array(getattr(inst, field))
+    arr.flat[0] = value
+    return dataclasses.replace(inst, **{field: arr})
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("bp", "A", math.inf), ("bp", "b", -math.inf), ("bp", "xhat", math.nan),
+    ("fused", "A", -math.inf), ("fused", "xhat", math.nan),
+])
+def test_save_refuses_a_non_finite_A_or_vector_and_writes_nothing(tmp_path, kind, field, value):
+    if kind == "bp":
+        inst, save, name = bp.generate(40, 10, 3, 21), storage.save_bp_instance, "basis_pursuit"
+    else:
+        inst, save, name = fl.generate_block_pattern(130, 20, 2), storage.save_fused_instance, "fused_logistic"
+    with pytest.raises(ValueError, match=f"^cannot save a {name} instance whose {field} has non-finite entries$"):
+        save(_with_non_finite(inst, field, value), tmp_path / "inst")
+    assert not (tmp_path / "inst").exists()
 
 
 @pytest.mark.parametrize(
