@@ -55,8 +55,9 @@ class FusedLogisticInstance:
     vector; labels are exactly -1.0 or +1.0.
 
     The data are held once, as ``aux``, the read-only ``LogisticAux`` the
-    constructor builds from A and labels (a label other than -1 or +1, or
-    a label count other than A's row count, is a ValueError there).
+    constructor builds from A and labels (a label other than -1 or +1 is
+    a ``LabelError`` there, and a label count other than A's row count a
+    ValueError).
     ``labels`` is a view into it, and ``A`` is rebuilt from it on each
     access, bit for bit, at the cost of one m x n array; ``m``, ``n``,
     ``problem_id`` and the solves read ``aux`` alone.  With ``xhat`` a
@@ -126,6 +127,10 @@ class FusedLogisticInstance:
         return {"l0": l0, "tv0": tv0}
 
 
+class LabelError(ValueError):
+    """A label other than -1 or +1, which ``LogisticAux.from_data`` refuses."""
+
+
 @dataclass(frozen=True)
 class LogisticAux:
     """The augmented data matrix ``data = [diag(labels) A, labels]``,
@@ -145,8 +150,9 @@ class LogisticAux:
                 f"need a 2-d A and one label per row: A has shape {A.shape}, "
                 f"labels {labels.shape}"
             )
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise ValueError("labels must be exactly -1 or +1")
+        # |label| == 1 holds for -1.0 and +1.0 alone: NaN, +-0 and 0.5 fail it
+        if not (np.abs(labels) == 1.0).all():
+            raise LabelError("labels must be exactly -1 or +1")
         m, n = A.shape
         data = np.empty((m, n + 1))
         np.multiply(labels[:, None], A, out=data[:, :n])

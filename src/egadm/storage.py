@@ -14,11 +14,16 @@ and a ``pattern.json`` naming the generator and its parameters.
 ``meta.json`` must hold the ``kind`` and the ``format_version`` (every
 writer has written both), which says where A is: 2 is ``A.npy``; 1 is
 ``A.mtx``, MatrixMarket array text, which directories written before
-format 2 hold and which still load.  A is read with ``allow_pickle=False``:
-loading never unpickles.  Each JSON
-value must have its type: ``n``, ``m``, ``s`` and ``seed`` are integers,
-``c_true`` a finite number and ``pattern`` a string (a bool is none of
-these); anything else is a ValueError naming the file and the key.
+format 2 hold and which still load.  ``A.npy`` is mapped, not read: its
+header goes through NumPy's own header readers, and its data are viewed
+in place, so the instance's own copy is the one full-size allocation A
+needs.  Nothing is ever unpickled: a header whose dtype holds Python
+objects is refused, as ``np.load(allow_pickle=False)`` refuses it.
+Vector files are parsed as ``np.loadtxt`` parses them, except that a
+line must hold one number.  Each JSON value must have its type: ``n``,
+``m``, ``s`` and ``seed`` are integers, ``c_true`` a finite number and
+``pattern`` a string (a bool is none of these); anything else is a
+ValueError naming the file and the key.
 Every value in A and in the vector files must be finite, and every label
 -1 or +1.  Saving an instance with a non-finite ``c_true``, A or vector
 is a ValueError naming the field, and writes nothing.
@@ -28,14 +33,14 @@ naming a file in it.
 
 import json
 import math
+import mmap
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .basis_pursuit import BasisPursuitInstance
-from .fused_logistic import FusedLogisticInstance
+from .fused_logistic import FusedLogisticInstance, LabelError
 
 FORMAT_VERSION = 2
 
@@ -57,14 +62,74 @@ def write_vector(path, v):
         fh.write(text)
 
 
+# NumPy's reader of a .npy header, by format version.  Version 3.0 differs
+# from 2.0 only in decoding the header as UTF-8, not latin-1: the same text
+# for the ASCII header of any real dtype.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+    (3, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _map_npy(path):
+    """The array in the .npy file ``path``: a read-only view of a map of
+    the file, which is unmapped when the last view of it is gone.
+
+    The header is read with NumPy's ``read_magic`` and
+    ``read_array_header_*``, and the data are mapped and viewed as
+    ``np.memmap`` maps and views them.  It refuses what
+    ``np.load(path, mmap_mode="r", allow_pickle=False)`` refuses, as a
+    ValueError that names the file and ends in NumPy's own message: a
+    file that is empty, a pickle or any other file without NumPy's magic
+    string, an unknown version, a broken header, a dtype holding Python
+    objects, or fewer data bytes than the header's shape; and also a
+    shape whose byte count is negative (``np.load`` let that out as an
+    OverflowError) or past the address space.  An .npz archive, or any
+    file that starts as a zip file does, is refused unopened."""
+    with open(path, "rb") as fh:
+        if fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ValueError(f"{path} is an .npz archive, not a .npy array file")
+        fh.seek(0)
+        try:
+            return _map_npy_data(fh)
+        except (ValueError, EOFError, OverflowError) as exc:
+            raise ValueError(f"{path} is not a .npy array file: {exc}") from None
+
+
+def _map_npy_data(fh):
+    """``_map_npy`` of the open file ``fh``, with ``np.load``'s exceptions."""
+    magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+    if not magic:
+        raise EOFError("No data left in file")
+    if magic != np.lib.format.MAGIC_PREFIX:
+        raise ValueError(
+            "This file contains pickled (object) data. If you trust the file you can load "
+            "it unsafely using the `allow_pickle=` keyword argument or `pickle.load()`."
+        )
+    fh.seek(0)
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"we only support format version (1,0), (2,0), and (3,0), not {version}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    if dtype.hasobject:
+        raise ValueError("Array can't be memory-mapped: Python objects in dtype.")
+    # the map and the array view over it that ``np.memmap`` makes
+    offset = fh.tell()
+    size = offset + math.prod(shape) * dtype.itemsize
+    mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+    return np.ndarray(shape, dtype, mapped, offset, order="F" if fortran_order else "C")
+
+
 def _read_matrix(d, meta):
     """A as a C-ordered float64 array of ``meta.json``'s shape (m, n).
 
-    A format-2 ``A.npy`` of C-ordered float64 comes back as a read-only
-    map of the file (``mmap_mode="r"``), so the instance's own copy of the
-    data, a basis-pursuit instance's read-only A or a fused instance's
-    augmented matrix, is the one full-size allocation A needs; other
-    layouts and real dtypes are converted.
+    A format-2 ``A.npy`` comes back as a read-only view of a map of the
+    file (``_map_npy``), as ``np.load(mmap_mode="r")`` gave it, without
+    the ``np.memmap`` around it: for C-ordered float64 the instance's own
+    copy of the data, a basis-pursuit instance's read-only A or a fused
+    instance's augmented matrix, is the one full-size allocation A needs;
+    other layouts and real dtypes are converted.
     Anything that is not a real 2-d array of that shape with finite
     entries is a ValueError naming the file; a missing file is an OSError
     naming it."""
@@ -78,16 +143,10 @@ def _read_matrix(d, meta):
         from scipy.io import mmread
 
         A = mmread(str(path))
-    else:
-        try:
-            A = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise ValueError(f"{path} is not a .npy array file: {exc}") from None
         if not isinstance(A, np.ndarray):
-            A.close()
-            raise ValueError(f"{path} is an .npz archive, not a .npy array file")
-    if not isinstance(A, np.ndarray):
-        raise ValueError(f"{path} does not hold a dense array")
+            raise ValueError(f"{path} does not hold a dense array")
+    else:
+        A = _map_npy(path)
     if A.dtype.kind not in "fiu":
         raise ValueError(f"{path} holds {A.dtype} values, not real numbers")
     shape = (meta.typed("m", int), meta.typed("n", int))
@@ -99,11 +158,32 @@ def _read_matrix(d, meta):
 
 
 def _read_vector(path, length):
+    """The vector in the text file ``path``, of ``length`` finite values.
+
+    The file holds one number per line: blank lines and text after a
+    ``#`` are skipped, and spaces around a number are dropped.  A number
+    is ASCII text that ``float`` takes without the underscores it allows,
+    which is what ``np.loadtxt`` takes, and has its bits.  A file that is
+    missing is a FileNotFoundError, and one that holds anything else, two
+    numbers on one line included, a ValueError, each naming the file."""
     try:
-        with warnings.catch_warnings():
-            # a file with no data is the length error below, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            v = np.loadtxt(path, dtype=float, ndmin=1)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path} not found.") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} does not hold one number per line: {exc}") from None
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    entries = [entry for entry in map(str.strip, lines) if entry]
+    try:
+        joined = "".join(entries)
+        if not joined.isascii() or "_" in joined:
+            bad = next(e for e in entries if not e.isascii() or "_" in e)
+            raise ValueError(f"could not convert string to float: {bad!r}")
+        # float refuses an entry with a space inside: two numbers on a line
+        v = np.array(list(map(float, entries)))
     except ValueError as exc:
         raise ValueError(f"{path} does not hold one number per line: {exc}") from None
     if v.shape != (length,):
@@ -206,7 +286,9 @@ def save_fused_instance(inst, directory):
 
 def load_instance(directory):
     """Load either instance kind, dispatching on meta.json's ``kind``.
-    Files are read in the order meta.json, pattern.json, A, vectors."""
+    Files are read in the order meta.json, pattern.json, A, vectors.  The
+    labels are checked once, by the instance's constructor: its
+    ``LabelError`` becomes a ValueError naming ``labels.txt``."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
@@ -220,9 +302,10 @@ def load_instance(directory):
     pattern = _JsonObject(d / "pattern.json") if kind == "fused_logistic" else None
     fields = {"A": _read_matrix(d, meta)}
     fields |= {f: _read_vector(d / f"{f}.txt", meta.typed(key, int)) for f, key in vectors.items()}
-    if kind == "fused_logistic" and not np.isin(fields["labels"], (-1.0, 1.0)).all():
-        raise ValueError(f"{d / 'labels.txt'} holds a label other than -1 or +1")
     fields |= {key: meta.typed(key, t) for key, t in scalars.items()}
     if pattern is not None:
         fields["pattern"] = pattern.typed("pattern", str)
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except LabelError:
+        raise ValueError(f"{d / 'labels.txt'} holds a label other than -1 or +1") from None

@@ -16,6 +16,7 @@ iteration the transcription and hand-computation tests compare with.
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,3 +314,12 @@ def vector_text(v):
     """The text ``storage.write_vector`` must write for ``v``: each value
     as float64, formatted on its own as ``f"{val:.17g}\\n"``."""
     return "".join(f"{val:.17g}\n" for val in np.asarray(v, dtype=float).tolist())
+
+
+def loadtxt_vector(path):
+    """The vector file ``path`` as ``np.loadtxt`` reads it, which is how
+    ``storage`` read vector files before its own reader: a file without
+    data is an empty vector, with no warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=float, ndmin=1)

@@ -201,6 +201,27 @@ def test_from_data_rejects_labels_of_the_wrong_shape():
         fl.FusedLogisticInstance(A=A, labels=np.zeros(20), xhat=np.zeros(200), c_true=0.0, seed=0)
 
 
+_LABELS = st.sampled_from([-1.0, 1.0, -0.0, 0.0, 0.5, -1.0000000000000002, 0.9999999999999999,
+                           2.0, np.inf, -np.inf, np.nan, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_LABELS, st.floats()), min_size=1, max_size=6))
+@example([-1.0, 1.0, 1.0])
+@example([1.0, -0.0])
+@example([np.nan])
+def test_from_data_takes_the_labels_that_are_exactly_minus_or_plus_one(labels):
+    # the set np.isin(labels, (-1.0, 1.0)) takes; a refusal is a LabelError,
+    # which is a ValueError
+    labels = np.array(labels)
+    A = np.ones((labels.size, 2))
+    if np.isin(labels, (-1.0, 1.0)).all():
+        assert fl.LogisticAux.from_data(A, labels).labels.tobytes() == labels.tobytes()
+    else:
+        with pytest.raises(fl.LabelError, match="^labels must be exactly -1 or \\+1$"):
+            fl.LogisticAux.from_data(A, labels)
+
+
 def test_logistic_lipschitz_rank_one():
     A = np.array([[3.0, 4.0]])
     aux = fl.LogisticAux.from_data(A, np.array([1.0]))

@@ -86,7 +86,7 @@ def test_spectral_norm_overflow_is_a_value_error():
 def _layouts():
     """Wide, tall and square matrices, each C-ordered, F-ordered and as a
     strided view, with the augmented matrix's shape of the fused benchmark
-    among them."""
+    among them; then random shapes over nine decades of scale."""
     rng = np.random.default_rng(7)
     for shape in ((1, 9), (9, 1), (5, 8), (8, 5), (6, 6), (40, 90), (90, 40), (500, 1001)):
         a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
@@ -94,12 +94,22 @@ def _layouts():
         yield f"{shape}-F", np.asfortranarray(a)
         yield f"{shape}-strided", np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[::2, ::3]
     yield "every-other", rng.standard_normal((30, 70))[::2, 1::2]
+    # random shapes at scales from 1e-5 to 1e4, and a one-row and a
+    # one-column matrix, whose Gram matrix is 1 x 1 (k = 1)
+    for scale in (1e-5, 1e-2, 1.0, 1e2, 1e4):
+        m = int(rng.integers(2, 120))
+        for kind, shape in (("wide", (m, m + int(rng.integers(1, 80)))),
+                            ("tall", (m + int(rng.integers(1, 80)), m)), ("square", (m, m))):
+            yield f"random-{kind}-{shape}-x{scale:g}", rng.standard_normal(shape) * scale
+        yield f"k=1-row-x{scale:g}", rng.standard_normal((1, 257)) * scale
+        yield f"k=1-column-x{scale:g}", rng.standard_normal((257, 1)) * scale
 
 
 @pytest.mark.parametrize("name, mat", list(_layouts()))
 def test_spectral_norm_has_the_bits_of_the_c_ordered_eigensolve(name, mat):
-    # handing LAPACK the F-ordered view of the Gram matrix, not a copy,
-    # changes no bit of lmax, whatever the input's shape or layout
+    # handing dsyevr the F-ordered view of the Gram matrix, not a copy, with
+    # the arguments eigh passes it, changes no bit of lmax, whatever the
+    # input's shape, layout or scale
     assert np.float64(spectral_norm_sq(mat)).tobytes() == np.float64(
         c_ordered_spectral_norm_sq(mat)
     ).tobytes()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -18,12 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import vector_text, write_format_1_matrix
+from oracles import loadtxt_vector, vector_text, write_format_1_matrix
 from scipy.io import mmread
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm import storage
+
+# a file the loader leaves open fails the test, whatever the suite's filters
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
 
 def test_bp_instance_round_trip(tmp_path):
@@ -204,6 +208,19 @@ def test_loaded_A_is_one_read_only_c_ordered_copy_of_the_saved_bits(tmp_path, ki
     assert A.nbytes <= peak < 1.5 * A.nbytes
 
 
+@pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="reads Linux's /proc/self/maps")
+@pytest.mark.parametrize("kind", ["bp", "fused"])
+def test_a_loaded_instance_keeps_no_map_of_A_npy(tmp_path, kind):
+    # the instance holds copies of A, so the map goes when the loader returns
+    if kind == "bp":
+        d = storage.save_bp_instance(bp.generate(200, 60, 3, 4), tmp_path / "inst")
+    else:
+        d = storage.save_fused_instance(fl.generate_block_pattern(500, 100, 3), tmp_path / "inst")
+    loaded = storage.load_instance(d)
+    assert str(d / "A.npy") not in Path("/proc/self/maps").read_text()
+    assert loaded.m == (60 if kind == "bp" else 100)
+
+
 def test_a_saved_fused_A_npy_holds_the_generators_draw_byte_for_byte(tmp_path):
     # the block generator's A is the first draw of default_rng([seed, 0]);
     # rebuilt from the augmented matrix, it is saved with the same bytes
@@ -340,6 +357,103 @@ def test_write_vector_round_trips_every_finite_float64_bit_for_bit(tmp_path_fact
     assert storage._read_vector(path, len(v)).tobytes() == v.tobytes()
 
 
+# Vector-file texts and what the reader makes of them.  The oracle is
+# ``np.loadtxt``, the reader before this one: an accepted text has its bits,
+# a refused text is a ValueError under both.
+_ACCEPTED_TEXTS = {
+    "blank-lines": b"\n1.5\n\n-2\n\n",
+    "crlf": b"1.5\r\n-2\r\n",
+    "spaces-and-tabs": b" \t1.5 \t\n\t-2  \n",
+    "leading-plus": b"+1.5\n+2\n",
+    "exponents": b"1e3\n-2.5E-7\n4.9406564584124654e-324\n",
+    "comment-lines": b"# a header\n1.5\n  # indented\n-2\n",
+    "trailing-comments": b"1.5 # one and a half\n-2#two\n",
+    "no-final-newline": b"1.5\n-2",
+    "one-value": b"0.10000000000000001\n",
+    "empty": b"",
+}
+_REFUSED_TEXTS = {
+    "underscore": b"1_5\n",
+    "hex-float": b"0x1p0\n",
+    "utf8-bom": b"\xef\xbb\xbf1.5\n-2\n",
+    "letters": b"1.5\nabc\n",
+    "comma": b"1.5,\n-2\n",
+    "arabic-indic-digit": "\u0661\n".encode("utf-8"),
+    "latin-1-byte": b"1.5\n\xe9\n",
+    "nul": b"1.5\x00\n",
+}
+_NON_FINITE_TEXTS = {"nan": b"nan\n1\n", "infinity": b"1\ninfinity\n", "overflow": b"1e400\n1\n"}
+
+
+def _vector_file(tmp_path, data):
+    path = tmp_path / "v.txt"
+    path.write_bytes(data)
+    return path
+
+
+def _not_one_number_per_line(path):
+    """The start of ``_read_vector``'s refusal of the file ``path``."""
+    return f"^{re.escape(str(path))} does not hold one number per line: "
+
+
+@pytest.mark.parametrize("data", _ACCEPTED_TEXTS.values(), ids=list(_ACCEPTED_TEXTS))
+def test_read_vector_takes_what_loadtxt_takes_with_its_bits(tmp_path, data):
+    path = _vector_file(tmp_path, data)
+    want = loadtxt_vector(path)
+    assert storage._read_vector(path, want.size).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("data", _REFUSED_TEXTS.values(), ids=list(_REFUSED_TEXTS))
+def test_read_vector_refuses_what_loadtxt_refuses(tmp_path, data):
+    path = _vector_file(tmp_path, data)
+    with pytest.raises(ValueError):
+        loadtxt_vector(path)
+    with pytest.raises(ValueError, match=_not_one_number_per_line(path)):
+        storage._read_vector(path, 2)
+
+
+@pytest.mark.parametrize("data", _NON_FINITE_TEXTS.values(), ids=list(_NON_FINITE_TEXTS))
+def test_read_vector_refuses_the_non_finite_values_loadtxt_reads(tmp_path, data):
+    path = _vector_file(tmp_path, data)
+    assert not np.isfinite(loadtxt_vector(path)).all()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has non-finite entries$"):
+        storage._read_vector(path, 2)
+
+
+@pytest.mark.parametrize("data", [b"1 2 3 4\n", b"1\t2\n3\t4\n", b"1\n2 # 3\n3 4\n"])
+def test_read_vector_refuses_two_numbers_on_a_line(tmp_path, data):
+    # np.loadtxt read a single line of four numbers as a 4-vector
+    path = _vector_file(tmp_path, data)
+    with pytest.raises(ValueError, match=_not_one_number_per_line(path)):
+        storage._read_vector(path, 4)
+
+
+_VECTOR_PIECES = [
+    "1", "-0", "2.5", "e", "E", "+", "-", ".", " ", "\t", "\n", "\r\n", "\r", "#", "_", "x",
+    "inf", "nan", "\x0c", "\xa0", "\u2028", "\u3000", "\ufeff", "\u0661", "\xe9", "\x00",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_VECTOR_PIECES), max_size=12).map("".join))
+def test_read_vector_agrees_with_loadtxt_where_each_line_holds_one_number(tmp_path_factory, text):
+    path = _vector_file(tmp_path_factory.mktemp("vec"), text.encode("utf-8"))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    one_per_line = all(len(line.partition("#")[0].split()) <= 1 for line in lines)
+    try:
+        want = loadtxt_vector(path)
+    except ValueError:
+        want = None
+    if want is None or not one_per_line:
+        with pytest.raises(ValueError, match="does not hold one number per line"):
+            storage._read_vector(path, 0)
+    elif np.isfinite(want).all():
+        assert storage._read_vector(path, want.size).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="has non-finite entries"):
+            storage._read_vector(path, want.size)
+
+
 _float64_bit_patterns = st.lists(st.integers(0, 2**64 - 1), max_size=64).map(
     lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)
 )
@@ -462,6 +576,25 @@ def _vector_lines(name, keep=slice(None), extra=""):
         lines = (d / name).read_text().splitlines(keepends=True)
         (d / name).write_text("".join(lines[keep]) + extra)
     return edit
+
+
+def _vector_on_one_line(name):
+    """``name``'s values on one line, space-separated."""
+    def edit(d, inst):
+        (d / name).write_text(" ".join((d / name).read_text().split()) + "\n")
+    return edit
+
+
+def _write_A_bytes(make):
+    return lambda d, inst: (d / "A.npy").write_bytes(make(inst.A))
+
+
+def _npy_with_negative_rows(A):
+    """A's .npy bytes with ``-m`` rows in the header."""
+    buf = io.BytesIO()
+    header = {"descr": "<f8", "fortran_order": False, "shape": (-A.shape[0], A.shape[1])}
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + A.tobytes()
 
 
 def _A_is_a_directory(d, inst):
@@ -594,6 +727,38 @@ _EDITS = {
         _BOTH, _save_A(lambda A: _with_entry(A, -np.inf)), ValueError,
         "{d}/A.npy has non-finite entries",
     ),
+    "A-pickle": (
+        _BOTH, _write_A_bytes(pickle.dumps), ValueError,
+        "{d}/A.npy is not a .npy array file: This file contains pickled (object) data. "
+        "If you trust the file you can load it unsafely using the `allow_pickle=` "
+        "keyword argument or `pickle.load()`.",
+    ),
+    "A-object": (
+        _BOTH, _write_A_bytes(lambda A: _npy_bytes(A.astype(object))), ValueError,
+        "{d}/A.npy is not a .npy array file: "
+        "Array can't be memory-mapped: Python objects in dtype.",
+    ),
+    "A-npz": (
+        _BOTH, _write_A_bytes(lambda A: _npz_bytes()), ValueError,
+        "{d}/A.npy is an .npz archive, not a .npy array file",
+    ),
+    # a zip signature before anything else; np.load let zipfile's BadZipFile out
+    "A-zip-signature": (
+        _BOTH, _write("A.npy", "PK\x03\x04 and no archive"), ValueError,
+        "{d}/A.npy is an .npz archive, not a .npy array file",
+    ),
+    "A-truncated": (
+        _BOTH, _write_A_bytes(lambda A: _npy_bytes(A)[:-8]), ValueError,
+        "{d}/A.npy is not a .npy array file: mmap length is greater than file size",
+    ),
+    # np.load let the OverflowError of a negative map length out
+    "A-negative-rows": (
+        _BOTH, _write_A_bytes(_npy_with_negative_rows), ValueError,
+        "{d}/A.npy is not a .npy array file: ...",
+    ),
+    "A-bool": (
+        _BOTH, _save_A(lambda A: A > 0), ValueError, "{d}/A.npy holds bool values, not real numbers"
+    ),
     "A-directory": (
         _BOTH, _A_is_a_directory, IsADirectoryError, "[Errno 21] Is a directory: '{d}/A.npy'"
     ),
@@ -613,6 +778,10 @@ _EDITS = {
         _BOTH, _vector_lines("xhat.txt", slice(1), "abc\n"), ValueError,
         "{d}/xhat.txt does not hold one number per line: ...",
     ),
+    "xhat-one-line": (
+        _BOTH, _vector_on_one_line("xhat.txt"), ValueError,
+        "{d}/xhat.txt does not hold one number per line: ...",
+    ),
     "xhat-nan": (
         _BOTH, _vector_lines("xhat.txt", slice(1, None), "nan\n"), ValueError,
         "{d}/xhat.txt has non-finite entries",
@@ -624,6 +793,10 @@ _EDITS = {
     ),
     "b-blank": (
         _BP, _write("b.txt", "\n \n"), ValueError, "b.txt has 0 entries, meta.json says {m}"
+    ),
+    "b-one-line": (
+        _BP, _vector_on_one_line("b.txt"), ValueError,
+        "{d}/b.txt does not hold one number per line: ...",
     ),
     "b-inf": (
         _BP, _vector_lines("b.txt", slice(1, None), "inf\n"), ValueError,
@@ -646,6 +819,10 @@ _EDITS = {
     ),
     "labels-zero": (
         _FUSED, _vector_lines("labels.txt", slice(1, None), "-0\n"), ValueError,
+        "{d}/labels.txt holds a label other than -1 or +1",
+    ),
+    "labels-next-to-one": (
+        _FUSED, _vector_lines("labels.txt", slice(1, None), "1.0000000000000002\n"), ValueError,
         "{d}/labels.txt holds a label other than -1 or +1",
     ),
     "pattern-missing": (
