@@ -9,9 +9,14 @@ Two experiments:
    minimizer also bridges the gaps between blocks with low plateaus;
    the numbers below show both effects so the trade-off is visible.
 
-2. Narrow blocks ((m, n) = (100, 500), 41 planted nonzeros): report the
-   solution's sparsity counts, which land near the planted 41 nonzeros
-   and 7 level changes when the l1 weight is raised to 2e-2.
+2. Narrow blocks ((m, n) = (100, 500), 41 planted nonzeros and 7 level
+   changes, l1 weight raised to 2e-2): report the solution's sparsity
+   counts beside the planted ones.  The recovered counts are of the
+   planted order, not equal to them (78 nonzeros and 83 level changes
+   with numpy 2.4 and OpenBLAS 0.3.31).  Acceptance gate 7 solves the
+   same instance to tol 1e-4 and asserts only that it converges within
+   2500 iterations with the nonzero count in [20, 120] and the
+   level-change count in [6, 120].
 """
 
 import numpy as np

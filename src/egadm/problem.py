@@ -4,15 +4,13 @@ linear coupling ``A x + B y = b`` between them.
 The solver core only touches the nonsmooth block through its structured
 proximal subproblem and the smooth block through its gradient, so both are
 supplied as callables bundled with their dimensions.  The coupling's A
-and B are dense matrices or ``LinearMap``s that declare their own norm.
+and B are ``LinearMap``s that declare their own norm.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .linalg import spectral_norm_sq
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,11 @@ def _check_bound(name, value):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def _is_dimension(k):
+    """A nonnegative integer; a bool, a float such as 2.5 or a negative is none."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0
+
+
 @dataclass(frozen=True)
 class SmoothBlock:
     """Smooth block g over Y, exposed through value, gradient, and projection.
@@ -61,11 +64,11 @@ class SmoothBlock:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix M given by its products ``M @ v`` and ``M.T @ w`` and a
-    declared upper bound ``norm_sq`` on ``lmax(M^T M)``.  The products also
-    take a matrix of columns, so ``np.asarray(M)`` is ``M @ I``, a new
-    dense matrix; asked for no copy (``copy=False``), it raises ValueError,
-    as NumPy's ``__array__`` protocol says."""
+    """A matrix M of ``shape`` (two nonnegative integers) given by its
+    products ``M @ v`` and ``M.T @ w`` and a declared upper bound ``norm_sq``
+    on ``lmax(M^T M)``.  The products also take a matrix of columns, so
+    ``np.asarray(M)`` is ``M @ I``, a new dense matrix; asked for no copy
+    (``copy=False``), it raises ValueError, as NumPy's ``__array__`` says."""
 
     shape: tuple
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -73,6 +76,9 @@ class LinearMap:
     norm_sq: float
 
     def __post_init__(self):
+        shape = self.shape
+        if not (isinstance(shape, tuple) and len(shape) == 2 and all(map(_is_dimension, shape))):
+            raise ValueError(f"shape must be two nonnegative integers, got {shape!r}")
         _check_bound("norm_sq", self.norm_sq)
 
     def __matmul__(self, v):
@@ -89,18 +95,12 @@ class LinearMap:
 
 
 def identity_map(n, sign=1.0):
-    """``sign * I`` of size n, sign +1 or -1: products return v or np.negative(v)."""
+    """``sign * I`` of size n, sign +1 or -1 (no bool): products return v or -v."""
     ops = {1.0: lambda v: v, -1.0: np.negative}
-    if sign not in ops:
+    if isinstance(sign, (bool, np.bool_)) or sign not in ops:
         raise ValueError(f"identity_map sign must be +1 or -1, got {sign!r}")
     op = ops[sign]
     return LinearMap((n, n), op, op, 1.0)
-
-
-def _product(M):
-    """``v -> M @ v`` as one bound callable: no wrapper frame around it.
-    A dense matrix's is ``M.dot``, the same gemv as ``@`` with less dispatch."""
-    return M.matvec if isinstance(M, LinearMap) else M.dot
 
 
 def frozen_copy(m):
@@ -112,39 +112,33 @@ def frozen_copy(m):
 
 @dataclass(frozen=True)
 class Coupling:
-    """Linear constraint data ``A x + B y = b``; A and B are dense or ``LinearMap``s.
+    """Linear constraint data ``A x + B y = b``: A and B are ``LinearMap``s,
+    kept as given; a dense matrix M becomes one as
+    ``LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))``.
 
-    Caches ``Bt`` = B^T and ``lmax_btb`` = lmax(B^T B), which a ``LinearMap``
-    B declares and a dense B gets exactly from ``spectral_norm_sq`` (the
-    top eigenvalue of its smaller Gram matrix, exact to rounding).
     ``b_is_zero`` records whether every entry of b is +0.0, so that
     subtracting b would return its operand bit for bit (``v - (-0.0)``
-    turns ``-0.0`` into ``+0.0``, so a negative zero does not count).
-    Dense A, B and b are kept as read-only copies, so no cached value can
-    go stale; a ``LinearMap`` is kept as given.  Each product is bound
-    once, to a ``LinearMap``'s ``matvec`` or the dense matrix's ``dot``
-    (the same gemv as ``@``, bit for bit, without the ``matmul`` ufunc's
-    dispatch), so ``apply_*`` is one call on top of it.  The solver calls
-    the ``apply_*`` methods, so a subclass's overrides see every product."""
+    turns ``-0.0`` into ``+0.0``, so a negative zero does not count); b is
+    a read-only copy, so the flag cannot go stale.  ``apply_*`` is one call
+    of ``A.matvec``, ``B.matvec`` or ``B.rmatvec``, each bound once.  The
+    solver calls ``apply_*``, so a subclass's overrides see every product."""
 
-    A: np.ndarray | LinearMap
-    B: np.ndarray | LinearMap
+    A: LinearMap
+    B: LinearMap
     b: np.ndarray
 
     def __post_init__(self):
-        A, B = (m if isinstance(m, LinearMap) else frozen_copy(m) for m in (self.A, self.B))
-        b = frozen_copy(self.b)
-        if len(A.shape) != 2 or len(B.shape) != 2 or b.ndim != 1:
-            raise ValueError("A and B must be matrices, b a vector")
+        A, B, b = self.A, self.B, frozen_copy(self.b)
+        if not (isinstance(A, LinearMap) and isinstance(B, LinearMap)):
+            raise TypeError("A and B must be LinearMaps; a dense matrix M becomes one as "
+                            "LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))")
+        if b.ndim != 1:
+            raise ValueError("b must be a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
-        lmax = B.norm_sq if isinstance(B, LinearMap) else spectral_norm_sq(B)
         b_is_zero = not np.count_nonzero(b.view(np.uint64))  # every bit clear: +0.0 only
-        Bt = B.T
-        for name, value in zip(
-            ("A", "B", "b", "Bt", "lmax_btb", "b_is_zero", "_a", "_b", "_bt"),
-            (A, B, b, Bt, lmax, b_is_zero, _product(A), _product(B), _product(Bt)),
-        ):
+        products = (A.matvec, B.matvec, B.rmatvec)
+        for name, value in zip(("b", "b_is_zero", "_a", "_b", "_bt"), (b, b_is_zero, *products)):
             object.__setattr__(self, name, value)
 
     def apply_a(self, x):
@@ -191,11 +185,10 @@ def kkt_lipschitz_bound(problem):
 
     Equals ``sqrt(max(2 Lg^2 + lmax, 2 lmax))``: Lg is the smooth block's
     declared gradient Lipschitz constant, lmax = lmax(B^T B) the coupling's
-    ``lmax_btb`` (a ``LinearMap``'s declared ``norm_sq``, else the exact
-    ``spectral_norm_sq``, the top eigenvalue of B's smaller Gram matrix),
-    so the bound is never an estimate from below.
+    declared ``B.norm_sq``, an upper bound, so the bound is never an
+    estimate from below.  Nothing here computes a spectral norm.
     The certificate needs ``gamma <= 1 / (2 * bound)``.
     """
     lg = problem.smooth_block.lipschitz_constant
-    lmax = problem.coupling.lmax_btb
+    lmax = problem.coupling.B.norm_sq
     return float(np.sqrt(max(2.0 * lg * lg + lmax, 2.0 * lmax)))

@@ -12,6 +12,8 @@ iteration; so does ``reference_advance``, one whole iteration written
 out in the solver's operation order, which the solver must match bit
 for bit.  ``next_state`` is no oracle but the solver itself: the one
 iteration the transcription and hand-computation tests compare with.
+``dense_map`` is no oracle either: it wraps a dense test matrix as the
+``LinearMap`` a ``Coupling`` takes.
 """
 
 import json
@@ -22,8 +24,17 @@ from pathlib import Path
 import numpy as np
 from scipy.io import mmwrite
 
-from egadm.problem import lagrangian
+from egadm.linalg import spectral_norm_sq
+from egadm.problem import LinearMap, frozen_copy, lagrangian
 from egadm.solver import iterate
+
+
+def dense_map(mat):
+    """A read-only copy M of ``mat`` as ``LinearMap(M.shape, M.dot, M.T.dot,
+    spectral_norm_sq(M))``: its products are the gemvs of ``M @ v`` and
+    ``M.T @ w``, bit for bit, and its ``norm_sq`` is exact to rounding."""
+    M = frozen_copy(mat)
+    return LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))
 
 
 def augmented_lagrangian(problem, x, y, lam, gamma):

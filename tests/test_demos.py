@@ -1,4 +1,5 @@
-"""The demos that drive the solver's iteration API run to completion.
+"""The demos run to completion, each in a fresh interpreter, so that a
+renamed library name they use fails here.
 
 ``basis_pursuit_demo.py`` takes about 24 s and is left out.
 """
@@ -14,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script", ["step_size_certificate_demo.py", "complexity_trend_demo.py"]
+    "script",
+    ["step_size_certificate_demo.py", "complexity_trend_demo.py", "fused_logistic_demo.py"],
 )
 def test_demo_runs(script):
     env = dict(os.environ)

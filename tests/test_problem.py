@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
-from egadm import problem as problem_module
+from egadm.linalg import spectral_norm_sq
 from egadm.problem import (
     Coupling,
     LinearMap,
@@ -19,7 +20,9 @@ from egadm.problem import (
     kkt_lipschitz_bound,
     lagrangian,
 )
-from oracles import augmented_lagrangian, central_diff_gradient, jacobi_eigenvalues, kkt_map
+from oracles import (
+    augmented_lagrangian, central_diff_gradient, dense_map, jacobi_eigenvalues, kkt_map,
+)
 
 
 def _unused_subproblem(*_args):
@@ -27,7 +30,7 @@ def _unused_subproblem(*_args):
 
 
 def _quadratic_problem(seed=0, m=4, n=6, p=5):
-    """f = ||.||_1, g = 0.5*||y||^2, random dense coupling."""
+    """f = ||.||_1, g = 0.5*||y||^2, random dense coupling through ``dense_map``."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     B = rng.standard_normal((m, p))
@@ -44,7 +47,7 @@ def _quadratic_problem(seed=0, m=4, n=6, p=5):
         lipschitz_constant=1.0,
         project=lambda y: y,
     )
-    return TwoBlockProblem(prox, smooth, Coupling(A=A, B=B, b=b))
+    return TwoBlockProblem(prox, smooth, Coupling(A=dense_map(A), B=dense_map(B), b=b))
 
 
 def test_lagrangian_feasible_point_ignores_multiplier():
@@ -154,7 +157,7 @@ def test_lipschitz_bound_identity_coupling_with_unit_gradient():
     ident = TwoBlockProblem(
         prob.prox_block,
         prob.smooth_block,
-        Coupling(A=np.eye(5, 6), B=np.eye(5), b=np.zeros(5)),
+        Coupling(A=dense_map(np.eye(5, 6)), B=dense_map(np.eye(5)), b=np.zeros(5)),
     )
     assert kkt_lipschitz_bound(ident) == pytest.approx(np.sqrt(3.0), rel=1e-9)
 
@@ -219,20 +222,19 @@ def test_block_evaluations_are_convex_on_sampled_segments():
 def test_coupling_fast_paths_match_dense_products():
     rng = np.random.default_rng(13)
     n = 6
-    ident = Coupling(A=np.eye(n), B=-np.eye(n), b=np.zeros(n))
-    dense = Coupling(
-        A=rng.standard_normal((4, n)), B=rng.standard_normal((4, 3)), b=rng.standard_normal(4)
-    )
+    ident = Coupling(A=dense_map(np.eye(n)), B=dense_map(-np.eye(n)), b=np.zeros(n))
+    A, B, b = rng.standard_normal((4, n)), rng.standard_normal((4, 3)), rng.standard_normal(4)
+    dense = Coupling(A=dense_map(A), B=dense_map(B), b=b)
     x = rng.standard_normal(n)
     assert np.array_equal(ident.apply_a(x), np.eye(n) @ x)
     assert np.array_equal(ident.apply_b(x), -np.eye(n) @ x)
     assert np.array_equal(ident.apply_bt(x), -np.eye(n) @ x)
     y = rng.standard_normal(3)
     v = rng.standard_normal(4)
-    assert np.array_equal(dense.apply_a(x), dense.A @ x)
-    assert np.array_equal(dense.apply_b(y), dense.B @ y)
-    assert np.array_equal(dense.apply_bt(v), dense.B.T @ v)
-    assert np.allclose(dense.residual(x, y), dense.A @ x + dense.B @ y - dense.b)
+    assert np.array_equal(dense.apply_a(x), A @ x)
+    assert np.array_equal(dense.apply_b(y), B @ y)
+    assert np.array_equal(dense.apply_bt(v), B.T @ v)
+    assert np.allclose(dense.residual(x, y), A @ x + B @ y - b)
 
     # identity maps return x itself and -x, bit for bit
     plus, minus = identity_map(n), identity_map(n, -1.0)
@@ -259,7 +261,7 @@ def test_coupling_fast_paths_match_dense_products():
         lmax = np.linalg.eigvalsh(ref.T @ ref)[-1]
         assert B.norm_sq == pytest.approx(lmax, rel=1e-12)
         coupling = Coupling(A=identity_map(2 * m - 1), B=B, b=np.zeros(2 * m - 1))
-        assert coupling.lmax_btb == B.norm_sq
+        assert coupling.B is B
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,17 +271,18 @@ def test_coupling_fast_paths_match_dense_products():
 )
 def test_dense_coupling_products_give_the_bits_of_matmul(m, n, p, seed, strided):
     rng = np.random.default_rng(seed)
-    c = Coupling(
-        A=rng.standard_normal((m, n)), B=rng.standard_normal((m, p)), b=rng.standard_normal(m)
-    )
+    A, B = rng.standard_normal((m, n)), rng.standard_normal((m, p))
+    b = rng.standard_normal(m)
 
     def vector(k):
         return rng.standard_normal((k, 2))[:, 0] if strided else rng.standard_normal(k)
 
     x, y, v = vector(n), vector(p), vector(m)
-    assert c.apply_a(x).tobytes() == (c.A @ x).tobytes()
-    assert c.apply_b(y).tobytes() == (c.B @ y).tobytes()
-    assert c.apply_bt(v).tobytes() == (c.B.T @ v).tobytes()
+    for cls in (Coupling, _TaggedCoupling):
+        c = cls(A=dense_map(A), B=dense_map(B), b=b)
+        assert c.apply_a(x).tobytes() == (A @ x).tobytes()
+        assert c.apply_b(y).tobytes() == (B @ y).tobytes()
+        assert c.apply_bt(v).tobytes() == (B.T @ v).tobytes()
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,8 @@ class _TaggedCoupling(Coupling):
 
 
 def test_identity_map_rejects_a_sign_other_than_plus_or_minus_one():
-    for sign in (2.0, 0.0, -0.5, float("nan")):
+    # a bool compares equal to 1 or 0 but is no sign, as elsewhere in egadm
+    for sign in (2.0, 0.0, -0.5, float("nan"), True, False, np.True_, np.False_):
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             identity_map(3, sign)
     for sign in (1, -1, 1.0, -1.0):
@@ -309,32 +313,37 @@ def test_a_linear_map_refuses_to_become_an_array_without_a_copy():
         assert np.asarray(M, dtype=np.float32).dtype == np.float32
 
 
-def test_coupling_lmax_btb_is_declared_or_exact(monkeypatch):
-    # a dense B costs exactly one spectral_norm_sq call, a LinearMap B
-    # none, and a dense A is never measured
+def test_kkt_lipschitz_bound_reads_the_declared_norm_sq(monkeypatch):
+    # Lhat takes B.norm_sq as declared, even one above the exact lmax, and
+    # computes no spectral norm: every egadm binding of spectral_norm_sq counts
     rng = np.random.default_rng(5)
-    A, B = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
+    B = rng.standard_normal((4, 3))
+    exact = dense_map(B)
+    assert exact.norm_sq == pytest.approx(np.linalg.eigvalsh(B.T @ B)[-1], rel=1e-12)
+    loose = LinearMap(B.shape, B.dot, B.T.dot, exact.norm_sq + 7.0)
+    prob = _quadratic_problem(m=4, n=4, p=3)
+    smooth = dataclasses.replace(prob.smooth_block, lipschitz_constant=1.5)
     calls = []
 
-    def counted(mat, real=problem_module.spectral_norm_sq):
+    def counted(mat, real=spectral_norm_sq):
         calls.append(np.shape(mat))
         return real(mat)
 
-    monkeypatch.setattr(problem_module, "spectral_norm_sq", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "egadm" and hasattr(module, "spectral_norm_sq"):
+            monkeypatch.setattr(module, "spectral_norm_sq", counted)
     for cls in (Coupling, _TaggedCoupling):
-        calls.clear()
-        dense = cls(A=A, B=B, b=np.zeros(4))
-        assert dense.lmax_btb == pytest.approx(np.linalg.eigvalsh(B.T @ B)[-1], rel=1e-12)
-        assert calls == [(4, 3)]
-        calls.clear()
-        doubled = LinearMap((4, 4), lambda v: 2 * v, lambda v: 2 * v, 4.0)
-        assert cls(A=A, B=doubled, b=np.zeros(4)).lmax_btb == 4.0
-        assert calls == []
+        for Bmap in (exact, loose):
+            coupling = cls(A=identity_map(4), B=Bmap, b=np.zeros(4))
+            bound = kkt_lipschitz_bound(TwoBlockProblem(prob.prox_block, smooth, coupling))
+            lmax = Bmap.norm_sq
+            assert bound == np.sqrt(max(2.0 * 1.5 * 1.5 + lmax, 2.0 * lmax)), (cls, lmax)
+    assert calls == []
 
 
 def test_coupling_b_is_zero_only_for_positive_zeros():
     def coupling(b, cls=Coupling):
-        return cls(A=np.eye(3), B=identity_map(3, -1.0), b=np.array(b))
+        return cls(A=identity_map(3), B=identity_map(3, -1.0), b=np.array(b))
 
     assert coupling([0.0, 0.0, 0.0]).b_is_zero
     assert coupling([0.0, 0.0, 0.0], _TaggedCoupling).b_is_zero
@@ -355,31 +364,51 @@ def test_coupling_b_is_zero_only_for_positive_zeros():
     assert fused.coupling.b_is_zero
 
 
-def test_coupling_keeps_read_only_copies_of_dense_matrices():
-    # writing into the caller's matrices must not leave lmax_btb stale
-    A, B = np.eye(3), np.eye(3)
-    c = Coupling(A=A, B=B, b=np.zeros(3))
-    A *= 10.0
-    B *= 10.0
-    assert c.lmax_btb == pytest.approx(np.linalg.svd(c.B, compute_uv=False)[0] ** 2)
-    assert c.lmax_btb == pytest.approx(1.0) and np.array_equal(c.A, np.eye(3))
-    for mat in (c.A, c.B, c.Bt):
-        with pytest.raises(ValueError):
-            mat[0, 0] = 5.0
-    ident = identity_map(3)
-    assert Coupling(A=ident, B=ident, b=np.zeros(3)).B is ident
-
-
 def test_problem_dimension_validation():
     prob = _quadratic_problem()
     with pytest.raises(ValueError):
         TwoBlockProblem(
             prob.prox_block,
             prob.smooth_block,
-            Coupling(A=np.eye(3), B=np.eye(3), b=np.zeros(3)),
+            Coupling(A=dense_map(np.eye(3)), B=dense_map(np.eye(3)), b=np.zeros(3)),
         )
-    with pytest.raises(ValueError):
-        Coupling(A=np.eye(3), B=np.eye(4), b=np.zeros(3))
+    with pytest.raises(ValueError, match="row dimensions disagree"):
+        Coupling(A=dense_map(np.eye(3)), B=dense_map(np.eye(4)), b=np.zeros(3))
+    with pytest.raises(ValueError, match="row dimensions disagree"):
+        Coupling(A=identity_map(3), B=identity_map(3), b=np.zeros(4))
+    with pytest.raises(ValueError, match="b must be a vector"):
+        Coupling(A=identity_map(3), B=identity_map(3), b=np.zeros((3, 1)))
+
+
+def test_coupling_takes_linear_maps_only_and_keeps_them_as_given():
+    recipe = "LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))"
+    ident = identity_map(3)
+    for A, B in ((np.eye(3), ident), (ident, np.eye(3)), (np.eye(3), np.eye(3))):
+        for cls in (Coupling, _TaggedCoupling):
+            with pytest.raises(TypeError, match=r"must be LinearMaps") as exc:
+                cls(A=A, B=B, b=np.zeros(3))
+            assert recipe in str(exc.value)
+    c = Coupling(A=ident, B=ident, b=np.zeros(3))
+    assert c.A is ident and c.B is ident
+
+
+@pytest.mark.parametrize("n", [2.5, -3, True, np.True_, 3.0, None, "3"])
+def test_identity_map_refuses_a_size_that_is_not_a_nonnegative_integer(n):
+    with pytest.raises(ValueError, match="shape must be two nonnegative integers"):
+        identity_map(n)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3, 3), [3, 3], (3, -1), (True, 3), (3, 2.0), 3])
+def test_linear_map_refuses_a_shape_that_is_not_two_nonnegative_integers(shape):
+    with pytest.raises(ValueError, match="shape must be two nonnegative integers"):
+        LinearMap(shape, lambda v: v, lambda v: v, 1.0)
+
+
+def test_linear_map_takes_python_and_numpy_integers_as_its_shape():
+    for shape in ((0, 0), (3, 4), (np.int64(3), np.int32(4))):
+        assert LinearMap(shape, lambda v: v, lambda v: v, 1.0).shape == shape
+    assert identity_map(np.int64(3)).shape == (3, 3)
+
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])

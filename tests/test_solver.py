@@ -26,7 +26,7 @@ from egadm.solver import (
     solve,
 )
 from oracles import (
-    bp_midpoint_transcription, extragradient_certificate, next_state, reference_advance,
+    bp_midpoint_transcription, dense_map, extragradient_certificate, next_state, reference_advance,
 )
 
 
@@ -45,7 +45,7 @@ def _l1_quadratic_problem(B, b, x_dim=None, A=None):
         solve_subproblem=solve_subproblem,
     )
     smooth = SmoothBlock(
-        dim=np.shape(B)[1], evaluate=lambda y: 0.5 * float(y @ y),
+        dim=B.shape[1], evaluate=lambda y: 0.5 * float(y @ y),
         gradient=lambda y: y.copy(), lipschitz_constant=1.0, project=lambda y: y,
     )
     coupling = Coupling(A=identity_map(m) if A is None else A, B=B, b=b)
@@ -54,7 +54,7 @@ def _l1_quadratic_problem(B, b, x_dim=None, A=None):
 
 def _scalar_problem(rhs=0.5):
     """1-d instance: f = |x|, g = y^2/2, constraint x + y = rhs."""
-    return _l1_quadratic_problem(np.eye(1), np.array([rhs]))
+    return _l1_quadratic_problem(dense_map(np.eye(1)), np.array([rhs]))
 
 
 def _state_at(problem, x, y, lam):
@@ -534,7 +534,7 @@ def test_step_info_norms_equal_the_linalg_norm_formulas(variant):
 @pytest.mark.parametrize("variant", list(VariantKind))
 def test_nonzero_b_is_subtracted_from_the_residual(variant):
     rng = np.random.default_rng(8)
-    prob = _l1_quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4))
+    prob = _l1_quadratic_problem(dense_map(rng.standard_normal((4, 3))), rng.standard_normal(4))
     assert not prob.coupling.b_is_zero
     cfg = SolverConfig(variant=variant, monitor_certificate=True)
     prev = initial_state(prob)
@@ -554,7 +554,7 @@ def _reference_case(name):
     """``(problem, monitor_certificate, init)`` of one reference-step case."""
     if name == "dense_nonzero_b":
         rng = np.random.default_rng(8)
-        return _l1_quadratic_problem(rng.standard_normal((4, 3)), rng.standard_normal(4)), True, None
+        return _l1_quadratic_problem(dense_map(rng.standard_normal((4, 3))), rng.standard_normal(4)), True, None
     if name == "fused_blocks":
         inst = fl.generate_block_pattern(150, 40, 2)
         return fl.as_problem(inst, fl.FusedLogisticConfig()), True, None
