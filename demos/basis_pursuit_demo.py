@@ -3,32 +3,31 @@
 
 Generates ten sparse-recovery instances (Gaussian sensing matrix with unit
 spectral norm, planted 2-sparse solution), solves each with every variant
-at a fixed step size, and prints per-variant iteration medians and
-recovery errors.  The plain-Lagrangian gradient variant (gl) is expected
-to stall at the iteration cap; the extragradient-on-augmented-Lagrangian
-variant (egal) is expected to need the fewest iterations.
+at a fixed step size through ``cli.run_bench`` (the sweep of gate 4), and
+prints its per-variant summary rows: converged count, median iterations
+and median recovery error.  The plain-Lagrangian gradient variant (gl) is
+expected to stall at the iteration cap; the
+extragradient-on-augmented-Lagrangian variant (egal) is expected to need
+the fewest iterations.
 """
 
-import numpy as np
-
-from egadm import basis_pursuit as bp
-from egadm.solver import SolverConfig, VariantKind, solve
+from egadm.cli import BenchSpec, run_bench
+from egadm.solver import SolverConfig, VariantKind
 
 N, M, S = 100, 20, 2
 GAMMA = 0.1
-SEEDS = range(10)
+
+spec = BenchSpec(
+    problem="bp",
+    dims=((N, M, S),),
+    instances=10,
+    seed_base=0,
+    pattern="blocks",
+    configs=tuple(SolverConfig(v, gamma=GAMMA, tol=1e-4, max_iters=20000) for v in VariantKind),
+)
+_, summaries = run_bench(spec)
 
 print(f"basis pursuit, (n, m, s) = ({N}, {M}, {S}), gamma = {GAMMA}, tol = 1e-4")
 print(f"{'variant':>8} {'converged':>10} {'median iters':>13} {'median error':>13}")
-for variant in VariantKind:
-    iters, errs, conv = [], [], 0
-    for seed in SEEDS:
-        inst = bp.generate(N, M, S, seed)
-        report = solve(bp.as_problem(inst), SolverConfig(variant=variant, gamma=GAMMA))
-        iters.append(report.iterations)
-        errs.append(bp.recovery_error(inst, report.state.x))
-        conv += report.converged
-    print(
-        f"{variant.value:>8} {conv:>7}/10 {np.median(iters):>13.0f} "
-        f"{np.median(errs):>13.2e}"
-    )
+for row in summaries:
+    print(f"{row['variant']:>8} {row['converged']:>10} {row['iters']:>13.0f} {row['err']:>13.2e}")

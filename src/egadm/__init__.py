@@ -3,7 +3,7 @@ programs ``min f(x) + g(y) s.t. A x + B y = b`` where f has a cheap
 structured prox and g is smooth with a known gradient Lipschitz bound."""
 
 from .linalg import spectral_norm_sq
-from .operators import AffineProjector, l1_prox, shrink
+from .operators import AffineProjector, l1_prox
 from .problem import (
     Coupling,
     LinearMap,
@@ -49,7 +49,6 @@ __all__ = [
     "l1_prox",
     "lagrangian",
     "resolve_gamma",
-    "shrink",
     "solve",
     "spectral_norm_sq",
 ]

@@ -16,7 +16,9 @@ import numpy as np
 
 from .linalg import spectral_norm_sq
 from .operators import AffineProjector, l1_prox
-from .problem import Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map
+from .problem import (
+    Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, _check_dimensions, frozen_copy, identity_map,
+)
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,9 @@ def generate(n, m, s, seed):
     ``inst.projector`` cannot be built, the draw is retried
     (deterministically) up to three times.
     """
+    _check_dimensions(n=n, m=m, s=s, seed=seed)
     if not (0 < s <= m <= n):
         raise ValueError("need 0 < s <= m <= n")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
     for attempt in range(3):
         rng = np.random.default_rng([seed, attempt])
         A = rng.standard_normal((m, n))

@@ -23,7 +23,8 @@ import numpy as np
 from .linalg import spectral_norm_sq
 from .operators import l1_prox
 from .problem import (
-    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, frozen_copy, identity_map,
+    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_dimensions,
+    frozen_copy, identity_map,
 )
 from .solver import SolverConfig, VariantKind, solve
 
@@ -255,18 +256,22 @@ def fused_coupling(n):
 class FusedLogisticConfig:
     """Penalty weights and step size.  Only ``solve_fused`` reads
     ``gamma`` (``None`` selects it automatically from the problem's
-    Lipschitz data); ``as_problem`` ignores it."""
+    Lipschitz data); ``as_problem`` ignores it.  No field is a bool, and
+    gamma is checked by ``SolverConfig``'s rule."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):  # True would pass as 1.0
+        for name in ("alpha", "beta", "gamma"):  # True would pass as 1.0
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        # each test is written so that NaN fails it
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
             raise ValueError("penalty weights must be nonnegative and finite")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 def as_problem(inst, cfg):
@@ -310,11 +315,11 @@ def generate_simple_pattern(n, seed, m=None):
     heights drawn uniform in (0, 20); everything else is zero.  ``m``
     defaults to n // 2, matching the canonical n = 1000, m = 500 sizing.
     """
+    _check_dimensions(n=n, seed=seed)
+    m = n // 2 if m is None else m
+    _check_dimensions(m=m)
     if n < 1000:
         raise ValueError("the simple block pattern needs n >= 1000")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    m = n // 2 if m is None else int(m)
     if m < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng([seed, 0])
@@ -331,12 +336,11 @@ def generate_simple_pattern(n, seed, m=None):
 def generate_block_pattern(n, m, seed):
     """Planted coefficients with narrow blocks and an isolated spike:
     20 on 1-20, 30 at 41, 10 on 71-85, 20 on 121-125 (1-based)."""
+    _check_dimensions(n=n, m=m, seed=seed)
     if n < 126:
         raise ValueError("the narrow block pattern needs n >= 126")
     if m < 1:
         raise ValueError("need at least one sample")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng([seed, 0])
     xhat = np.zeros(n)
     xhat[0:20] = 20.0

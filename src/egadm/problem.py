@@ -25,17 +25,19 @@ class ProxBlock:
     where ``offset`` stands for ``B y - b`` at the current y: the paper's
     x-step with its proximal term H = 0.  It must not write into its
     arguments: with ``B = identity_map(n)`` and ``b = 0``, ``offset`` is
-    the iterate y itself.
-    """
+    the iterate y itself.  ``dim`` is a nonnegative integer, not a bool."""
 
     dim: int
     evaluate: Callable[[np.ndarray], float]
     solve_subproblem: Callable
 
+    def __post_init__(self):
+        _check_dimensions(dim=self.dim)
+
 
 def _check_bound(name, value):
-    """A declared bound must be a number in [0, inf); NaN fails the test."""
-    if not 0.0 <= value < np.inf:
+    """A declared bound must be a number in [0, inf), not a bool; NaN fails the test."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
@@ -44,12 +46,20 @@ def _is_dimension(k):
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0
 
 
+def _check_dimensions(**counts):
+    """A ValueError naming the first of ``counts`` that fails ``_is_dimension``."""
+    for name, k in counts.items():
+        if not _is_dimension(k):
+            raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class SmoothBlock:
     """Smooth block g over Y, exposed through value, gradient, and projection.
 
     ``lipschitz_constant`` is a declared analytic bound on the gradient's
     Lipschitz constant, not an estimate; each specialization supplies it.
+    ``dim`` is a nonnegative integer; neither is a bool.
     """
 
     dim: int
@@ -59,6 +69,7 @@ class SmoothBlock:
     project: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
+        _check_dimensions(dim=self.dim)
         _check_bound("lipschitz_constant", self.lipschitz_constant)
 
 

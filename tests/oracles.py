@@ -4,7 +4,9 @@ Most of these avoid the library's own code paths: the eigensolver is a
 classical Jacobi sweep, prox values come from brute-force grid search,
 gradients from central differences, and the iteration oracles are
 line-by-line transcriptions of the update formulas with their own linear
-algebra.  The first-order oracles (``augmented_lagrangian``, ``kkt_map``,
+algebra; ``soft_threshold`` is the closed-form l1 prox they share,
+written out in float64 with a Python-float zero.  The first-order
+oracles (``augmented_lagrangian``, ``kkt_map``,
 ``extragradient_certificate``) evaluate their formulas on a
 ``TwoBlockProblem`` through the problem's own callables (``evaluate``,
 ``gradient``, the coupling products), never through the solver's
@@ -35,6 +37,13 @@ def dense_map(mat):
     ``M.T @ w``, bit for bit, and its ``norm_sq`` is exact to rounding."""
     M = frozen_copy(mat)
     return LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))
+
+
+def soft_threshold(z, tau):
+    """``sign(z) * max(|z| - tau, 0)`` of a float64 copy of z: the minimizer of
+    ``tau*||x||_1 + (1/2)||x - z||^2`` for thresholds ``tau >= 0``."""
+    z = np.asarray(z, dtype=float)
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
 def augmented_lagrangian(problem, x, y, lam, gamma):
@@ -234,14 +243,11 @@ def bp_midpoint_transcription(A, b, gamma, iters):
     def proj(w):
         return w + A.T @ np.linalg.solve(gram, b - A @ w)
 
-    def shrink(z, tau):
-        return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
     y = proj(np.zeros(n))
     lam = np.zeros(n)
     traj = []
     for _ in range(iters):
-        x = shrink(y + lam / gamma, 1.0 / gamma)
+        x = soft_threshold(y + lam / gamma, 1.0 / gamma)
         y_bar = proj(y - gamma * lam)
         lam_bar = lam - gamma * (x - y)
         y_new = proj(y - gamma * lam_bar)
@@ -262,9 +268,6 @@ def fused_midpoint_transcription(A, labels, alpha, beta, gamma, iters):
     m, n = A.shape
     signed = labels[:, None] * A
 
-    def shrink(z, tau):
-        return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
     def diff(v):
         return v[:-1] - v[1:]
 
@@ -280,8 +283,8 @@ def fused_midpoint_transcription(A, labels, alpha, beta, gamma, iters):
     lam2 = np.zeros(n - 1)
     traj = []
     for _ in range(iters):
-        x = shrink(y + lam1 / gamma, alpha / gamma)
-        w = shrink(diff(y) + lam2 / gamma, beta / gamma)
+        x = soft_threshold(y + lam1 / gamma, alpha / gamma)
+        w = soft_threshold(diff(y) + lam2 / gamma, beta / gamma)
         d = 1.0 / (1.0 + np.exp(-signed @ y - labels * c))
         gy = -(signed.T @ (1.0 - d)) / m
         gc = -(labels @ (1.0 - d)) / m

@@ -15,7 +15,7 @@ import pytest
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
 from egadm.cli import CSV_COLUMNS, BenchSpec, run_bench, write_csv
-from egadm.operators import AffineProjector, shrink
+from egadm.operators import AffineProjector, l1_prox
 from egadm.solver import (
     SolverConfig,
     VariantKind,
@@ -49,7 +49,8 @@ def test_criterion_1_operator_oracles():
     for _ in range(1000):
         z = float(rng.uniform(-4.5, 4.5))
         tau = float(rng.uniform(0.0, 2.0))
-        worst_prox = max(worst_prox, abs(shrink(np.array([z]), tau)[0] - grid_prox_scalar(z, tau)))
+        x = l1_prox(tau)(np.zeros(1), np.array([z]), 1.0)[0]  # soft-threshold of z at tau
+        worst_prox = max(worst_prox, abs(x - grid_prox_scalar(z, tau)))
     worst_resid = 0.0
     worst_idem = 0.0
     for _ in range(100):

@@ -67,6 +67,16 @@ def test_generate_validates_dimensions():
         bp.generate(10, 5, 2, -1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 100.0), ("m", 20.5), ("s", 2.0), ("s", True), ("seed", True), ("seed", np.True_),
+    ("seed", 1.5), ("seed", -1),
+])
+def test_generate_refuses_an_argument_that_is_not_a_nonnegative_integer(name, value):
+    args = {"n": 100, "m": 20, "s": 2, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+        bp.generate(**args)
+
+
 def test_problem_lipschitz_bound_is_sqrt_two():
     inst = bp.generate(30, 6, 2, 1)
     assert kkt_lipschitz_bound(bp.as_problem(inst)) == pytest.approx(

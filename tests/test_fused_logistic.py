@@ -13,7 +13,7 @@ from egadm.problem import kkt_lipschitz_bound, lagrangian
 from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve
 from oracles import (
     central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, logistic_gradient,
-    masked_sigmoid, next_state, traced_call,
+    masked_sigmoid, next_state, soft_threshold, traced_call,
 )
 
 
@@ -343,6 +343,33 @@ def test_generate_block_pattern_counts():
         fl.generate_block_pattern(125, 10, 0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 1000.0), ("n", True), ("seed", True), ("seed", 1.0), ("seed", -1),
+    ("m", 2.5), ("m", True), ("m", np.float64(20.0)), ("m", -1),
+])
+def test_simple_pattern_refuses_an_argument_that_is_not_a_nonnegative_integer(name, value):
+    args = {"n": 1000, "seed": 0, "m": 20, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+        fl.generate_simple_pattern(**args)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 200.0), ("n", np.True_), ("m", 2.5), ("m", True), ("seed", True), ("seed", -1),
+    ("seed", 0.0),
+])
+def test_block_pattern_refuses_an_argument_that_is_not_a_nonnegative_integer(name, value):
+    args = {"n": 200, "m": 20, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+        fl.generate_block_pattern(**args)
+
+
+def test_generators_take_numpy_integers_to_the_same_bits():
+    simple = fl.generate_simple_pattern(np.int64(1000), np.int32(3), m=np.int64(20))
+    assert simple.aux.data.tobytes() == fl.generate_simple_pattern(1000, 3, m=20).aux.data.tobytes()
+    blocks = fl.generate_block_pattern(np.int64(200), np.int64(20), np.int64(3))
+    assert blocks.aux.data.tobytes() == fl.generate_block_pattern(200, 20, 3).aux.data.tobytes()
+
+
 def test_generators_are_deterministic_and_labels_consistent():
     a = fl.generate_block_pattern(200, 40, 9)
     b = fl.generate_block_pattern(200, 40, 9)
@@ -402,7 +429,7 @@ def test_problem_coupling_spectrum_small_case():
     )
 
 
-def test_problem_prox_block_is_two_shrinks():
+def test_problem_prox_block_is_two_soft_thresholds():
     inst = _tiny_instance(m=5, n=4)
     cfg = fl.FusedLogisticConfig(alpha=0.3, beta=0.7)
     prob = fl.as_problem(inst, cfg)
@@ -413,11 +440,10 @@ def test_problem_prox_block_is_two_shrinks():
     z = np.concatenate([y, [0.4]])
     offset = prob.coupling.apply_b(z) - prob.coupling.b
     out = prob.prox_block.solve_subproblem(offset, lam, gamma)
-    from egadm.operators import shrink
 
-    assert np.allclose(out[:4], shrink(y + lam[:4] / gamma, cfg.alpha / gamma), atol=1e-14)
+    assert np.allclose(out[:4], soft_threshold(y + lam[:4] / gamma, cfg.alpha / gamma), atol=1e-14)
     ly = y[:-1] - y[1:]
-    assert np.allclose(out[4:], shrink(ly + lam[4:] / gamma, cfg.beta / gamma), atol=1e-14)
+    assert np.allclose(out[4:], soft_threshold(ly + lam[4:] / gamma, cfg.beta / gamma), atol=1e-14)
 
 
 def test_prox_is_l1_prox_of_the_penalty_weights():
@@ -538,6 +564,19 @@ def test_config_validation():
             fl.FusedLogisticConfig(**weights)
     with pytest.raises(ValueError):
         fl.LogisticAux.from_data(np.eye(2), np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, True, np.True_, np.nan, np.inf])
+def test_config_refuses_the_gammas_solver_config_refuses(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        SolverConfig(VariantKind.EGAL, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        fl.FusedLogisticConfig(gamma=gamma)
+
+
+def test_config_takes_no_gamma_or_a_positive_finite_one():
+    for gamma in (None, 0.05, 1, np.float64(2.0)):
+        assert fl.FusedLogisticConfig(gamma=gamma).gamma is gamma
 
 
 def test_solve_fused_is_solve_with_the_fused_stop_rule():

@@ -8,39 +8,45 @@ from hypothesis import strategies as st
 
 from egadm import basis_pursuit as bp
 from egadm import fused_logistic as fl
-from egadm.operators import AffineProjector, l1_prox, shrink
-from oracles import grid_prox_scalar
+from egadm.operators import AffineProjector, l1_prox
+from oracles import grid_prox_scalar, soft_threshold
 
 
-def test_shrink_componentwise():
-    out = shrink(np.array([3.0, -0.5, 0.0]), 1.0)
+def _soft_threshold(z, tau):
+    """The library's soft-threshold of z at tau: the x-step ``l1_prox(tau)``
+    at offset 0, multiplier z and gamma 1, whose anchor is z bit for bit."""
+    return l1_prox(tau)(np.zeros_like(z), z, 1.0)
+
+
+def test_soft_threshold_componentwise():
+    out = _soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0)
     assert np.array_equal(out, np.array([2.0, 0.0, 0.0]))
 
 
-def test_shrink_zero_threshold_is_identity():
+def test_soft_threshold_zero_threshold_is_identity():
     z = np.array([1.5, -2.0, 0.0, 0.3])
-    assert np.array_equal(shrink(z, 0.0), z)
+    assert np.array_equal(_soft_threshold(z, 0.0), z)
 
 
-def test_shrink_at_exact_threshold_returns_zero():
-    assert shrink(np.array([1.0, -1.0]), 1.0).tolist() == [0.0, 0.0]
+def test_soft_threshold_at_exact_threshold_returns_zero():
+    assert _soft_threshold(np.array([1.0, -1.0]), 1.0).tolist() == [0.0, 0.0]
 
 
-def test_shrink_negative_threshold_rejected():
+def test_l1_prox_rejects_negative_or_nan_weights_when_built():
     with pytest.raises(ValueError):
-        shrink(np.ones(2), -0.1)
+        l1_prox(-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
-        shrink(np.ones(3), np.array([0.5, -1e-300, 0.5]))
-    # NaN, alone or in an array, is no threshold; infinity maps all to zero
+        l1_prox(np.array([0.5, -1e-300, 0.5]))
+    # NaN, alone or in an array, is no weight; infinity maps all to zero
     with pytest.raises(ValueError, match="nonnegative"):
-        shrink(np.ones(2), np.nan)
+        l1_prox(np.nan)
     with pytest.raises(ValueError, match="nonnegative"):
-        shrink(np.ones(3), np.array([0.5, np.nan, 0.5]))
-    assert shrink(np.array([3.0, -2.0]), np.inf).tolist() == [0.0, 0.0]
+        l1_prox(np.array([0.5, np.nan, 0.5]))
+    assert _soft_threshold(np.array([3.0, -2.0]), np.inf).tolist() == [0.0, 0.0]
 
 
-def test_shrink_array_threshold_equals_the_two_slice_form_bit_for_bit():
-    # the fused prox: one shrink against [alpha]*k + [beta]*(len-k) thresholds
+def test_soft_threshold_array_threshold_equals_the_two_slice_form_bit_for_bit():
+    # the fused prox: one threshold array [alpha]*k + [beta]*(len-k)
     special = [0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 2.0, -2.0, 1e-300, -1e-300]
     rng = np.random.default_rng(7)
     for draw in range(200):
@@ -51,29 +57,29 @@ def test_shrink_array_threshold_equals_the_two_slice_form_bit_for_bit():
         z[:10] = rng.choice(special, 10)
         at = rng.choice(40, 5, replace=False)
         z[at] = tau[at] * rng.choice([-1.0, 1.0], 5)  # |z| == tau exactly
-        two = np.concatenate([shrink(z[:k], a), shrink(z[k:], b)])
-        assert shrink(z, tau).tobytes() == two.tobytes(), draw
+        two = np.concatenate([_soft_threshold(z[:k], a), _soft_threshold(z[k:], b)])
+        assert _soft_threshold(z, tau).tobytes() == two.tobytes(), draw
 
 
-def test_shrink_matches_grid_prox_oracle():
-    assert shrink(np.array([1.5]), 1.0)[0] == pytest.approx(
+def test_soft_threshold_matches_grid_prox_oracle():
+    assert _soft_threshold(np.array([1.5]), 1.0)[0] == pytest.approx(
         grid_prox_scalar(1.5, 1.0), abs=1e-3
     )
     rng = np.random.default_rng(0)
     for _ in range(25):
         z = float(rng.uniform(-4, 4))
         tau = float(rng.uniform(0, 2))
-        assert shrink(np.array([z]), tau)[0] == pytest.approx(
+        assert _soft_threshold(np.array([z]), tau)[0] == pytest.approx(
             grid_prox_scalar(z, tau), abs=1e-3
         )
 
 
-def test_shrink_nonexpansive():
+def test_soft_threshold_nonexpansive():
     rng = np.random.default_rng(1)
     for _ in range(50):
         u, v = rng.standard_normal(8), rng.standard_normal(8)
         tau = float(rng.uniform(0, 3))
-        assert np.linalg.norm(shrink(u, tau) - shrink(v, tau)) <= np.linalg.norm(
+        assert np.linalg.norm(_soft_threshold(u, tau) - _soft_threshold(v, tau)) <= np.linalg.norm(
             u - v
         ) + 1e-12
 
@@ -294,7 +300,7 @@ def test_l1_prox_gives_the_bits_of_one_shrink_at_each_calls_gamma(kind):
             # the inputs hold negative zeros, where the shrink's sign matters
             offset[:5], lam[:5] = -0.0, -0.0
             # a float32 anchor is shrunk in float64
-            want = shrink(np.asarray(lam / gamma - offset, dtype=float), np.divide(weights, gamma))
+            want = soft_threshold(lam / gamma - offset, np.divide(weights, gamma))
             out = prox(offset, lam, gamma)
             assert out.dtype == np.float64 and out.tobytes() == want.tobytes(), (gamma, dtype)
 
@@ -410,7 +416,7 @@ def test_a_shared_prox_keeps_each_threads_gamma(front_end):
     prox, p, weights = _front_end_prox(front_end)
     offset, lam = np.random.default_rng(8).standard_normal((2, p))
     gammas = (0.3, 0.7)
-    want = {g: shrink(lam / g - offset, np.divide(weights, g)).tobytes() for g in gammas}
+    want = {g: soft_threshold(lam / g - offset, np.divide(weights, g)).tobytes() for g in gammas}
     wrong, finished = [], []
 
     def run(first):

@@ -411,6 +411,24 @@ def test_linear_map_takes_python_and_numpy_integers_as_its_shape():
 
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_a_declared_bound_refuses_a_bool(value):
+    with pytest.raises(ValueError, match=r"norm_sq must be finite and nonnegative"):
+        LinearMap((2, 2), lambda v: v, lambda v: v, value)
+    smooth = _quadratic_problem().smooth_block
+    with pytest.raises(ValueError, match=r"lipschitz_constant must be finite and nonnegative"):
+        dataclasses.replace(smooth, lipschitz_constant=value)
+
+
+@pytest.mark.parametrize("dim", [-1, 2.5, 3.0, True, np.True_, None, "3"])
+def test_blocks_refuse_a_dim_that_is_not_a_nonnegative_integer(dim):
+    prob = _quadratic_problem()
+    for block in (prob.prox_block, prob.smooth_block):
+        with pytest.raises(ValueError, match="^dim must be a nonnegative integer"):
+            dataclasses.replace(block, dim=dim)
+        assert dataclasses.replace(block, dim=np.int64(4)).dim == 4
+
+
 @pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
 def test_smooth_block_rejects_a_lipschitz_constant_outside_zero_to_inf(value):
     smooth = bp.as_problem(bp.generate(20, 6, 2, 1)).smooth_block
