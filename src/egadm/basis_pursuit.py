@@ -19,6 +19,7 @@ from .operators import AffineProjector, l1_prox
 from .problem import (
     Coupling, ProxBlock, SmoothBlock, TwoBlockProblem, _check_dimensions, frozen_copy, identity_map,
 )
+from .solver import default_stop_rule
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,16 @@ class BasisPursuitInstance:
     A, b and xhat are kept as read-only float copies, so ``projector`` and
     ``problem``, built on first use and then reused by every later solve
     of this object, can never go stale; ``dataclasses.replace`` makes a
-    new instance with its own cache."""
+    new instance with its own cache.  ``as_problem`` and ``stop_rule`` are
+    the front-end protocol that the CLI solves through."""
 
     A: np.ndarray
     b: np.ndarray
     xhat: np.ndarray
     s: int
     seed: int
+
+    stop_rule = staticmethod(default_stop_rule)
 
     def __post_init__(self):
         for name in ("A", "b", "xhat"):
@@ -71,6 +75,11 @@ class BasisPursuitInstance:
         )
         coupling = Coupling(A=identity_map(n), B=identity_map(n, -1.0), b=np.zeros(n))
         return TwoBlockProblem(prox_block=prox, smooth_block=smooth, coupling=coupling)
+
+    def as_problem(self, penalties=None):
+        """The cached ``problem``, the same object on every call: it depends
+        on the instance alone, and ``penalties`` is not read."""
+        return self.problem
 
     @property
     def m(self):
@@ -124,11 +133,8 @@ def generate(n, m, s, seed):
     raise RuntimeError("could not draw a full-row-rank matrix in 3 attempts")
 
 
-def as_problem(inst):
-    """The instance's two-block form, its cached ``problem``: built on the
-    first call and the same object on every later one, since it depends
-    on nothing but the instance."""
-    return inst.problem
+# kept beside the method for callers that take the front end as a module
+as_problem = BasisPursuitInstance.as_problem
 
 
 def recovery_error(inst, x):

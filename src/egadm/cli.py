@@ -73,20 +73,18 @@ def _instance(problem, dims, seed, pattern):
 
 def _run_cell(inst, config, penalties):
     """Solve one (instance, config) cell; failures become a row with
-    converged=false rather than aborting the sweep.  The problem id, the
-    solve, the coefficients ``x[:n]`` and the row metrics come from the
-    instance: basis pursuit runs with the solver's stop rule, fused
-    logistic with ``penalties`` and ``fl.stop_rule``.  ``lemma_violations``
+    converged=false rather than aborting the sweep.  Everything that
+    differs between front ends comes from the instance: the problem id,
+    the problem ``inst.as_problem(penalties)`` (basis pursuit ignores the
+    penalties), the stop rule ``inst.stop_rule(config.tol)``, the
+    coefficients ``x[:n]`` and the row metrics.  ``lemma_violations``
     is filled only where the certificate is recorded: a monitored
     midpoint variant.  Returns the row, the coefficients (None on
     failure), and whether the cell errored."""
     row = dict.fromkeys(CSV_COLUMNS)
     row.update(problem=inst.problem_id, variant=config.variant.value, seed=inst.seed)
     try:
-        if isinstance(inst, bp.BasisPursuitInstance):
-            report = solve(bp.as_problem(inst), config)
-        else:
-            report = solve(fl.as_problem(inst, penalties), config, stop_rule=fl.stop_rule(config.tol))
+        report = solve(inst.as_problem(penalties), config, stop_rule=inst.stop_rule(config.tol))
     except DivergenceError as exc:
         row.update(iters=exc.iteration, converged=False)
         return row, None, True

@@ -50,6 +50,17 @@ class _DataFromAux:
         return A
 
 
+def stop_rule(tol):
+    """The fused stop rule: the constraint residual at the midpoint (the
+    new iterate for the plain-gradient variants) satisfies ``max(|x -
+    y_mid|, |w - L y_mid|) < tol`` componentwise.  Unlike the solver's
+    default rule it ignores the (y, lam) movement.  A NaN residual never
+    stops the run.  ``np.maximum.reduce(v, None)`` is ``v.max()`` without
+    its Python-level wrapper."""
+    max_reduce = np.maximum.reduce
+    return lambda info: max_reduce(np.abs(info.residual), None) < tol
+
+
 @dataclass(frozen=True, eq=False)
 class FusedLogisticInstance:
     """Binary-labelled data with a planted piecewise-constant coefficient
@@ -67,7 +78,8 @@ class FusedLogisticInstance:
     every later solve of this object without going stale;
     ``dataclasses.replace`` makes a new instance with its own set-up.
     Instances compare by identity: the generated ``__eq__`` would compare
-    the rebuilt arrays."""
+    the rebuilt arrays.  ``as_problem`` and ``stop_rule`` are the front-end
+    protocol that ``solve_fused`` and the CLI solve through."""
 
     A: np.ndarray = _DataFromAux()
     labels: np.ndarray
@@ -75,6 +87,8 @@ class FusedLogisticInstance:
     c_true: float
     seed: int
     pattern: str = "custom"
+
+    stop_rule = staticmethod(stop_rule)
 
     def __post_init__(self):
         aux = LogisticAux.from_data(vars(self).pop("A"), self.labels)
@@ -108,6 +122,29 @@ class FusedLogisticInstance:
             lipschitz_constant=self.lipschitz,
             project=lambda z: z,
         )
+
+    def as_problem(self, penalties):
+        """Two-block form under the penalty pair ``(alpha, beta)`` of
+        ``penalties``, a ``FusedLogisticConfig`` whose ``gamma`` is not read:
+        the x-step is ``l1_prox`` of ``[alpha]*n + [beta]*(n-1)`` over the
+        stacked (x, w), around the cached ``smooth_block`` and ``coupling``.
+        Built once per pair and kept in the instance's own ``__dict__``, so
+        it is freed with the instance; keys compare by ``==`` (0.0 and -0.0
+        share one)."""
+        key = (penalties.alpha, penalties.beta)
+        problems = vars(self).setdefault("_problems", {})
+        if key not in problems:
+            n, alpha, beta = self.n, float(penalties.alpha), float(penalties.beta)
+            weights = np.concatenate([np.full(n, alpha), np.full(n - 1, beta)])
+            prox = ProxBlock(
+                dim=weights.size,
+                evaluate=lambda v: float(
+                    alpha * np.sum(np.abs(v[:n])) + beta * np.sum(np.abs(v[n:]))
+                ),
+                solve_subproblem=l1_prox(weights),
+            )
+            problems[key] = TwoBlockProblem(prox, self.smooth_block, self.coupling)
+        return problems[key]
 
     @property
     def m(self):
@@ -254,10 +291,11 @@ def fused_coupling(n):
 
 @dataclass(frozen=True)
 class FusedLogisticConfig:
-    """Penalty weights and step size.  Only ``solve_fused`` reads
+    """Penalty weights and step size.  ``inst.as_problem`` reads only the
+    pair ``(alpha, beta)``, its cache key; only ``solve_fused`` reads
     ``gamma`` (``None`` selects it automatically from the problem's
-    Lipschitz data); ``as_problem`` ignores it.  No field is a bool, and
-    gamma is checked by ``SolverConfig``'s rule."""
+    Lipschitz data).  No field is a bool, and gamma is checked by
+    ``SolverConfig``'s rule."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
@@ -274,29 +312,8 @@ class FusedLogisticConfig:
             raise ValueError("gamma must be positive and finite")
 
 
-def as_problem(inst, cfg):
-    """Two-block form of the fused logistic program.
-
-    The nonsmooth block stacks (x, w); its x-step is ``l1_prox`` of the
-    weights ``[alpha]*n + [beta]*(n-1)``.  Only the weights and the prox
-    depend on ``cfg`` (``cfg.gamma`` is not read), so only they are built
-    per call.  The smooth block stacks (y, c) and takes its gradient from
-    one product each way with the augmented data matrix; the coupling
-    enforces x = y and w = L y through A = I and ``B = fused_coupling(n)``,
-    two structured maps, so nothing of size n^2 is stored.  Both are the
-    instance's cached ``smooth_block`` and ``coupling``, shared by every
-    config.
-    """
-    n = inst.n
-    weights = np.concatenate([np.full(n, float(cfg.alpha)), np.full(n - 1, float(cfg.beta))])
-    prox = ProxBlock(
-        dim=weights.size,
-        evaluate=lambda v: float(
-            cfg.alpha * np.sum(np.abs(v[:n])) + cfg.beta * np.sum(np.abs(v[n:]))
-        ),
-        solve_subproblem=l1_prox(weights),
-    )
-    return TwoBlockProblem(prox, inst.smooth_block, inst.coupling)
+# kept beside the method for callers that take the front end as a module
+as_problem = FusedLogisticInstance.as_problem
 
 
 def _finish_instance(rng, xhat, n, m, seed, pattern):
@@ -369,19 +386,8 @@ def sparsity_report(x):
     )
 
 
-def stop_rule(tol):
-    """The fused stop rule: the constraint residual at the midpoint (the
-    new iterate for the plain-gradient variants) satisfies ``max(|x -
-    y_mid|, |w - L y_mid|) < tol`` componentwise.  Unlike the solver's
-    default rule it ignores the (y, lam) movement.  A NaN residual never
-    stops the run.  ``np.maximum.reduce(v, None)`` is ``v.max()`` without
-    its Python-level wrapper."""
-    max_reduce = np.maximum.reduce
-    return lambda info: max_reduce(np.abs(info.residual), None) < tol
-
-
 def solve_fused(inst, cfg, variant=VariantKind.EGAL, **settings):
-    """``solve`` on ``as_problem(inst, cfg)`` with ``stop_rule``.
+    """``solve`` on ``inst.as_problem(cfg)`` with ``inst.stop_rule(tol)``.
 
     ``settings`` are further ``SolverConfig`` fields (``tol``,
     ``max_iters``, ``monitor_certificate``); any not given
@@ -389,4 +395,4 @@ def solve_fused(inst, cfg, variant=VariantKind.EGAL, **settings):
     run stops by ``stop_rule(tol)`` or at the iteration cap.
     """
     config = SolverConfig(variant=variant, gamma=cfg.gamma, **settings)
-    return solve(as_problem(inst, cfg), config, stop_rule=stop_rule(config.tol))
+    return solve(inst.as_problem(cfg), config, stop_rule=inst.stop_rule(config.tol))

@@ -287,15 +287,19 @@ def gap_surrogate(problem, avg_x, avg_y, avg_lam, reference):
     )
 
 
+def default_stop_rule(tol):
+    """``solve``'s stop rule: the primal residual and the (y, lam) movement
+    both below ``tol`` in the 2-norm, the residual taken at the midpoint
+    for extragradient variants and at the new iterate otherwise."""
+    return lambda info: info.residual_norm < tol and info.movement < tol
+
+
 def solve(problem, config, init=None, stop_rule=None):
     """Iterate the configured variant until the stop rule fires or the cap.
 
-    The default stop rule requires both the primal residual and the
-    (y, lam) movement to drop below ``config.tol`` in the 2-norm; the
-    residual is taken at the midpoint for extragradient variants and at
-    the new iterate otherwise.  ``stop_rule``, when given, replaces the
-    default; it receives each iteration's StepInfo.  The rule is checked
-    every iteration, including the one that would hit the cap.
+    ``stop_rule`` receives each iteration's StepInfo; when not given it is
+    ``default_stop_rule(config.tol)``.  The rule is checked every
+    iteration, including the one that would hit the cap.
     ``wall_time`` covers the iterations only, not the set-up.
 
     ``max_iters`` caps the new steps of this call, while the report's
@@ -303,8 +307,7 @@ def solve(problem, config, init=None, stop_rule=None):
     ``init.k`` in it too.
     """
     if stop_rule is None:
-        def stop_rule(info):
-            return info.residual_norm < config.tol and info.movement < config.tol
+        stop_rule = default_stop_rule(config.tol)
     state = initial_state(problem) if init is None else init
     steps = itertools.islice(iterate(problem, config, state), config.max_iters)
     certificate_history = []

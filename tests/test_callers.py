@@ -1,8 +1,14 @@
-"""The README's rule that a name in the library needs a caller outside the
+"""Static rules, checked on the parsed code, so a name in a string or a
+comment does not count.
+
+The README's rule that a name in the library needs a caller outside the
 tests: each name in ``egadm.__all__`` is loaded as a name or read as an
 attribute somewhere in the package's own modules (``__init__.py``, which
-only re-exports, aside), ``bench/*.py`` or ``demos/*.py``.  The code is
-parsed, so a name in a string or a comment does not count."""
+only re-exports, aside), ``bench/*.py`` or ``demos/*.py``.
+
+The front-end protocol: the package reaches a front end only through its
+instance's ``as_problem`` and ``stop_rule``, so no module in it asks
+whether an instance is a basis-pursuit or a fused one."""
 
 import ast
 from pathlib import Path
@@ -10,14 +16,20 @@ from pathlib import Path
 import egadm
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "egadm"
+INSTANCE_CLASSES = {"BasisPursuitInstance", "FusedLogisticInstance"}
+
+
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
 
 
 def _loaded_names():
-    files = [p for p in (ROOT / "src" / "egadm").glob("*.py") if p.name != "__init__.py"]
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
     names = set()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for node in _nodes(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -27,3 +39,18 @@ def _loaded_names():
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
     assert sorted(set(egadm.__all__) - _loaded_names()) == []
+
+
+def test_no_module_in_the_package_tests_an_instance_against_a_front_end_class():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _nodes(path):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & INSTANCE_CLASSES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

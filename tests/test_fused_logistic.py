@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -715,3 +717,44 @@ def test_replace_gives_a_new_instance_with_its_own_set_up():
     assert moved.aux is not aux and moved.aux.data.tobytes() == aux.data.tobytes()
     with pytest.raises(ValueError, match="exactly -1 or \\+1"):
         dataclasses.replace(inst, labels=np.zeros(inst.m))
+
+
+def test_as_problem_is_built_once_per_penalty_pair_whatever_gamma_is():
+    inst = fl.generate_block_pattern(140, 30, 2)
+    first = inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=5e-2))
+    for gamma in (None, 0.05, 2.0):
+        assert inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=5e-2, gamma=gamma)) is first
+    assert fl.as_problem(inst, fl.FusedLogisticConfig(alpha=1e-2)) is first
+    assert inst.as_problem(fl.FusedLogisticConfig(alpha=2e-2)) is not first
+    assert inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=1e-1)) is not first
+    # a replaced instance keeps its own problems
+    assert dataclasses.replace(inst, c_true=0.5).as_problem(fl.FusedLogisticConfig(alpha=1e-2)) is not first
+
+
+def test_an_instance_solved_under_two_penalty_pairs_is_freed_by_del_alone():
+    inst = fl.generate_block_pattern(140, 30, 2)
+    for alpha in (1e-2, 2e-2):
+        fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=alpha), max_iters=5)
+    ref = weakref.ref(inst)
+    # with the collector off, only reference counting can free it: a cached
+    # problem that referred back to the instance would keep it alive
+    gc.disable()
+    try:
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_solve_at_minus_zero_after_one_at_zero_gives_the_bits_of_a_fresh_instance():
+    def bits(inst, alpha):
+        rep = fl.solve_fused(inst, fl.FusedLogisticConfig(alpha=alpha), max_iters=40)
+        return rep.iterations, [v.tobytes() for v in (rep.state.x, rep.state.y, rep.state.lam)]
+
+    inst = fl.generate_block_pattern(140, 30, 2)
+    bits(inst, 0.0)
+    shared = bits(inst, -0.0)
+    # the key compares by ==, so both solves ran the one problem built at 0.0
+    zero, minus_zero = fl.FusedLogisticConfig(alpha=0.0), fl.FusedLogisticConfig(alpha=-0.0)
+    assert inst.as_problem(minus_zero) is inst.as_problem(zero)
+    assert shared == bits(fl.generate_block_pattern(140, 30, 2), -0.0)

@@ -3,7 +3,7 @@ declared ``norm_sq`` bounds lmax(M^T M) from above."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,13 +26,21 @@ def maps_and_vectors(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(maps_and_vectors())
+# products in the subnormal range: lhs - rhs is 5e-324 while 1e-12 * scale is 0
+@example((fused_coupling(2), np.array([1.5, 0.0, 0.0]), np.full(3, 5e-324)))
 def test_products_are_adjoint(case):
     M, x, y = case
+    rows, cols = M.shape
     lhs, rhs = (M @ x) @ y, x @ (M.T @ y)
     # both sides sum the products x_j M_ij y_i in different orders, so the
-    # error is relative to the sum of their magnitudes
+    # error is relative to the sum of their magnitudes; below the normal
+    # range a rounded operation errs by up to half the smallest subnormal
+    # besides (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., sec. 2.1), and each side rounds at most 2 * (rows + cols) times;
+    # the count comes first, as half the smallest subnormal rounds to 0
     scale = np.abs(x) @ (np.abs(np.asarray(M)).T @ np.abs(y))
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    tiny = 0.5 * 4 * (rows + cols) * np.nextafter(0.0, 1.0)
+    assert abs(lhs - rhs) <= 1e-12 * scale + tiny
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,6 +18,7 @@ from egadm.solver import (
     SolverConfig,
     StepInfo,
     VariantKind,
+    default_stop_rule,
     ergodic_checkpoints,
     gap_surrogate,
     initial_state,
@@ -825,3 +826,29 @@ def test_a_warm_instance_gives_the_bits_of_a_fresh_one(variant):
             for name in ("x", "y", "lam", "y_mid", "lam_mid"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert b.k == 200
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_solve_without_a_stop_rule_runs_default_stop_rule(variant):
+    prob = bp.as_problem(bp.generate(100, 20, 2, 3))
+    config = SolverConfig(variant=variant, tol=1e-3)
+    plain = solve(prob, config)
+    ruled = solve(prob, config, stop_rule=default_stop_rule(config.tol))
+    assert plain.converged and (plain.iterations, plain.converged) == (ruled.iterations, ruled.converged)
+    for name in ("x", "y", "lam", "y_mid", "lam_mid"):
+        assert getattr(plain.state, name).tobytes() == getattr(ruled.state, name).tobytes()
+
+
+def test_default_stop_rule_needs_both_the_residual_and_the_movement_below_tol():
+    rule = default_stop_rule(1e-4)
+    assert rule(StepInfo(np.zeros(2), 9e-5, 9e-5))
+    assert not rule(StepInfo(np.zeros(2), 1e-4, 0.0))
+    assert not rule(StepInfo(np.zeros(2), 0.0, 1e-4))
+    assert not rule(StepInfo(np.zeros(2), np.nan, 0.0))
+
+
+def test_each_instance_names_its_front_ends_stop_rule():
+    assert bp.BasisPursuitInstance.stop_rule is default_stop_rule
+    assert fl.FusedLogisticInstance.stop_rule is fl.stop_rule
+    assert bp.generate(30, 8, 2, 1).stop_rule is default_stop_rule
+    assert fl.generate_block_pattern(130, 20, 1).stop_rule is fl.stop_rule
