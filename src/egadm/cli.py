@@ -109,7 +109,9 @@ def cmd_gen(args):
 
 
 def _check_out_dir(path):
-    """Refuse an output ``path`` (None: no output) whose directory does not exist."""
+    """Refuse an output ``path`` (None: no output) that is a directory or lacks its directory."""
+    if path is not None and Path(path).is_dir():
+        raise IsADirectoryError(f"the output path {path!r} is a directory")
     if path is not None and not Path(path).parent.is_dir():
         raise FileNotFoundError(f"the directory {str(Path(path).parent)!r} of {path!r} does not exist")
 

@@ -75,7 +75,8 @@ class FusedLogisticInstance:
     ``problem_id`` and the solves read ``aux`` alone.  With ``xhat`` a
     read-only float copy, the set-up derived from the data, ``lipschitz``,
     ``coupling`` and ``smooth_block``, is built on first use and reused by
-    every later solve of this object without going stale;
+    every later solve of this object without going stale (``load_instance``
+    may set ``lipschitz`` to the checked bits a directory stores);
     ``dataclasses.replace`` makes a new instance with its own set-up.
     Instances compare by identity: the generated ``__eq__`` would compare
     the rebuilt arrays.  ``as_problem`` and ``stop_rule`` are the front-end
@@ -237,11 +238,12 @@ def _logistic_gradient(data):
 
     Its operands are bound once, bit for bit the same as that formula:
     the products as ``data.dot`` and ``data.T.dot``, the same gemv as
-    ``@`` without the ``matmul`` ufunc's dispatch, and 1 and -m as
-    read-only 0-d arrays, since a ufunc converts a Python number on every
-    call (about 0.3 us each).
+    ``@`` without the ``matmul`` ufunc's dispatch (one sample keeps ``@``:
+    ``dot`` takes a 1-vector for a scalar, whose product may be -0.0 where
+    gemv sums to +0.0), and 1 and -m as read-only 0-d arrays, since a ufunc
+    converts a Python number on every call (about 0.3 us each).
     """
-    margins, back = data.dot, data.T.dot
+    margins, back = data.dot, data.T.dot if data.shape[0] > 1 else data.T.__matmul__
     neg_m = frozen_copy(-data.shape[0])
 
     def gradient(z):

@@ -49,8 +49,8 @@ def spectral_norm_sq(mat):
         gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
     if not np.all(np.isfinite(gram)):
         raise ValueError("Gram matrix has non-finite entries: lmax(M^T M) overflows float64")
-    # imported here, so that a process that never needs a spectral norm
-    # (loading and solving a basis-pursuit directory) never imports scipy
+    # imported here: a process that needs no spectral norm (solving a bp
+    # directory, or a fused one that stores its constant) never imports scipy
     from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
     # The Gram matrix is exactly symmetric: numpy forms ``a @ a.T`` of a

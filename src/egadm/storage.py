@@ -24,6 +24,8 @@ line must hold one number.  Each JSON value must have its type: ``n``,
 ``m``, ``s`` and ``seed`` are integers, ``c_true`` a finite number and
 ``pattern`` a string (a bool is none of these); anything else is a
 ValueError naming the file and the key.
+A fused ``meta.json`` also holds ``lipschitz`` and a crc32 of the data
+and it, checked on load; older ones lack both and compute it on use.
 Every value in A and in the vector files must be finite, and every label
 -1 or +1.  Saving an instance with a non-finite ``c_true``, A or vector
 is a ValueError naming the field, and writes nothing.
@@ -31,10 +33,12 @@ Every error a broken directory raises is a ValueError or an OSError
 naming a file in it.
 """
 
+import contextlib
 import json
 import math
 import mmap
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +254,13 @@ _KINDS = {
 }
 
 
+def _lipschitz_keys(data, lipschitz):
+    """meta.json's ``lipschitz`` and its ``lipschitz_crc32``: ``zlib.crc32`` of
+    ``data``'s little-endian float64 bytes, continued over the constant's."""
+    crc = zlib.crc32(np.array(lipschitz, "<f8"), zlib.crc32(np.asarray(data, dtype="<f8")))
+    return {"lipschitz": lipschitz, "lipschitz_crc32": crc}
+
+
 def _save(inst, directory, kind):
     """Write ``inst`` under ``directory``, after checking every value that
     ``load_instance`` checks for finiteness, so a refused instance writes
@@ -264,6 +275,9 @@ def _save(inst, directory, kind):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     meta = {"kind": kind, "n": int(inst.n), "m": int(inst.m), "format_version": FORMAT_VERSION}
+    if kind == "fused_logistic":
+        with contextlib.suppress(ValueError):  # an overflowing Gram matrix: a solve reports it
+            meta |= _lipschitz_keys(inst.aux.data, inst.lipschitz)
     _write_meta(d / "meta.json", meta | {key: t(getattr(inst, key)) for key, t in scalars.items()})
     if kind == "fused_logistic":
         _write_meta(
@@ -288,7 +302,8 @@ def load_instance(directory):
     """Load either instance kind, dispatching on meta.json's ``kind``.
     Files are read in the order meta.json, pattern.json, A, vectors.  The
     labels are checked once, by the instance's constructor: its
-    ``LabelError`` becomes a ValueError naming ``labels.txt``."""
+    ``LabelError`` becomes a ValueError naming ``labels.txt``; a stored
+    Lipschitz constant is checked last, against the instance's data."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
@@ -306,6 +321,17 @@ def load_instance(directory):
     if pattern is not None:
         fields["pattern"] = pattern.typed("pattern", str)
     try:
-        return cls(**fields)
+        inst = cls(**fields)
     except LabelError:
         raise ValueError(f"{d / 'labels.txt'} holds a label other than -1 or +1") from None
+    if pattern is not None and ("lipschitz" in meta or "lipschitz_crc32" in meta):
+        # both keys or neither, then each one's type and range, then the crc
+        lipschitz, crc = meta["lipschitz"], meta["lipschitz_crc32"]
+        if not meta.typed("lipschitz", float) >= 0:
+            raise ValueError(f"{meta_path} key 'lipschitz' must be nonnegative, got {lipschitz!r}")
+        if not 0 <= meta.typed("lipschitz_crc32", int) < 2**32:
+            raise ValueError(f"{meta_path} key 'lipschitz_crc32' must lie in [0, 2**32), got {crc!r}")
+        if _lipschitz_keys(inst.aux.data, float(lipschitz))["lipschitz_crc32"] != crc:
+            raise ValueError(f"{meta_path} key 'lipschitz_crc32' does not match the data and lipschitz")
+        vars(inst)["lipschitz"] = float(lipschitz)  # the cached property's own slot
+    return inst

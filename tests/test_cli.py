@@ -40,10 +40,15 @@ def test_gen_bp_writes_instance(tmp_path, capsys):
     assert np.count_nonzero(inst.xhat) == 2
 
 
-def test_gen_is_byte_identical_across_runs(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5"],
+    # a fused meta.json also holds the Lipschitz constant and its crc
+    ["fused", "--pattern", "blocks", "--n", "130", "--m", "20", "--seed", "5"],
+])
+def test_gen_is_byte_identical_across_runs(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["gen", "bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5", "--out", str(a)])
-    main(["gen", "bp", "--n", "30", "--m", "8", "--s", "2", "--seed", "5", "--out", str(b)])
+    assert main(["gen", *argv, "--out", str(a)]) == 0
+    assert main(["gen", *argv, "--out", str(b)]) == 0
     assert _dir_digest(a) == _dir_digest(b)
 
 
@@ -213,6 +218,37 @@ def test_bench_refuses_an_out_path_without_its_directory_before_the_sweep(
     assert rc == 1 and captured.out == ""
     assert captured.err == f"error: the directory {str(out.parent)!r} of {str(out)!r} does not exist\n"
     assert not out.parent.exists()
+
+
+def test_solve_refuses_an_emit_coef_path_that_is_a_directory_before_loading(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "2", "--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(storage, "load_instance", _must_not_run)
+    monkeypatch.setattr(cli, "solve", _must_not_run)
+    coef = tmp_path / "coefdir"
+    coef.mkdir()
+    assert main(["solve", str(out), "--emit-coef", str(coef)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the output path {str(coef)!r} is a directory\n"
+    assert list(coef.iterdir()) == []
+
+
+def test_bench_refuses_an_out_path_that_is_a_directory_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_bench", _must_not_run)
+    monkeypatch.setattr(cli, "_instance", _must_not_run)
+    out = tmp_path / "csvdir"
+    out.mkdir()
+    rc = main(["bench", "--problem", "bp", "--dims", "30,8,2", "--instances", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: the output path {str(out)!r} is a directory\n"
+    assert list(out.iterdir()) == []
 
 
 def test_solve_fused_reports_sparsity(tmp_path, capsys):

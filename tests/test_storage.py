@@ -597,6 +597,29 @@ def _npy_with_negative_rows(A):
     return buf.getvalue() + A.tobytes()
 
 
+def _swap_two_labels(d, inst):
+    """labels.txt with its first +1 and its first -1 swapped: each changes
+    sign, and the count of each label stays."""
+    lines = (d / "labels.txt").read_text().splitlines(keepends=True)
+    if "1\n" in lines and "-1\n" in lines:
+        i, j = lines.index("1\n"), lines.index("-1\n")
+        lines[i], lines[j] = lines[j], lines[i]
+        (d / "labels.txt").write_text("".join(lines))
+
+
+def _lipschitz_one_ulp_up(d, inst):
+    """meta.json's stored Lipschitz constant moved up by one ulp, with its
+    crc as it was; left as it is where meta.json holds no such float."""
+    path = d / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return
+    if isinstance(meta, dict) and type(meta.get("lipschitz")) is float:
+        meta["lipschitz"] = math.nextafter(meta["lipschitz"], math.inf)
+        path.write_text(json.dumps(meta))
+
+
 def _A_is_a_directory(d, inst):
     (d / "A.npy").unlink()
     (d / "A.npy").mkdir()
@@ -689,6 +712,59 @@ _EDITS = {
     "c_true-huge-integer": (
         _FUSED, _meta(c_true=2**1024), ValueError,
         f"{{d}}/meta.json key 'c_true' must be a finite JSON number, got {2**1024}",
+    ),
+    # a fused meta.json's Lipschitz constant: both keys or neither, then the
+    # type and range of each, then a crc that matches the data and the constant
+    "lipschitz-missing": (
+        _FUSED, _meta(lipschitz=_DROP), ValueError, "{d}/meta.json lacks the key 'lipschitz'"
+    ),
+    "lipschitz_crc32-missing": (
+        _FUSED, _meta(lipschitz_crc32=_DROP), ValueError,
+        "{d}/meta.json lacks the key 'lipschitz_crc32'",
+    ),
+    "lipschitz-bool": (
+        _FUSED, _meta(lipschitz=True), ValueError,
+        "{d}/meta.json key 'lipschitz' must be a JSON number, got True",
+    ),
+    "lipschitz-string": (
+        _FUSED, _meta(lipschitz="x"), ValueError,
+        "{d}/meta.json key 'lipschitz' must be a JSON number, got 'x'",
+    ),
+    "lipschitz-nan": (
+        _FUSED, _meta(lipschitz=math.nan), ValueError,
+        "{d}/meta.json key 'lipschitz' must be a finite JSON number, got nan",
+    ),
+    "lipschitz-inf": (
+        _FUSED, _meta(lipschitz=math.inf), ValueError,
+        "{d}/meta.json key 'lipschitz' must be a finite JSON number, got inf",
+    ),
+    "lipschitz-negative": (
+        _FUSED, _meta(lipschitz=-1.0), ValueError,
+        "{d}/meta.json key 'lipschitz' must be nonnegative, got -1.0",
+    ),
+    "lipschitz_crc32-float": (
+        _FUSED, _meta(lipschitz_crc32=1.5), ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' must be a JSON integer, got 1.5",
+    ),
+    "lipschitz_crc32-negative": (
+        _FUSED, _meta(lipschitz_crc32=-1), ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' must lie in [0, 2**32), got -1",
+    ),
+    "lipschitz_crc32-too-large": (
+        _FUSED, _meta(lipschitz_crc32=2**32), ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' must lie in [0, 2**32), got 4294967296",
+    ),
+    "lipschitz_crc32-after-an-A-entry-changes": (
+        _FUSED, _save_A(lambda A: _with_entry(A, A[-1, 0] + 1.0)), ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' does not match the data and lipschitz",
+    ),
+    "lipschitz_crc32-after-two-labels-swap-sign": (
+        _FUSED, _swap_two_labels, ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' does not match the data and lipschitz",
+    ),
+    "lipschitz_crc32-after-the-constant-moves-one-ulp": (
+        _FUSED, _lipschitz_one_ulp_up, ValueError,
+        "{d}/meta.json key 'lipschitz_crc32' does not match the data and lipschitz",
     ),
     "n-too-large": (
         _BOTH, _meta(n=1000), ValueError,
@@ -883,6 +959,17 @@ def test_a_single_broken_file_raises_its_pinned_error(saved, tmp_path, kind, nam
     assert got.startswith(want[:-3]) if want.endswith("...") else got == want
 
 
+def test_a_fused_directory_without_the_lipschitz_keys_computes_it_on_first_use(saved, tmp_path):
+    # every directory written before the keys were: the constant is not set
+    # by loading, and the first use computes the bits it always had
+    d, inst = _copy(saved, "fused", tmp_path / "inst")
+    _meta(lipschitz=_DROP, lipschitz_crc32=_DROP)(d, inst)
+    loaded = storage.load_instance(d)
+    assert "lipschitz" not in vars(loaded)
+    assert loaded.lipschitz.hex() == fl.logistic_lipschitz(inst.aux).hex()
+    assert "lipschitz" in vars(loaded)
+
+
 _PAIRS = [
     (kind, first, second)
     for kind in ("bp", "fused")
@@ -944,3 +1031,54 @@ def test_loading_and_solving_a_format_2_bp_directory_never_imports_scipy(tmp_pat
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_modules(script, d) == "[]"
+
+
+def test_loading_and_solving_a_fused_directory_never_imports_scipy(tmp_path):
+    # the directory stores the Lipschitz constant, so no eigen-solve runs
+    d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "inst")
+    script = (
+        "import sys, egadm.cli, egadm.storage\n"
+        "egadm.storage.load_instance(sys.argv[1])\n"
+        "for variant in ('gl', 'gal', 'egl', 'egal'):\n"
+        "    argv = ['solve', sys.argv[1], '--variant', variant, '--max-iters', '300']\n"
+        # 2 is a run that hit the iteration cap
+        "    assert egadm.cli.main(argv) in (0, 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_modules(script, d) == "[]"
+
+
+_DRAWS = {
+    "simple-wide": lambda seed: fl.generate_simple_pattern(1000, seed, m=60),
+    "blocks-wide": lambda seed: fl.generate_block_pattern(130, 40, seed),
+    # m > n + 1: spectral_norm_sq takes the Gram matrix of the other side
+    "blocks-tall": lambda seed: fl.generate_block_pattern(130, 200, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 41, 977])
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+def test_the_stored_lipschitz_constant_has_the_bits_of_logistic_lipschitz(tmp_path, draw, seed):
+    inst = _DRAWS[draw](seed)
+    m, cols = inst.aux.data.shape
+    assert (m > cols) == (draw == "blocks-tall")
+    expected = fl.logistic_lipschitz(inst.aux).hex()
+    d = storage.save_fused_instance(inst, tmp_path / "inst")
+    assert json.loads((d / "meta.json").read_text())["lipschitz"].hex() == expected
+    assert vars(storage.load_instance(d))["lipschitz"].hex() == expected
+
+
+def test_resaving_a_loaded_fused_directory_writes_its_bytes_without_an_eigen_solve(
+    tmp_path, monkeypatch
+):
+    d = storage.save_fused_instance(fl.generate_block_pattern(130, 20, 2), tmp_path / "a")
+    loaded = storage.load_instance(d)
+
+    def must_not_run(*args):
+        raise AssertionError("the Lipschitz constant was computed again")
+
+    monkeypatch.setattr(fl, "logistic_lipschitz", must_not_run)
+    again = storage.save_fused_instance(loaded, tmp_path / "b")
+    for name in ("meta.json", "pattern.json", "A.npy", "labels.txt", "xhat.txt"):
+        assert (again / name).read_bytes() == (d / name).read_bytes(), name
+    assert loaded.smooth_block.lipschitz_constant == loaded.lipschitz
