@@ -238,12 +238,11 @@ def _logistic_gradient(data):
 
     Its operands are bound once, bit for bit the same as that formula:
     the products as ``data.dot`` and ``data.T.dot``, the same gemv as
-    ``@`` without the ``matmul`` ufunc's dispatch (one sample keeps ``@``:
-    ``dot`` takes a 1-vector for a scalar, whose product may be -0.0 where
-    gemv sums to +0.0), and 1 and -m as read-only 0-d arrays, since a ufunc
-    converts a Python number on every call (about 0.3 us each).
+    ``@`` without the ``matmul`` ufunc's dispatch, and 1 and -m as
+    read-only 0-d arrays, since a ufunc converts a Python number on every
+    call (about 0.3 us each).
     """
-    margins, back = data.dot, data.T.dot if data.shape[0] > 1 else data.T.__matmul__
+    margins, back = data.dot, data.T.dot
     neg_m = frozen_copy(-data.shape[0])
 
     def gradient(z):

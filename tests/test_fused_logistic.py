@@ -149,8 +149,6 @@ _EDGE_DATA = (np.array([[1.0], [-2.0]]), np.array([1.0, -1.0]))
 @example((*_EDGE_DATA, np.array([-0.0, -0.0])))     # still +0.0: a gemv sums from +0.0
 @example((*_EDGE_DATA, np.array([800.0, -1600.0])))  # t = -800 and 3200
 @example((*_EDGE_DATA, np.array([0.25, -1.0])))     # t = -0.75 and 0.5
-# one sample: np.dot takes its 1-vector for a scalar, and -5e-324 * 0.5 is -0.0
-@example((np.array([[5e-324]]), np.array([-1.0]), np.zeros(2)))
 def test_the_solvers_logistic_gradient_gives_the_bits_of_its_formula(case):
     # the gradient a solve runs, with its bound products and 0-d operands,
     # against the formula written with ``@`` and Python numbers.  A margin
