@@ -62,12 +62,10 @@ class BasisPursuitInstance:
         zero = np.zeros(n)
         zero.flags.writeable = False
         prox = ProxBlock(
-            dim=n,
             evaluate=lambda x: float(np.sum(np.abs(x))),
             solve_subproblem=l1_prox(1.0),
         )
         smooth = SmoothBlock(
-            dim=n,
             evaluate=lambda y: 0.0,
             gradient=lambda y: zero,
             lipschitz_constant=0.0,

@@ -26,7 +26,7 @@ from .problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_dimensions,
     frozen_copy, identity_map,
 )
-from .solver import SolverConfig, VariantKind, solve
+from .solver import SolverConfig, VariantKind, _check_gamma, solve
 
 
 class _DataFromAux:
@@ -117,7 +117,6 @@ class FusedLogisticInstance:
         ``_logistic_gradient(data)``, whose operands are bound once."""
         data = self.aux.data
         return SmoothBlock(
-            dim=self.n + 1,
             evaluate=functools.partial(_loss, data),
             gradient=_logistic_gradient(data),
             lipschitz_constant=self.lipschitz,
@@ -138,7 +137,6 @@ class FusedLogisticInstance:
             n, alpha, beta = self.n, float(penalties.alpha), float(penalties.beta)
             weights = np.concatenate([np.full(n, alpha), np.full(n - 1, beta)])
             prox = ProxBlock(
-                dim=weights.size,
                 evaluate=lambda v: float(
                     alpha * np.sum(np.abs(v[:n])) + beta * np.sum(np.abs(v[n:]))
                 ),
@@ -240,9 +238,11 @@ def _logistic_gradient(data):
     the products as ``data.dot`` and ``data.T.dot``, the same gemv as
     ``@`` without the ``matmul`` ufunc's dispatch, and 1 and -m as
     read-only 0-d arrays, since a ufunc converts a Python number on every
-    call (about 0.3 us each).
+    call (about 0.3 us each).  For one sample it is ``data.T.__matmul__``:
+    there ``data.T.dot`` can give -0.0 where ``@`` gives +0.0.
     """
-    margins, back = data.dot, data.T.dot
+    margins = data.dot
+    back = data.T.__matmul__ if data.shape[0] == 1 else data.T.dot
     neg_m = frozen_copy(-data.shape[0])
 
     def gradient(z):
@@ -296,21 +296,20 @@ class FusedLogisticConfig:
     pair ``(alpha, beta)``, its cache key; only ``solve_fused`` reads
     ``gamma`` (``None`` selects it automatically from the problem's
     Lipschitz data).  No field is a bool, and gamma is checked by
-    ``SolverConfig``'s rule."""
+    ``_check_gamma``, as ``SolverConfig`` checks it."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):  # True would pass as 1.0
+        for name in ("alpha", "beta"):  # True would pass as 1.0
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # each test is written so that NaN fails it
         if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
             raise ValueError("penalty weights must be nonnegative and finite")
-        if self.gamma is not None and not 0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
+        _check_gamma(self.gamma)
 
 
 # kept beside the method for callers that take the front end as a module

@@ -3,8 +3,8 @@ linear coupling ``A x + B y = b`` between them.
 
 The solver core only touches the nonsmooth block through its structured
 proximal subproblem and the smooth block through its gradient, so both are
-supplied as callables bundled with their dimensions.  The coupling's A
-and B are ``LinearMap``s that declare their own norm.
+supplied as callables; the coupling's A and B are ``LinearMap``s that
+declare their own norm, and their column counts are the sizes of x and y.
 """
 
 from dataclasses import dataclass
@@ -25,14 +25,10 @@ class ProxBlock:
     where ``offset`` stands for ``B y - b`` at the current y: the paper's
     x-step with its proximal term H = 0.  It must not write into its
     arguments: with ``B = identity_map(n)`` and ``b = 0``, ``offset`` is
-    the iterate y itself.  ``dim`` is a nonnegative integer, not a bool."""
+    the iterate y itself.  x has the coupling's ``A.shape[1]`` entries."""
 
-    dim: int
     evaluate: Callable[[np.ndarray], float]
     solve_subproblem: Callable
-
-    def __post_init__(self):
-        _check_dimensions(dim=self.dim)
 
 
 def _check_bound(name, value):
@@ -59,17 +55,15 @@ class SmoothBlock:
 
     ``lipschitz_constant`` is a declared analytic bound on the gradient's
     Lipschitz constant, not an estimate; each specialization supplies it.
-    ``dim`` is a nonnegative integer; neither is a bool.
+    The constant is no bool, and y has the coupling's ``B.shape[1]`` entries.
     """
 
-    dim: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
     project: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        _check_dimensions(dim=self.dim)
         _check_bound("lipschitz_constant", self.lipschitz_constant)
 
 
@@ -173,12 +167,6 @@ class TwoBlockProblem:
     prox_block: ProxBlock
     smooth_block: SmoothBlock
     coupling: Coupling
-
-    def __post_init__(self):
-        if self.coupling.A.shape[1] != self.prox_block.dim:
-            raise ValueError("A column count does not match the prox block")
-        if self.coupling.B.shape[1] != self.smooth_block.dim:
-            raise ValueError("B column count does not match the smooth block")
 
 
 def lagrangian(problem, x, y, lam):

@@ -83,6 +83,14 @@ def _count(value, what):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_gamma(gamma):
+    """None or a positive finite step size, not a bool (True would pass as 1.0); NaN fails."""
+    if isinstance(gamma, (bool, np.bool_)):
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs.
@@ -104,12 +112,9 @@ class SolverConfig:
         if not isinstance(self.variant, VariantKind):
             kinds = ", ".join(str(v) for v in VariantKind)
             raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
-        for name in ("gamma", "tol"):  # True would pass as 1.0
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        # each test is written so that NaN fails it
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
+        _check_gamma(self.gamma)
+        if isinstance(self.tol, (bool, np.bool_)):  # False would pass as 0.0
+            raise ValueError(f"tol must be a number, got {self.tol!r}")
         if not (_count(self.max_iters, "max_iters") >= 0 and 0 <= self.tol < math.inf):
             raise ValueError("max_iters and tol must be nonnegative, tol finite")
 
@@ -168,10 +173,10 @@ def resolve_gamma(problem, config):
 
 
 def initial_state(problem):
-    """Canonical deterministic start: x = 0, y = proj_Y(0), lam = 0."""
-    y = problem.smooth_block.project(np.zeros(problem.smooth_block.dim))
+    """Canonical deterministic start: x = 0, y = proj_Y(0), lam = 0, sized by the coupling."""
+    y = problem.smooth_block.project(np.zeros(problem.coupling.B.shape[1]))
     lam = np.zeros(problem.coupling.b.shape[0])
-    return IterateState(np.zeros(problem.prox_block.dim), y, lam, y.copy(), lam.copy(), 0)
+    return IterateState(np.zeros(problem.coupling.A.shape[1]), y, lam, y.copy(), lam.copy(), 0)
 
 
 def _run(problem, config, gamma, state):

@@ -254,6 +254,12 @@ _KINDS = {
 }
 
 
+def _layout_files(kind):
+    """The files a ``kind`` directory holds besides meta.json and A.npy."""
+    pattern = {"pattern.json"} if kind == "fused_logistic" else set()
+    return pattern | {f"{field}.txt" for field in _KINDS[kind][2]}
+
+
 def _lipschitz_keys(data, lipschitz):
     """meta.json's ``lipschitz`` and its ``lipschitz_crc32``: ``zlib.crc32`` of
     ``data``'s little-endian float64 bytes, continued over the constant's."""
@@ -264,7 +270,8 @@ def _lipschitz_keys(data, lipschitz):
 def _save(inst, directory, kind):
     """Write ``inst`` under ``directory``, after checking every value that
     ``load_instance`` checks for finiteness, so a refused instance writes
-    nothing."""
+    nothing.  A file that another kind's layout or a format-1 save writes
+    (``A.mtx``) is deleted; every other file in the directory is left."""
     _, scalars, vectors = _KINDS[kind]
     if not math.isfinite(getattr(inst, "c_true", 0.0)):  # JSON has no NaN or infinity
         raise ValueError(f"cannot save a {kind} instance whose c_true is {inst.c_true!r}")
@@ -274,6 +281,8 @@ def _save(inst, directory, kind):
             raise ValueError(f"cannot save a {kind} instance whose {field} has non-finite entries")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
+    for name in {"A.mtx"}.union(*map(_layout_files, _KINDS)) - _layout_files(kind):
+        (d / name).unlink(missing_ok=True)
     meta = {"kind": kind, "n": int(inst.n), "m": int(inst.m), "format_version": FORMAT_VERSION}
     if kind == "fused_logistic":
         with contextlib.suppress(ValueError):  # an overflowing Gram matrix: a solve reports it

@@ -36,12 +36,10 @@ def _quadratic_problem(seed=0, m=4, n=6, p=5):
     B = rng.standard_normal((m, p))
     b = rng.standard_normal(m)
     prox = ProxBlock(
-        dim=n,
         evaluate=lambda x: float(np.sum(np.abs(x))),
         solve_subproblem=_unused_subproblem,
     )
     smooth = SmoothBlock(
-        dim=p,
         evaluate=lambda y: 0.5 * float(y @ y),
         gradient=lambda y: y,
         lipschitz_constant=1.0,
@@ -186,10 +184,10 @@ def test_kkt_map_is_lipschitz_with_the_declared_bound():
     inst = fl.FusedLogisticInstance(A=A, labels=labels, xhat=xh, c_true=0.1, seed=0)
     prob = fl.as_problem(inst, fl.FusedLogisticConfig())
     bound = kkt_lipschitz_bound(prob)
-    x = rng.standard_normal(prob.prox_block.dim)
+    x = rng.standard_normal(prob.coupling.A.shape[1])
     for _ in range(50):
-        y1 = rng.standard_normal(prob.smooth_block.dim)
-        y2 = rng.standard_normal(prob.smooth_block.dim)
+        y1 = rng.standard_normal(prob.coupling.B.shape[1])
+        y2 = rng.standard_normal(prob.coupling.B.shape[1])
         l1 = rng.standard_normal(prob.coupling.b.size)
         l2 = rng.standard_normal(prob.coupling.b.size)
         num = np.linalg.norm(kkt_map(prob, x, y1, l1) - kkt_map(prob, x, y2, l2))
@@ -211,10 +209,11 @@ def test_block_evaluations_are_convex_on_sampled_segments():
         fl.FusedLogisticConfig(alpha=0.2, beta=0.4),
     )
     for problem in (prob, fused):
-        for block in (problem.prox_block, problem.smooth_block):
+        A, B = problem.coupling.A, problem.coupling.B
+        for block, size in ((problem.prox_block, A.shape[1]), (problem.smooth_block, B.shape[1])):
             for _ in range(25):
-                u = rng.standard_normal(block.dim)
-                v = rng.standard_normal(block.dim)
+                u = rng.standard_normal(size)
+                v = rng.standard_normal(size)
                 mid = block.evaluate(0.5 * (u + v))
                 assert mid <= 0.5 * (block.evaluate(u) + block.evaluate(v)) + 1e-9
 
@@ -365,13 +364,6 @@ def test_coupling_b_is_zero_only_for_positive_zeros():
 
 
 def test_problem_dimension_validation():
-    prob = _quadratic_problem()
-    with pytest.raises(ValueError):
-        TwoBlockProblem(
-            prob.prox_block,
-            prob.smooth_block,
-            Coupling(A=dense_map(np.eye(3)), B=dense_map(np.eye(3)), b=np.zeros(3)),
-        )
     with pytest.raises(ValueError, match="row dimensions disagree"):
         Coupling(A=dense_map(np.eye(3)), B=dense_map(np.eye(4)), b=np.zeros(3))
     with pytest.raises(ValueError, match="row dimensions disagree"):
@@ -418,15 +410,6 @@ def test_a_declared_bound_refuses_a_bool(value):
     smooth = _quadratic_problem().smooth_block
     with pytest.raises(ValueError, match=r"lipschitz_constant must be finite and nonnegative"):
         dataclasses.replace(smooth, lipschitz_constant=value)
-
-
-@pytest.mark.parametrize("dim", [-1, 2.5, 3.0, True, np.True_, None, "3"])
-def test_blocks_refuse_a_dim_that_is_not_a_nonnegative_integer(dim):
-    prob = _quadratic_problem()
-    for block in (prob.prox_block, prob.smooth_block):
-        with pytest.raises(ValueError, match="^dim must be a nonnegative integer"):
-            dataclasses.replace(block, dim=dim)
-        assert dataclasses.replace(block, dim=np.int64(4)).dim == 4
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])

@@ -31,26 +31,24 @@ from oracles import (
 )
 
 
-def _l1_quadratic_problem(B, b, x_dim=None, A=None):
-    """f = ||.||_1 (x beyond A's columns is left at 0 by the subproblem),
-    g = ||y||^2 / 2 over R^p, coupling A x + B y = b with A = I by default."""
+def _l1_quadratic_problem(B, b, A=None):
+    """f = ||.||_1 (x beyond its first len(b) entries is left at 0 by the
+    subproblem), g = ||y||^2 / 2 over R^p, coupling A x + B y = b with
+    A = I by default; x has A's column count."""
     m = len(b)
+    A = identity_map(m) if A is None else A
     head_step = l1_prox(1.0)
 
     def solve_subproblem(offset, lam, gamma):
         head = head_step(offset, lam, gamma)
-        return np.append(head, np.zeros((x_dim or m) - m))
+        return np.append(head, np.zeros(A.shape[1] - m))
 
-    prox = ProxBlock(
-        dim=x_dim or m, evaluate=lambda x: float(np.abs(x).sum()),
-        solve_subproblem=solve_subproblem,
-    )
+    prox = ProxBlock(evaluate=lambda x: float(np.abs(x).sum()), solve_subproblem=solve_subproblem)
     smooth = SmoothBlock(
-        dim=B.shape[1], evaluate=lambda y: 0.5 * float(y @ y),
+        evaluate=lambda y: 0.5 * float(y @ y),
         gradient=lambda y: y.copy(), lipschitz_constant=1.0, project=lambda y: y,
     )
-    coupling = Coupling(A=identity_map(m) if A is None else A, B=B, b=b)
-    return TwoBlockProblem(prox, smooth, coupling)
+    return TwoBlockProblem(prox, smooth, Coupling(A=A, B=B, b=b))
 
 
 def _scalar_problem(rhs=0.5):
@@ -610,11 +608,27 @@ def test_bp_iterates_keep_their_bits_under_a_matmul_projector(variant):
             assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), (state.k, name)
 
 
+def test_a_problem_takes_its_sizes_from_its_coupling():
+    # no block declares a size: x, y and lam have A's and B's column
+    # counts and b's length, 3, 4 and 2 here
+    A = LinearMap((2, 3), lambda v: v[:2], lambda w: np.append(w, 0.0), 1.0)
+    B = dense_map(np.random.default_rng(5).standard_normal((2, 4)))
+    prob = _l1_quadratic_problem(B, np.array([0.5, -1.0]), A=A)
+    start = initial_state(prob)
+    assert (start.x.size, start.y.size, start.lam.size) == (3, 4, 2)
+    for variant in VariantKind:
+        rep = solve(prob, SolverConfig(variant, max_iters=5, tol=0.0))
+        assert rep.iterations == 5
+        state = rep.state
+        assert (state.x.shape, state.y.shape, state.lam.shape) == ((3,), (4,), (2,))
+        assert all(np.isfinite(v).all() for v in (state.x, state.y, state.lam))
+
+
 def test_a_nan_only_in_x_plus_is_divergence():
     # A reads the first two of three x entries, so a NaN in the third one
     # reaches neither the residual nor (y, lam): only x+ itself carries it
     A = LinearMap((2, 3), lambda v: v[:2], lambda w: np.append(w, 0.0), 1.0)
-    base = _l1_quadratic_problem(identity_map(2, -1.0), np.array([0.5, -1.0]), x_dim=3, A=A)
+    base = _l1_quadratic_problem(identity_map(2, -1.0), np.array([0.5, -1.0]), A=A)
     calls = []
 
     def nan_at_step_3(*args):

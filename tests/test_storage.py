@@ -494,6 +494,35 @@ def test_save_refuses_a_non_finite_A_or_vector_and_writes_nothing(tmp_path, kind
     assert not (tmp_path / "inst").exists()
 
 
+def test_resaving_a_directory_leaves_exactly_the_files_of_its_kind(tmp_path):
+    # a save leaves exactly its kind's files, whatever kind or format the
+    # directory held before: no b.txt beside labels.txt, no A.mtx beside A.npy
+    files = {"bp": {"meta.json", "A.npy", "b.txt", "xhat.txt"},
+             "fused": {"meta.json", "A.npy", "labels.txt", "xhat.txt", "pattern.json"}}
+    saves = {"bp": (storage.save_bp_instance, bp.generate(40, 10, 3, 21)),
+             "fused": (storage.save_fused_instance, fl.generate_block_pattern(130, 20, 2))}
+    d = tmp_path / "inst"
+    for kind in ("bp", "fused", "bp", "fused"):
+        save, inst = saves[kind]
+        save(inst, d)
+        assert {p.name for p in d.iterdir()} == files[kind]
+        assert storage.load_instance(d).A.tobytes() == inst.A.tobytes()
+    for kind in ("bp", "fused"):
+        save, inst = saves[kind]
+        save(inst, d)
+        write_format_1_matrix(d, inst.A)
+        assert {p.name for p in d.iterdir()} == files[kind] - {"A.npy"} | {"A.mtx"}
+        save(inst, d)
+        assert {p.name for p in d.iterdir()} == files[kind]
+    # a file no layout writes is left alone, and a refused save deletes nothing
+    (d / "notes.txt").write_text("kept\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        storage.save_bp_instance(_with_non_finite(saves["bp"][1], "b", math.nan), d)
+    assert {p.name for p in d.iterdir()} == files["fused"] | {"notes.txt"}
+    storage.save_bp_instance(saves["bp"][1], d)
+    assert {p.name for p in d.iterdir()} == files["bp"] | {"notes.txt"}
+
+
 @pytest.mark.parametrize(
     "kind, parsed", [("bp", ["meta.json"]), ("fused", ["meta.json", "pattern.json"])]
 )
