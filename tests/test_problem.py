@@ -20,6 +20,7 @@ from egadm.problem import (
     kkt_lipschitz_bound,
     lagrangian,
 )
+from egadm.solver import initial_state
 from oracles import (
     augmented_lagrangian, central_diff_gradient, dense_map, jacobi_eigenvalues, kkt_map,
 )
@@ -410,6 +411,21 @@ def test_a_declared_bound_refuses_a_bool(value):
     smooth = _quadratic_problem().smooth_block
     with pytest.raises(ValueError, match=r"lipschitz_constant must be finite and nonnegative"):
         dataclasses.replace(smooth, lipschitz_constant=value)
+
+
+@pytest.mark.parametrize("dim", [-1, 2.5, 3.0, True, np.True_, None, "3"])
+def test_blocks_refuse_a_dim_that_is_not_a_nonnegative_integer(dim):
+    # a block's dim is its coupling map's column count (x has A's, y has
+    # B's), so the map that would declare it refuses one that is no such
+    # integer, and a NumPy integer sizes the block's vector
+    prob = _quadratic_problem()
+    with pytest.raises(ValueError, match="^shape must be two nonnegative integers"):
+        LinearMap((4, dim), lambda v: v, lambda w: w, 1.0)
+    sized = LinearMap((4, np.int64(4)), lambda v: v, lambda w: w, 1.0)
+    for name, block_vector in (("A", "x"), ("B", "y")):
+        coupling = dataclasses.replace(prob.coupling, **{name: sized})
+        start = initial_state(TwoBlockProblem(prob.prox_block, prob.smooth_block, coupling))
+        assert getattr(start, block_vector).size == 4
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
