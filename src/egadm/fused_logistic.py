@@ -23,10 +23,10 @@ import numpy as np
 from .linalg import spectral_norm_sq
 from .operators import l1_prox
 from .problem import (
-    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_dimensions,
-    frozen_copy, identity_map,
+    Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_bound,
+    _check_dimensions, _check_gamma, frozen_copy, identity_map,
 )
-from .solver import SolverConfig, VariantKind, _check_gamma, solve
+from .solver import SolverConfig, VariantKind, solve
 
 
 class _DataFromAux:
@@ -295,20 +295,16 @@ class FusedLogisticConfig:
     """Penalty weights and step size.  ``inst.as_problem`` reads only the
     pair ``(alpha, beta)``, its cache key; only ``solve_fused`` reads
     ``gamma`` (``None`` selects it automatically from the problem's
-    Lipschitz data).  No field is a bool, and gamma is checked by
-    ``_check_gamma``, as ``SolverConfig`` checks it."""
+    Lipschitz data).  The weights are finite and nonnegative, gamma is
+    checked as ``SolverConfig`` checks it, and no field is a bool."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):  # True would pass as 1.0
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        # each test is written so that NaN fails it
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise ValueError("penalty weights must be nonnegative and finite")
+        _check_bound("alpha", self.alpha)
+        _check_bound("beta", self.beta)
         _check_gamma(self.gamma)
 
 

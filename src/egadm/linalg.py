@@ -7,13 +7,8 @@ which costs accuracy only at the small end of the spectrum: the top
 eigenvalue keeps a relative error of a few units in the last place
 (Golub & Van Loan, *Matrix Computations*, 4th ed., §8.6).
 
-The eigenvalue comes from one direct call of LAPACK's ``dsyevr`` through
-``scipy.linalg.lapack``, with the arguments ``scipy.linalg.eigh`` passes
-it when asked for the top eigenvalue alone from its "evr" routine: the
-top index only (``range="I"``, ``il = iu = k``), the lower triangle, no
-eigenvectors, and the workspace sizes ``dsyevr_lwork`` gives.  The same
-routine on the same triangle with the same workspace computes the same
-bits, and the call skips ``eigh``'s argument checks and routine lookup.
+The eigenvalue comes from ``scipy.linalg.eigh``'s "evr" driver, asked
+for the top index only, without eigenvectors.
 """
 
 import numpy as np
@@ -26,9 +21,8 @@ class SpectralNormError(RuntimeError):
 def spectral_norm_sq(mat):
     """Largest eigenvalue of ``mat.T @ mat``, i.e. the squared largest
     singular value, from the top eigenvalue of the smaller Gram matrix
-    (LAPACK ``dsyevr``, called directly, on the top index only, in place:
-    the one full-size temporary is the Gram matrix, beside its finiteness
-    mask).
+    (``eigh``'s "evr" driver on the top index only, in place: the one
+    full-size temporary is the Gram matrix, beside its finiteness mask).
 
     Exact to rounding, so callers that need an upper bound (a Lipschitz
     constant, a unit-norm rescaling) never get a value from below.
@@ -38,7 +32,7 @@ def spectral_norm_sq(mat):
     ValueError
         If ``mat`` is not a nonempty 2-d matrix, has non-finite entries,
         or its Gram matrix or lmax overflows float64; a failure inside
-        ``dsyevr`` is an ``np.linalg.LinAlgError``, a ValueError too.
+        LAPACK is an ``np.linalg.LinAlgError``, a ValueError too.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -51,7 +45,7 @@ def spectral_norm_sq(mat):
         raise ValueError("Gram matrix has non-finite entries: lmax(M^T M) overflows float64")
     # imported here: a process that needs no spectral norm (solving a bp
     # directory, or a fused one that stores its constant) never imports scipy
-    from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+    from scipy.linalg import eigh
 
     # The Gram matrix is exactly symmetric: numpy forms ``a @ a.T`` of a
     # contiguous ``a`` with syrk and mirrors the triangle, and of a strided
@@ -59,15 +53,9 @@ def spectral_norm_sq(mat):
     # its F-ordered view ``gram.T`` holds the same lower triangle, which is
     # all LAPACK reads, and f2py passes that view without the copy it makes
     # of a C-ordered argument: ``overwrite_a`` then really works in place.
-    # The other arguments are eigh's (module docstring).
     k = gram.shape[0]
-    work, iwork, _ = dsyevr_lwork(k, lower=1)
-    w, _, _, _, info = dsyevr(
-        gram.T, compute_v=0, range="I", lower=1, il=k, iu=k,
-        lwork=int(work), liwork=int(iwork), overwrite_a=1,
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
+    w = eigh(gram.T, eigvals_only=True, subset_by_index=(k - 1, k - 1), driver="evr",
+             overwrite_a=True, check_finite=False)
     lmax = float(w[0])
     if not np.isfinite(lmax):
         raise ValueError("lmax(M^T M) overflows float64")

@@ -31,10 +31,24 @@ class ProxBlock:
     solve_subproblem: Callable
 
 
-def _check_bound(name, value):
-    """A declared bound must be a number in [0, inf), not a bool; NaN fails the test."""
-    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+def _check_bound(name, value, positive=False):
+    """A scalar setting must be a number in [0, inf), or (0, inf) if
+    ``positive``, not a bool; NaN fails the test, and a value the test
+    cannot compare (a string, None, a list) is refused by name too."""
+    try:
+        ok = (not isinstance(value, (bool, np.bool_))
+              and (0.0 < value if positive else 0.0 <= value) and value < np.inf)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
+def _check_gamma(gamma):
+    """A step size: None (chosen automatically) or finite and positive."""
+    if gamma is not None:
+        _check_bound("gamma", gamma, positive=True)
 
 
 def _is_dimension(k):

@@ -25,14 +25,15 @@ The O(1/N) complexity bound speaks about the ergodic average of
 import enum
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .problem import frozen_copy, kkt_lipschitz_bound, lagrangian
+from .problem import (
+    _check_bound, _check_dimensions, _check_gamma, frozen_copy, kkt_lipschitz_bound, lagrangian,
+)
 
 #: Residual magnitude past which an iterate counts as diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -73,24 +74,6 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def _count(value, what):
-    """``value`` as an int; a non-integer such as 2.5, NaN or a bool is a ValueError."""
-    try:
-        if isinstance(value, (bool, np.bool_)):  # operator.index takes True as 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _check_gamma(gamma):
-    """None or a positive finite step size, not a bool (True would pass as 1.0); NaN fails."""
-    if isinstance(gamma, (bool, np.bool_)):
-        raise ValueError(f"gamma must be a number, got {gamma!r}")
-    if gamma is not None and not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs.
@@ -113,10 +96,8 @@ class SolverConfig:
             kinds = ", ".join(str(v) for v in VariantKind)
             raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
         _check_gamma(self.gamma)
-        if isinstance(self.tol, (bool, np.bool_)):  # False would pass as 0.0
-            raise ValueError(f"tol must be a number, got {self.tol!r}")
-        if not (_count(self.max_iters, "max_iters") >= 0 and 0 <= self.tol < math.inf):
-            raise ValueError("max_iters and tol must be nonnegative, tol finite")
+        _check_bound("tol", self.tol)
+        _check_dimensions(max_iters=self.max_iters)
 
 
 @dataclass(slots=True)
@@ -346,7 +327,10 @@ def ergodic_checkpoints(problem, config, checkpoints, init=None):
     summed in step order from zeros and divided by ``state.k - init.k``,
     so a start with ``k > 0`` adds neither its iterates nor its count.
     """
-    marks = {_count(k, "checkpoint") for k in checkpoints}
+    marks = set()
+    for k in checkpoints:
+        _check_dimensions(checkpoint=k)
+        marks.add(k)
     start = 0 if init is None else init.k
     if not marks or min(marks) <= start:
         raise ValueError(f"checkpoints must be iteration counts above the start's k = {start}")

@@ -182,10 +182,10 @@ def central_diff_gradient(fun, point, h=1e-6):
 
 
 def c_ordered_spectral_norm_sq(mat):
-    """``lmax(M^T M)`` from ``dsyevr`` (top index only) on the C-ordered
-    Gram matrix, which f2py copies into Fortran order before the solve:
-    the lower triangle of that copy is what LAPACK reads.  The in-place
-    solve of ``spectral_norm_sq`` must give these bits."""
+    """``lmax(M^T M)`` from ``scipy.linalg.eigh`` (top index only) on the
+    C-ordered Gram matrix, which f2py copies into Fortran order before the
+    solve: the lower triangle of that copy is what LAPACK reads.  The
+    in-place solve of ``spectral_norm_sq`` must give these bits."""
     import scipy.linalg
 
     a = np.asarray(mat, dtype=float)

@@ -8,7 +8,11 @@ only re-exports, aside), ``bench/*.py`` or ``demos/*.py``.
 
 The front-end protocol: the package reaches a front end only through its
 instance's ``as_problem`` and ``stop_rule``, so no module in it asks
-whether an instance is a basis-pursuit or a fused one."""
+whether an instance is a basis-pursuit or a fused one.
+
+One copy of the setting checks: ``problem.py`` says what a valid scalar
+setting is, so no other module in the package names ``np.bool_`` to
+write a bool test of its own."""
 
 import ast
 from pathlib import Path
@@ -53,4 +57,14 @@ def test_no_module_in_the_package_tests_an_instance_against_a_front_end_class():
                      if isinstance(n, (ast.Name, ast.Attribute))}
             if named & INSTANCE_CLASSES:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_problem_py_names_numpy_bool():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "problem.py"
+             for node in _nodes(path)
+             if (isinstance(node, ast.Attribute) and node.attr == "bool_")
+             or (isinstance(node, ast.Name) and node.id == "bool_")
+             or (isinstance(node, ast.alias) and node.name == "bool_")]
     assert found == []

@@ -428,29 +428,58 @@ def test_solver_config_rejects_a_variant_that_is_not_a_variant_kind(bad):
         SolverConfig(variant=bad)
 
 
+def _setting_built(name, value):
+    """The object that checks the scalar setting ``name``, built with ``value``."""
+    if name in ("alpha", "beta"):
+        return fl.FusedLogisticConfig(**{name: value})
+    if name == "norm_sq":
+        return LinearMap((2, 2), lambda v: v, lambda v: v, value)
+    if name == "lipschitz_constant":
+        return replace(_scalar_problem().smooth_block, lipschitz_constant=value)
+    return SolverConfig(VariantKind.EGL, **{name: value})
+
+
 @pytest.mark.parametrize("name", ["gamma", "tol", "alpha", "beta"])
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
 def test_a_bool_is_not_a_float_setting(name, flag):
     # gamma=True used to run with step 1.0, tol=False stopped only on an exact fixed point
-    with pytest.raises(ValueError, match=f"{name} must be a number"):
-        if name in ("alpha", "beta"):
-            fl.FusedLogisticConfig(**{name: flag})
-        else:
-            SolverConfig(VariantKind.EGL, **{name: flag})
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        _setting_built(name, flag)
+
+
+@pytest.mark.parametrize("name", ["tol", "gamma", "alpha", "beta", "norm_sq", "lipschitz_constant"])
+@pytest.mark.parametrize("value", ["0.1", None, [1.0], np.array([1.0, 2.0])],
+                         ids=["str", "None", "list", "2-vector"])
+def test_a_setting_that_is_not_a_number_is_a_value_error_naming_it(name, value):
+    # each used to raise a bare TypeError (or NumPy's truth-value error)
+    # from the range test; None is gamma's automatic choice, so it passes
+    if name == "gamma" and value is None:
+        assert _setting_built(name, value).gamma is None
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        _setting_built(name, value)
+
+
+def test_a_numpy_scalar_or_0d_array_setting_is_still_a_number():
+    for value in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        for name in ("tol", "gamma", "alpha", "beta", "norm_sq", "lipschitz_constant"):
+            _setting_built(name, value)
 
 
 def test_non_integer_iteration_counts_are_rejected():
     # 2.5 used to pass SolverConfig and fail later inside islice, and a
     # mark 2.7 was silently truncated to 2
-    # a bool passes operator.index as 0 or 1: max_iters=True ran one step
-    for bad in (2.5, np.float64(3.0), np.nan, "10", True, False, np.True_, np.False_):
-        with pytest.raises(ValueError, match="max_iters must be an integer"):
+    # a bool passed operator.index as 0 or 1: max_iters=True ran one step;
+    # a 0-d integer array is refused, as it is for a LinearMap's shape
+    for bad in (2.5, np.float64(3.0), np.nan, "10", True, False, np.True_, np.False_,
+                np.array(5), -1):
+        with pytest.raises(ValueError, match="^max_iters must be a nonnegative integer"):
             SolverConfig(variant=VariantKind.EGL, max_iters=bad)
     assert SolverConfig(variant=VariantKind.EGL, max_iters=np.int64(3)).max_iters == 3
     prob = _scalar_problem()
     cfg = SolverConfig(variant=VariantKind.EGL, gamma=0.1)
-    for marks in ([2.7, 3], [np.float64(2.0)], [True], [2, np.True_]):
-        with pytest.raises(ValueError, match="checkpoint must be an integer"):
+    for marks in ([2.7, 3], [np.float64(2.0)], [True], [2, np.True_], [np.array(5)], [-1, 3]):
+        with pytest.raises(ValueError, match="^checkpoint must be a nonnegative integer"):
             ergodic_checkpoints(prob, cfg, marks)
     assert len(ergodic_checkpoints(prob, cfg, [np.int64(2), 3])) == 2
 
