@@ -16,7 +16,6 @@ smooth block, never the coupling.
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .linalg import spectral_norm_sq
 from .operators import l1_prox
 from .problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_bound,
-    _check_dimensions, _check_gamma, frozen_copy, identity_map,
+    _check_dimensions, frozen_copy, identity_map,
 )
 from .solver import SolverConfig, VariantKind, solve
 
@@ -125,16 +124,15 @@ class FusedLogisticInstance:
 
     def as_problem(self, penalties):
         """Two-block form under the penalty pair ``(alpha, beta)`` of
-        ``penalties``, a ``FusedLogisticConfig`` whose ``gamma`` is not read:
-        the x-step is ``l1_prox`` of ``[alpha]*n + [beta]*(n-1)`` over the
-        stacked (x, w), around the cached ``smooth_block`` and ``coupling``.
-        Built once per pair and kept in the instance's own ``__dict__``, so
-        it is freed with the instance; keys compare by ``==`` (0.0 and -0.0
-        share one)."""
+        ``penalties``, a ``FusedLogisticConfig``: the x-step is ``l1_prox``
+        of ``[alpha]*n + [beta]*(n-1)`` over the stacked (x, w), around the
+        cached ``smooth_block`` and ``coupling``.  Built once per pair and
+        kept in the instance's own ``__dict__``, so it is freed with the
+        instance; keys compare by ``==`` (0.0 and -0.0 share one)."""
         key = (penalties.alpha, penalties.beta)
         problems = vars(self).setdefault("_problems", {})
         if key not in problems:
-            n, alpha, beta = self.n, float(penalties.alpha), float(penalties.beta)
+            n, (alpha, beta) = self.n, key
             weights = np.concatenate([np.full(n, alpha), np.full(n - 1, beta)])
             prox = ProxBlock(
                 evaluate=lambda v: float(
@@ -292,20 +290,17 @@ def fused_coupling(n):
 
 @dataclass(frozen=True)
 class FusedLogisticConfig:
-    """Penalty weights and step size.  ``inst.as_problem`` reads only the
-    pair ``(alpha, beta)``, its cache key; only ``solve_fused`` reads
-    ``gamma`` (``None`` selects it automatically from the problem's
-    Lipschitz data).  The weights are finite and nonnegative, gamma is
-    checked as ``SolverConfig`` checks it, and no field is a bool."""
+    """The penalty pair ``(alpha, beta)``, finite nonnegative floats and
+    ``as_problem``'s cache key.  A step size is a ``SolverConfig`` setting;
+    ``gamma`` is a class constant, ``None``, for callers that still read it."""
 
     alpha: float = 5e-4
     beta: float = 5e-2
-    gamma: Optional[float] = None
+    gamma = None
 
     def __post_init__(self):
-        _check_bound("alpha", self.alpha)
-        _check_bound("beta", self.beta)
-        _check_gamma(self.gamma)
+        object.__setattr__(self, "alpha", _check_bound("alpha", self.alpha))
+        object.__setattr__(self, "beta", _check_bound("beta", self.beta))
 
 
 # kept beside the method for callers that take the front end as a module
@@ -385,10 +380,10 @@ def sparsity_report(x):
 def solve_fused(inst, cfg, variant=VariantKind.EGAL, **settings):
     """``solve`` on ``inst.as_problem(cfg)`` with ``inst.stop_rule(tol)``.
 
-    ``settings`` are further ``SolverConfig`` fields (``tol``,
+    ``settings`` are further ``SolverConfig`` fields (``gamma``, ``tol``,
     ``max_iters``, ``monitor_certificate``); any not given
-    keeps ``SolverConfig``'s default.  The step size is ``cfg.gamma``.  The
-    run stops by ``stop_rule(tol)`` or at the iteration cap.
+    keeps ``SolverConfig``'s default.  The run stops by ``stop_rule(tol)``
+    or at the iteration cap.
     """
-    config = SolverConfig(variant=variant, gamma=cfg.gamma, **settings)
+    config = SolverConfig(variant=variant, **settings)
     return solve(inst.as_problem(cfg), config, stop_rule=inst.stop_rule(config.tol))

@@ -58,7 +58,8 @@ def l1_prox(weights):
     ``a = lam/gamma - offset``.  ``weights``, a nonnegative float or float
     array that broadcasts against x, is checked once, here: a negative or
     NaN weight is a ValueError; so, on each call, is a gamma that is not
-    positive and finite.  It keeps no state, so solves with different
+    positive and finite.  It keeps the weights as a Python float or a
+    read-only float copy, and no other state, so solves with different
     gammas may share it.
 
     The threshold is an array, 0-d for a scalar weight, and the zero a
@@ -68,6 +69,7 @@ def l1_prox(weights):
     # one reduction to the least weight, NaN if any is NaN, so that NaN fails the test
     if not np.minimum.reduce(weights, None, float, initial=np.inf) >= 0:
         raise ValueError("weights must be nonnegative")
+    weights = float(weights) if np.ndim(weights) == 0 else frozen_copy(weights)
 
     def solve_subproblem(offset, lam, gamma):
         # written so that a NaN gamma fails the test

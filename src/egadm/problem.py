@@ -7,6 +7,7 @@ supplied as callables; the coupling's A and B are ``LinearMap``s that
 declare their own norm, and their column counts are the sizes of x and y.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,23 +33,24 @@ class ProxBlock:
 
 
 def _check_bound(name, value, positive=False):
-    """A scalar setting must be a number in [0, inf), or (0, inf) if
-    ``positive``, not a bool; NaN fails the test, and a value the test
-    cannot compare (a string, None, a list) is refused by name too."""
+    """``value`` as the Python float its holder stores, a ValueError naming
+    it unless that float is in [0, inf) ((0, inf) if ``positive``) and
+    ``value`` is no bool, NaN, string, None, list or array that is not 0-d."""
+    held = np.nan
     try:
-        ok = (not isinstance(value, (bool, np.bool_))
-              and (0.0 < value if positive else 0.0 <= value) and value < np.inf)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+        if getattr(value, "ndim", 0) == 0 and not isinstance(value, (bool, np.bool_)) and 0.0 <= value:
+            held = float(value)  # a long double may round to 0 or overflow to inf
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if (0.0 < held if positive else 0.0 <= held) and held < np.inf:
+        return held
+    sign = "positive" if positive else "nonnegative"
+    raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def _check_gamma(gamma):
-    """A step size: None (chosen automatically) or finite and positive."""
-    if gamma is not None:
-        _check_bound("gamma", gamma, positive=True)
+    """A step size: None (chosen automatically) or a finite positive float."""
+    return None if gamma is None else _check_bound("gamma", gamma, positive=True)
 
 
 def _is_dimension(k):
@@ -78,7 +80,8 @@ class SmoothBlock:
     project: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        _check_bound("lipschitz_constant", self.lipschitz_constant)
+        object.__setattr__(self, "lipschitz_constant",
+                           _check_bound("lipschitz_constant", self.lipschitz_constant))
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class LinearMap:
         shape = self.shape
         if not (isinstance(shape, tuple) and len(shape) == 2 and all(map(_is_dimension, shape))):
             raise ValueError(f"shape must be two nonnegative integers, got {shape!r}")
-        _check_bound("norm_sq", self.norm_sq)
+        object.__setattr__(self, "norm_sq", _check_bound("norm_sq", self.norm_sq))
 
     def __matmul__(self, v):
         return self.matvec(v)
@@ -204,4 +207,4 @@ def kkt_lipschitz_bound(problem):
     """
     lg = problem.smooth_block.lipschitz_constant
     lmax = problem.coupling.B.norm_sq
-    return float(np.sqrt(max(2.0 * lg * lg + lmax, 2.0 * lmax)))
+    return math.sqrt(max(2.0 * lg * lg + lmax, 2.0 * lmax))

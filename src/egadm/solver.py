@@ -95,8 +95,8 @@ class SolverConfig:
         if not isinstance(self.variant, VariantKind):
             kinds = ", ".join(str(v) for v in VariantKind)
             raise ValueError(f"variant must be one of {kinds}, got {self.variant!r}")
-        _check_gamma(self.gamma)
-        _check_bound("tol", self.tol)
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
+        object.__setattr__(self, "tol", _check_bound("tol", self.tol))
         _check_dimensions(max_iters=self.max_iters)
 
 
@@ -145,7 +145,7 @@ class SolveReport:
 def resolve_gamma(problem, config):
     """Step size actually used: explicit gamma, or STEP_SAFETY / (2 * Lhat)."""
     if config.gamma is not None:
-        return float(config.gamma)
+        return config.gamma
     lhat = kkt_lipschitz_bound(problem)
     if not 0.0 < lhat < np.inf:  # NaN fails the test too
         what = "zero" if lhat == 0 else f"{lhat!r}, not positive and finite"
@@ -157,7 +157,7 @@ def initial_state(problem):
     """Canonical deterministic start: x = 0, y = proj_Y(0), lam = 0, sized by the coupling."""
     y = problem.smooth_block.project(np.zeros(problem.coupling.B.shape[1]))
     lam = np.zeros(problem.coupling.b.shape[0])
-    return IterateState(np.zeros(problem.coupling.A.shape[1]), y, lam, y.copy(), lam.copy(), 0)
+    return IterateState(np.zeros(problem.coupling.A.shape[1]), y, lam, y, lam, 0)
 
 
 def _run(problem, config, gamma, state):

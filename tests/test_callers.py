@@ -12,7 +12,9 @@ whether an instance is a basis-pursuit or a fused one.
 
 One copy of the setting checks: ``problem.py`` says what a valid scalar
 setting is, so no other module in the package names ``np.bool_`` to
-write a bool test of its own."""
+write a bool test of its own, and a check's value is the setting to
+hold: outside ``problem.py`` no call of ``_check_bound`` or
+``_check_gamma`` stands alone as a statement, its result dropped."""
 
 import ast
 from pathlib import Path
@@ -67,4 +69,14 @@ def test_only_problem_py_names_numpy_bool():
              if (isinstance(node, ast.Attribute) and node.attr == "bool_")
              or (isinstance(node, ast.Name) and node.id == "bool_")
              or (isinstance(node, ast.alias) and node.name == "bool_")]
+    assert found == []
+
+
+def test_no_module_drops_the_value_of_a_setting_check():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "problem.py"
+             for node in _nodes(path)
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Name)
+             and node.value.func.id in ("_check_bound", "_check_gamma")]
     assert found == []

@@ -570,16 +570,26 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, True, np.True_, np.nan, np.inf])
-def test_config_refuses_the_gammas_solver_config_refuses(gamma):
+def test_solve_fused_refuses_the_gammas_solver_config_refuses(gamma):
     with pytest.raises(ValueError, match="gamma"):
         SolverConfig(VariantKind.EGAL, gamma=gamma)
     with pytest.raises(ValueError, match="gamma"):
-        fl.FusedLogisticConfig(gamma=gamma)
+        fl.solve_fused(_tiny_instance(), fl.FusedLogisticConfig(), gamma=gamma)
 
 
-def test_config_takes_no_gamma_or_a_positive_finite_one():
-    for gamma in (None, 0.05, 1, np.float64(2.0)):
-        assert fl.FusedLogisticConfig(gamma=gamma).gamma is gamma
+def test_solve_fused_passes_gamma_to_its_solver_config():
+    # the step size is a SolverConfig setting; the penalty config holds
+    # the pair alone, and its gamma is a class constant, None
+    assert [f.name for f in dataclasses.fields(fl.FusedLogisticConfig)] == ["alpha", "beta"]
+    assert fl.FusedLogisticConfig().gamma is None
+    with pytest.raises(TypeError):
+        fl.FusedLogisticConfig(gamma=0.05)
+    inst, cfg = fl.generate_block_pattern(130, 20, 1), fl.FusedLogisticConfig(alpha=2e-2)
+    rep = fl.solve_fused(inst, cfg, gamma=0.05, max_iters=20)
+    config = SolverConfig(VariantKind.EGAL, gamma=0.05, max_iters=20)
+    ref = solve(fl.as_problem(inst, cfg), config, stop_rule=fl.stop_rule(config.tol))
+    assert rep.iterations == ref.iterations and rep.state.x.tobytes() == ref.state.x.tobytes()
+    assert rep.state.x.tobytes() != fl.solve_fused(inst, cfg, max_iters=20).state.x.tobytes()
 
 
 def test_solve_fused_is_solve_with_the_fused_stop_rule():
@@ -720,11 +730,12 @@ def test_replace_gives_a_new_instance_with_its_own_set_up():
         dataclasses.replace(inst, labels=np.zeros(inst.m))
 
 
-def test_as_problem_is_built_once_per_penalty_pair_whatever_gamma_is():
+def test_as_problem_is_built_once_per_penalty_pair_whatever_its_numeric_type():
+    # a 0-d array weight used to be an unhashable cache key, a bare TypeError
     inst = fl.generate_block_pattern(140, 30, 2)
     first = inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=5e-2))
-    for gamma in (None, 0.05, 2.0):
-        assert inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=5e-2, gamma=gamma)) is first
+    for alpha in (np.float64(1e-2), np.array(1e-2)):
+        assert inst.as_problem(fl.FusedLogisticConfig(alpha=alpha, beta=np.array(5e-2))) is first
     assert fl.as_problem(inst, fl.FusedLogisticConfig(alpha=1e-2)) is first
     assert inst.as_problem(fl.FusedLogisticConfig(alpha=2e-2)) is not first
     assert inst.as_problem(fl.FusedLogisticConfig(alpha=1e-2, beta=1e-1)) is not first

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,27 @@ def test_l1_prox_gives_the_bits_of_the_python_float_formula(kind):
         # the sign of zero: sign(-t) * 0.0 is -0.0, and sign(-0.0) is +0.0
         assert np.array_equal(np.signbit(out[:14]), [False] * 5 + [True] * 5 + [False] * 4)
         assert np.isnan(out[14:16]).all()
+
+
+def test_l1_prox_keeps_its_weights_from_a_write_after_it_is_built():
+    # a -1 written into the caller's array used to reach the threshold, so
+    # the x-step expanded: [3, 3, 3] where the shrink of 2 by 1 is [1, 1, 1]
+    weights = np.ones(3)
+    prox = l1_prox(weights)
+    weights[:] = -1.0
+    assert np.array_equal(prox(np.zeros(3), np.full(3, 2.0), 1.0), np.ones(3))
+
+
+@pytest.mark.parametrize("weight", [1e308, np.float64(1e308), np.array(1e308)],
+                         ids=["float", "np.float64", "0-d array"])
+def test_l1_prox_takes_a_numpy_scalar_weight_as_a_python_float(weight):
+    # a NumPy scalar near the float64 limit used to overflow in NumPy's
+    # division, a RuntimeWarning (an error here), where a Python float gives
+    # inf silently; either way the threshold is infinite and the step is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l1_prox(weight)(np.zeros(2), np.ones(2), 0.5)
+    assert np.array_equal(out, np.zeros(2))
 
 
 def test_l1_prox_recomputes_the_threshold_when_gamma_changes():

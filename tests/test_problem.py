@@ -341,6 +341,24 @@ def test_kkt_lipschitz_bound_reads_the_declared_norm_sq(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("declared", ["lipschitz_constant", "norm_sq"])
+def test_kkt_lipschitz_bound_of_a_float32_declaration_is_the_bound_of_its_float64_value(declared):
+    # a float32 declaration used to keep Lhat in float32: for Lg =
+    # np.float32(3.3) here 4.8764739, below the 4.8764741 of its float64 value
+    prob = _quadratic_problem(m=4, n=4, p=3)
+    values = {"lipschitz_constant": 1.5, "norm_sq": 2.0, declared: np.float32(3.3)}
+    exact = {**values, declared: float(np.float32(3.3))}
+
+    def bound(lipschitz_constant, norm_sq):
+        smooth = dataclasses.replace(prob.smooth_block, lipschitz_constant=lipschitz_constant)
+        B = LinearMap((4, 4), lambda v: v, lambda v: v, norm_sq)
+        coupling = Coupling(A=identity_map(4), B=B, b=np.zeros(4))
+        return kkt_lipschitz_bound(TwoBlockProblem(prob.prox_block, smooth, coupling))
+
+    got = bound(**values)
+    assert type(got) is float and got == bound(**exact)
+
+
 def test_coupling_b_is_zero_only_for_positive_zeros():
     def coupling(b, cls=Coupling):
         return cls(A=identity_map(3), B=identity_map(3, -1.0), b=np.array(b))
@@ -428,14 +446,14 @@ def test_blocks_refuse_a_dim_that_is_not_a_nonnegative_integer(dim):
         assert getattr(start, block_vector).size == 4
 
 
-@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan, pytest.param(10**400, id="10**400")])
 def test_smooth_block_rejects_a_lipschitz_constant_outside_zero_to_inf(value):
     smooth = bp.as_problem(bp.generate(20, 6, 2, 1)).smooth_block
     with pytest.raises(ValueError, match=r"lipschitz_constant must be finite and nonnegative"):
         dataclasses.replace(smooth, lipschitz_constant=value)
 
 
-@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("value", [-1.0, np.inf, -np.inf, np.nan, pytest.param(10**400, id="10**400")])
 def test_linear_map_rejects_a_norm_sq_outside_zero_to_inf(value):
     with pytest.raises(ValueError, match=r"norm_sq must be finite and nonnegative"):
         LinearMap((3, 3), lambda v: v, lambda v: v, value)

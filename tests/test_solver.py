@@ -415,7 +415,9 @@ def test_solver_config_validation():
         SolverConfig(variant=VariantKind.EGL, gamma=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(variant=VariantKind.EGL, tol=-1e-3)
-    for setting in ({"gamma": np.nan}, {"gamma": np.inf}, {"tol": np.nan}, {"tol": np.inf}):
+    # a long double is checked as the float it is held as: 1e-400 is 0.0, 1e400 inf
+    for setting in ({"gamma": np.nan}, {"gamma": np.inf}, {"tol": np.nan}, {"tol": np.inf},
+                    {"gamma": np.longdouble("1e-400")}, {"tol": np.longdouble("1e400")}):
         with pytest.raises(ValueError):
             SolverConfig(variant=VariantKind.EGL, **setting)
 
@@ -448,11 +450,12 @@ def test_a_bool_is_not_a_float_setting(name, flag):
 
 
 @pytest.mark.parametrize("name", ["tol", "gamma", "alpha", "beta", "norm_sq", "lipschitz_constant"])
-@pytest.mark.parametrize("value", ["0.1", None, [1.0], np.array([1.0, 2.0])],
-                         ids=["str", "None", "list", "2-vector"])
+@pytest.mark.parametrize("value", ["0.1", None, [1.0], np.array([1.0, 2.0]), np.array([0.1])],
+                         ids=["str", "None", "list", "2-vector", "1-vector"])
 def test_a_setting_that_is_not_a_number_is_a_value_error_naming_it(name, value):
     # each used to raise a bare TypeError (or NumPy's truth-value error)
-    # from the range test; None is gamma's automatic choice, so it passes
+    # from the range test, and a 1-vector passed it, to fail later or run;
+    # None is gamma's automatic choice, so it passes
     if name == "gamma" and value is None:
         assert _setting_built(name, value).gamma is None
         return
@@ -460,10 +463,14 @@ def test_a_setting_that_is_not_a_number_is_a_value_error_naming_it(name, value):
         _setting_built(name, value)
 
 
-def test_a_numpy_scalar_or_0d_array_setting_is_still_a_number():
-    for value in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
-        for name in ("tol", "gamma", "alpha", "beta", "norm_sq", "lipschitz_constant"):
-            _setting_built(name, value)
+@pytest.mark.parametrize("name", ["tol", "gamma", "alpha", "beta", "norm_sq", "lipschitz_constant"])
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.array(0.5), 1],
+                         ids=["np.float32", "np.float64", "0-d array", "int"])
+def test_a_numeric_setting_is_held_as_the_python_float_it_converts_to(name, value):
+    # each used to be held as the caller's object: a float32 bound kept
+    # Lhat in float32, and a 0-d array weight was an unhashable cache key
+    held = getattr(_setting_built(name, value), name)
+    assert type(held) is float and held == float(value)
 
 
 def test_non_integer_iteration_counts_are_rejected():
