@@ -23,7 +23,7 @@ from egadm.solver import (
 )
 
 inst = bp.generate(100, 20, 2, 3)
-problem = bp.as_problem(inst)
+problem = inst.as_problem()
 
 reference_run = solve(
     problem, SolverConfig(variant=VariantKind.EGAL, tol=1e-10, max_iters=200000)

@@ -19,7 +19,7 @@ from egadm import basis_pursuit as bp
 from egadm.solver import DivergenceError, SolverConfig, VariantKind, iterate, solve
 
 inst = bp.generate(100, 20, 2, 0)
-problem = bp.as_problem(inst)
+problem = inst.as_problem()
 
 report = solve(
     problem, SolverConfig(variant=VariantKind.EGL, monitor_certificate=True)

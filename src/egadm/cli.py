@@ -78,9 +78,9 @@ def _run_cell(inst, config, penalties):
     the problem ``inst.as_problem(penalties)`` (basis pursuit ignores the
     penalties), the stop rule ``inst.stop_rule(config.tol)``, the
     coefficients ``x[:n]`` and the row metrics.  ``lemma_violations``
-    is filled only where the certificate is recorded: a monitored
-    midpoint variant.  Returns the row, the coefficients (None on
-    failure), and whether the cell errored."""
+    is the report's, None (an empty cell) where the solve recorded no
+    certificate.  Returns the row, the coefficients (None on failure),
+    and whether the cell errored."""
     row = dict.fromkeys(CSV_COLUMNS)
     row.update(problem=inst.problem_id, variant=config.variant.value, seed=inst.seed)
     try:
@@ -89,13 +89,12 @@ def _run_cell(inst, config, penalties):
         row.update(iters=exc.iteration, converged=False)
         return row, None, True
     coef = report.state.x[: inst.n]
-    monitored = config.monitor_certificate and config.variant.extragradient
     row.update(inst.row_metrics(coef))
     row.update(
         iters=report.iterations,
         seconds=report.wall_time,
         converged=report.converged,
-        lemma_violations=report.lemma_violations if monitored else None,
+        lemma_violations=report.lemma_violations,
     )
     return row, coef, False
 
@@ -213,7 +212,7 @@ def _add_solver_flags(p):
     p.add_argument("--alpha", type=float, default=pen.alpha, help="l1 weight, fused problems (default %(default)s)")
     p.add_argument("--beta", type=float, default=pen.beta, help="fusion weight, fused problems (default %(default)s)")
     p.add_argument("--monitor-lemma", dest="monitor_certificate", action="store_true", default=cfg.monitor_certificate,
-                   help="record the extragradient certificate and count violations (midpoint variants)")
+                   help="record the step-size certificate and count violations (midpoint variants)")
 
 
 def _configs(args):

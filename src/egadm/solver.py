@@ -132,14 +132,22 @@ class StepInfo:
 @dataclass
 class SolveReport:
     """Outcome of a solve: counts, certificate history, and the final state
-    (averaged iterates come from ``ergodic_checkpoints``)."""
+    (averaged iterates come from ``ergodic_checkpoints``).  A solve that
+    did not record the certificate (see ``_records_certificate``) has
+    ``certificate_history`` and ``lemma_violations`` None, not empty."""
 
     iterations: int
     converged: bool
-    certificate_history: list
-    lemma_violations: int
+    certificate_history: Optional[list]
+    lemma_violations: Optional[int]
     wall_time: float
     state: IterateState
+
+
+def _records_certificate(config):
+    """Whether a run under ``config`` records the extragradient certificate:
+    only when monitored, and only for a midpoint variant, which has one."""
+    return config.monitor_certificate and config.variant.extragradient
 
 
 def resolve_gamma(problem, config):
@@ -180,7 +188,7 @@ def _run(problem, config, gamma, state):
     gradient, project = problem.smooth_block.gradient, problem.smooth_block.project
     variant = config.variant
     extragradient, augmented = variant.extragradient, variant.augmented
-    monitor = config.monitor_certificate and extragradient
+    monitor = _records_certificate(config)
     sqrt, isfinite, add_reduce = math.sqrt, math.isfinite, np.add.reduce
     g = frozen_copy(gamma)
 
@@ -286,7 +294,9 @@ def solve(problem, config, init=None, stop_rule=None):
     ``stop_rule`` receives each iteration's StepInfo; when not given it is
     ``default_stop_rule(config.tol)``.  The rule is checked every
     iteration, including the one that would hit the cap.
-    ``wall_time`` covers the iterations only, not the set-up.
+    ``wall_time`` covers the iterations only, not the set-up.  The
+    certificate history and its violation count are None unless the run
+    recorded the certificate (``_records_certificate``).
 
     ``max_iters`` caps the new steps of this call, while the report's
     ``iterations`` is the final ``state.k``: a run from ``init`` counts
@@ -296,21 +306,23 @@ def solve(problem, config, init=None, stop_rule=None):
         stop_rule = default_stop_rule(config.tol)
     state = initial_state(problem) if init is None else init
     steps = itertools.islice(iterate(problem, config, state), config.max_iters)
-    certificate_history = []
+    recording = _records_certificate(config)
+    certificate_history = [] if recording else None
     converged = False
     start = time.perf_counter()
     for state, info in steps:
-        if info.certificate is not None:
+        if recording:
             certificate_history.append(info.certificate)
         if stop_rule(info):
             converged = True
             break
     wall = time.perf_counter() - start
+    violations = sum(v > CERTIFICATE_SLACK for v in certificate_history) if recording else None
     return SolveReport(
         iterations=state.k,
         converged=converged,
         certificate_history=certificate_history,
-        lemma_violations=sum(v > CERTIFICATE_SLACK for v in certificate_history),
+        lemma_violations=violations,
         wall_time=wall,
         state=state,
     )

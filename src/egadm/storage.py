@@ -40,6 +40,7 @@ import mmap
 import sys
 import zlib
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -89,8 +90,10 @@ def _map_npy(path):
     string, an unknown version, a broken header, a dtype holding Python
     objects, or fewer data bytes than the header's shape; and also a
     shape whose byte count is negative (``np.load`` let that out as an
-    OverflowError) or past the address space.  An .npz archive, or any
-    file that starts as a zip file does, is refused unopened."""
+    OverflowError) or past the address space, or a header that NumPy's
+    parsers, as in ``np.load``, let out as another exception.  An .npz
+    archive, or any file that starts as a zip file does, is refused
+    unopened."""
     with open(path, "rb") as fh:
         if fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06"):
             raise ValueError(f"{path} is an .npz archive, not a .npy array file")
@@ -102,7 +105,10 @@ def _map_npy(path):
 
 
 def _map_npy_data(fh):
-    """``_map_npy`` of the open file ``fh``, with ``np.load``'s exceptions."""
+    """``_map_npy`` of the open file ``fh``, with ``np.load``'s exceptions,
+    except that a header NumPy's parsers let out as ``tokenize.TokenError``
+    (an unclosed bracket), ``SyntaxError`` (a bad dtype string) or
+    ``TypeError`` (a bytes key beside the str ones) is a ValueError."""
     magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
     if not magic:
         raise EOFError("No data left in file")
@@ -115,7 +121,10 @@ def _map_npy_data(fh):
     version = np.lib.format.read_magic(fh)
     if version not in _NPY_HEADERS:
         raise ValueError(f"we only support format version (1,0), (2,0), and (3,0), not {version}")
-    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    try:
+        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    except (TokenError, SyntaxError, TypeError) as exc:
+        raise ValueError(f"cannot parse the header: {type(exc).__name__}: {exc}") from None
     if dtype.hasobject:
         raise ValueError("Array can't be memory-mapped: Python objects in dtype.")
     # the map and the array view over it that ``np.memmap`` makes

@@ -14,7 +14,11 @@ One copy of the setting checks: ``problem.py`` says what a valid scalar
 setting is, so no other module in the package names ``np.bool_`` to
 write a bool test of its own, and a check's value is the setting to
 hold: outside ``problem.py`` no call of ``_check_bound`` or
-``_check_gamma`` stands alone as a statement, its result dropped."""
+``_check_gamma`` stands alone as a statement, its result dropped.
+
+One owner of the monitoring rule: ``solver.py`` alone decides which
+solves record the certificate, so no other module of the package reads
+a variant's ``extragradient`` to decide it again."""
 
 import ast
 from pathlib import Path
@@ -79,4 +83,12 @@ def test_no_module_drops_the_value_of_a_setting_check():
              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
              and isinstance(node.value.func, ast.Name)
              and node.value.func.id in ("_check_bound", "_check_gamma")]
+    assert found == []
+
+
+def test_only_solver_py_reads_extragradient():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "solver.py"
+             for node in _nodes(path)
+             if isinstance(node, ast.Attribute) and node.attr == "extragradient"]
     assert found == []

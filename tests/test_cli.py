@@ -389,10 +389,28 @@ def test_fused_row_equals_the_library_solve(tmp_path, capsys):
     assert row["problem"] == "fused_blocks_m30_n140"
     assert (row["iters"], row["converged"]) == (rep.iterations, rep.converged)
     assert [row["l0"], row["tv0"]] == list(fl.sparsity_report(coefs))
-    # gal records no certificate: the row leaves the count empty, not 0
-    assert rep.lemma_violations == 0 and rep.certificate_history == []
+    # gal records no certificate: the report and the row leave the count empty, not 0
+    assert rep.lemma_violations is None and rep.certificate_history is None
     assert row["err"] is None and row["lemma_violations"] is None
     assert np.array_equal(np.loadtxt(coef), coefs)
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_the_row_copies_the_reports_violation_count(tmp_path, capsys, variant, monitor):
+    # the solver alone decides whether a solve recorded the certificate:
+    # a count for a monitored egl or egal, None for every other solve
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "40", "--m", "10", "--s", "2", "--seed", "3", "--out", str(out)])
+    flags = ["--monitor-lemma"] if monitor else []
+    _, row = _solve_row(["solve", str(out), "--variant", variant.value, "--max-iters", "300", *flags], capsys)
+    config = SolverConfig(variant=variant, max_iters=300, monitor_certificate=monitor)
+    rep = solve(storage.load_instance(out).as_problem(), config)
+    assert row["lemma_violations"] == rep.lemma_violations
+    if monitor and variant in (VariantKind.EGL, VariantKind.EGAL):
+        assert type(rep.lemma_violations) is int and len(rep.certificate_history) == rep.iterations
+    else:
+        assert rep.lemma_violations is None and rep.certificate_history is None
 
 
 def test_bench_fused_ids_come_from_the_instances_in_sorted_order(tmp_path):
@@ -453,6 +471,25 @@ def test_python_dash_m_egadm_runs_the_cli(tmp_path):
 def test_python_dash_m_egadm_cli_runs_the_cli(tmp_path):
     # without a __main__ entry in cli.py this exits 0 and writes nothing
     _gen_with_python_dash_m("egadm.cli", tmp_path)
+
+
+def test_python_dash_m_egadm_solve_names_A_npy_whose_header_numpy_cannot_tokenize(tmp_path):
+    # bit 0 of byte 10 flipped makes the header's "{" a "z"; NumPy's header
+    # parser then raised tokenize.TokenError, which ended in a traceback
+    out = tmp_path / "inst"
+    main(["gen", "bp", "--n", "30", "--m", "10", "--s", "2", "--seed", "0", "--out", str(out)])
+    raw = bytearray((out / "A.npy").read_bytes())
+    raw[10] ^= 1
+    assert raw[10:11] == b"z"
+    (out / "A.npy").write_bytes(bytes(raw))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "egadm", "solve", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out / "A.npy") in lines[0], proc.stderr
 
 
 def test_bench_builds_one_projector_per_bp_instance(monkeypatch):

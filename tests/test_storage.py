@@ -1111,3 +1111,91 @@ def test_resaving_a_loaded_fused_directory_writes_its_bytes_without_an_eigen_sol
     for name in ("meta.json", "pattern.json", "A.npy", "labels.txt", "xhat.txt"):
         assert (again / name).read_bytes() == (d / name).read_bytes(), name
     assert loaded.smooth_block.lipschitz_constant == loaded.lipschitz
+
+
+# One-byte edits of a saved directory: (kind, file, edit, position, value).
+# A flip flips bit ``value % 8`` of the byte at ``position``, an insert
+# writes the byte ``value`` before it, a delete drops it and a truncate
+# keeps the bytes before it; a position past the file wraps round.
+_EDIT_FILES = {
+    "bp": ("meta.json", "A.npy", "b.txt", "xhat.txt"),
+    "fused": ("meta.json", "pattern.json", "A.npy", "labels.txt", "xhat.txt"),
+}
+# the bytes of a saved A.npy that hold its header
+_NPY_HEADER = 128
+# edits of a bp 30 x 10 A.npy header that NumPy's header parsers let out
+# as another exception than a ValueError
+_PINNED_EDITS = {
+    "flip-byte10-to-0x7a-TokenError": ("bp", "A.npy", "flip", 10, 0),  # "{" becomes "z"
+    "flip-byte21-to-0x2c-SyntaxError": ("bp", "A.npy", "flip", 21, 4),  # dtype "<f8" becomes ",f8"
+    "insert-byte11-0x42-TypeError": ("bp", "A.npy", "insert", 11, 0x42),  # a key B'descr'
+}
+
+
+@pytest.fixture(scope="module")
+def fuzzed(tmp_path_factory):
+    """``kind -> (directory, instance)``: a bp 30 x 10 and a fused blocks
+    130 x 12 directory to copy and edit; the fused one stores its constant."""
+    root = tmp_path_factory.mktemp("fuzzed")
+    inst_bp, inst_fused = bp.generate(30, 10, 2, 0), fl.generate_block_pattern(130, 12, 0)
+    d_fused = storage.save_fused_instance(inst_fused, root / "fused")
+    assert "lipschitz_crc32" in json.loads((d_fused / "meta.json").read_text())
+    return {"bp": (storage.save_bp_instance(inst_bp, root / "bp"), inst_bp), "fused": (d_fused, inst_fused)}
+
+
+def _edited_copy(fuzzed, edit, directory):
+    """A copy of the ``fuzzed`` directory of the edit's kind, with ``edit`` made."""
+    kind, name, op, position, value = edit
+    d, inst = _copy(fuzzed, kind, directory)
+    data = bytearray((d / name).read_bytes())
+    position %= len(data) + (op == "insert")
+    if op == "flip":
+        data[position] ^= 1 << value % 8
+    elif op == "insert":
+        data.insert(position, value)
+    elif op == "delete":
+        del data[position]
+    else:
+        del data[position:]
+    (d / name).write_bytes(bytes(data))
+    return d, inst
+
+
+@pytest.mark.parametrize("edit", _PINNED_EDITS.values(), ids=list(_PINNED_EDITS))
+def test_a_header_numpy_cannot_parse_is_a_value_error_naming_A_npy(fuzzed, tmp_path, edit):
+    d, _ = _edited_copy(fuzzed, edit, tmp_path / "inst")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(d / 'A.npy'))} is not a .npy array file: "):
+        storage.load_instance(d)
+
+
+@st.composite
+def _edits(draw):
+    kind = draw(st.sampled_from(sorted(_EDIT_FILES)))
+    name = draw(st.sampled_from(_EDIT_FILES[kind]))
+    # four in five A.npy edits land in its header, where NumPy parses text
+    in_header = name == "A.npy" and draw(st.integers(0, 4)) > 0
+    position = draw(st.integers(0, _NPY_HEADER - 1 if in_header else 2**16))
+    op = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+    return kind, name, op, position, draw(st.integers(0, 255))
+
+
+# a header NumPy had to filter as a Python 2 one loads with this warning
+@pytest.mark.filterwarnings("ignore:Reading `.npy` or `.npz` file required additional header parsing")
+@settings(max_examples=300, deadline=None)
+@given(_edits())
+@example(_PINNED_EDITS["flip-byte10-to-0x7a-TokenError"])
+@example(_PINNED_EDITS["flip-byte21-to-0x2c-SyntaxError"])
+@example(_PINNED_EDITS["insert-byte11-0x42-TypeError"])
+def test_a_one_byte_edit_loads_or_raises_a_value_or_os_error_naming_a_file(fuzzed, edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        d, inst = _edited_copy(fuzzed, edit, Path(tmp) / "inst")
+        try:
+            loaded = storage.load_instance(d)
+        except (ValueError, OSError) as exc:
+            assert any(f in str(exc) for f in _FILES), (edit, exc)
+            return
+    assert type(loaded) is type(inst)
+    if edit[0] == "fused":
+        # the stored constant's crc32 covers the augmented data, so A and the labels
+        assert loaded.A.tobytes() == inst.A.tobytes(), edit
+        assert loaded.labels.tobytes() == inst.labels.tobytes(), edit
