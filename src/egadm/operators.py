@@ -1,6 +1,8 @@
 """Concrete operators used by the specializations: projection onto an
 affine set, and the closed-form weighted l1 x-step, a soft-threshold."""
 
+import math
+
 import numpy as np
 
 from .problem import frozen_copy
@@ -45,7 +47,12 @@ class AffineProjector:
         self._qt_dot, self._q_dot = self._qt.dot, self._qt.T.dot
 
     def __call__(self, w):
-        return w - self._q_dot(self._qt_dot(w)) + self._c
+        # ``w - Q (Q^T w) + c`` in that order, each step written over the
+        # fresh product, whose dtype (float64, or w's if wider) it keeps
+        out = self._q_dot(self._qt_dot(w))
+        np.subtract(w, out, out=out)
+        out += self._c
+        return out
 
 
 def l1_prox(weights):
@@ -59,8 +66,10 @@ def l1_prox(weights):
     array that broadcasts against x, is checked once, here: a negative or
     NaN weight is a ValueError; so, on each call, is a gamma that is not
     positive and finite.  It keeps the weights as a Python float or a
-    read-only float copy, and no other state, so solves with different
-    gammas may share it.
+    read-only float copy, and no other state but a bound computed from
+    them, so solves with different gammas may share it.  ``offset`` and
+    ``lam`` are real 1-d arrays; it never writes into them (they may be
+    read-only), and a threshold that overflows is inf, silently.
 
     The threshold is an array, 0-d for a scalar weight, and the zero a
     read-only 0-d array: a ufunc converts a Python-float operand on every
@@ -70,13 +79,27 @@ def l1_prox(weights):
     if not np.minimum.reduce(weights, None, float, initial=np.inf) >= 0:
         raise ValueError("weights must be nonnegative")
     weights = float(weights) if np.ndim(weights) == 0 else frozen_copy(weights)
+    # float64 ends below 2**1024, so ``weights / gamma`` can overflow only
+    # for a gamma below this bound; only there is NumPy's overflow warning
+    # silenced, so that an array weight gives inf silently as a Python float does
+    overflow_gamma = math.ldexp(np.max(weights, initial=0.0, where=np.isfinite(weights)), -1020)
+    # bound once, as the solver binds its callables: no module lookups per call
+    sign, maximum, absolute, multiply, asarray = np.sign, np.maximum, np.abs, np.multiply, np.asarray
 
     def solve_subproblem(offset, lam, gamma):
         # written so that a NaN gamma fails the test
-        if not 0 < gamma < np.inf:
+        if not 0 < gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
+        if gamma < overflow_gamma:
+            with np.errstate(over="ignore"):
+                threshold = asarray(weights / gamma)
+        else:
+            threshold = asarray(weights / gamma)
         a = lam / gamma - offset
-        # not np.copysign: at a = -0.0 it returns -0.0, where np.sign(-0.0) is +0.0
-        return np.sign(a) * np.maximum(np.abs(a) - np.asarray(weights / gamma), _ZERO)
+        shrunk = maximum(absolute(a) - threshold, _ZERO)
+        # ``sign(a) * shrunk``, the sign written over the fresh anchor (its
+        # own dtype) and the product over the fresh shrink (float64 or wider).
+        # Not np.copysign: at a = -0.0 it returns -0.0, where np.sign(-0.0) is +0.0
+        return multiply(sign(a, a), shrunk, shrunk)
 
     return solve_subproblem

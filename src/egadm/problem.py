@@ -141,9 +141,14 @@ class Coupling:
     ``b_is_zero`` records whether every entry of b is +0.0, so that
     subtracting b would return its operand bit for bit (``v - (-0.0)``
     turns ``-0.0`` into ``+0.0``, so a negative zero does not count); b is
-    a read-only copy, so the flag cannot go stale.  ``apply_*`` is one call
-    of ``A.matvec``, ``B.matvec`` or ``B.rmatvec``, each bound once.  The
-    solver calls ``apply_*``, so a subclass's overrides see every product."""
+    a read-only copy, so the flag cannot go stale.
+
+    ``apply_a``, ``apply_b`` and ``apply_bt`` are read-only properties
+    that return ``A.matvec``, ``B.matvec`` and ``B.rmatvec`` themselves,
+    so a caller that binds one calls the map's own product, with no
+    forwarding frame between.  A subclass may override them with methods
+    (or a class-level patch may replace them): attribute lookup finds the
+    override first, and ``super().apply_a`` still returns the product."""
 
     A: LinearMap
     B: LinearMap
@@ -158,19 +163,21 @@ class Coupling:
             raise ValueError("b must be a vector")
         if A.shape[0] != B.shape[0] or A.shape[0] != b.shape[0]:
             raise ValueError("A, B, b row dimensions disagree")
-        b_is_zero = not np.count_nonzero(b.view(np.uint64))  # every bit clear: +0.0 only
-        products = (A.matvec, B.matvec, B.rmatvec)
-        for name, value in zip(("b", "b_is_zero", "_a", "_b", "_bt"), (b, b_is_zero, *products)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "b", b)
+        # every bit clear: +0.0 only
+        object.__setattr__(self, "b_is_zero", not np.count_nonzero(b.view(np.uint64)))
 
-    def apply_a(self, x):
-        return self._a(x)
+    @property
+    def apply_a(self):
+        return self.A.matvec
 
-    def apply_b(self, y):
-        return self._b(y)
+    @property
+    def apply_b(self):
+        return self.B.matvec
 
-    def apply_bt(self, v):
-        return self._bt(v)
+    @property
+    def apply_bt(self):
+        return self.B.rmatvec
 
     def residual(self, x, y):
         """Primal residual ``A x + B y - b``."""

@@ -33,14 +33,15 @@ Every error a broken directory raises is a ValueError or an OSError
 naming a file in it.
 """
 
+import ast
 import contextlib
 import json
 import math
 import mmap
+import struct
 import sys
 import zlib
 from pathlib import Path
-from tokenize import TokenError
 
 import numpy as np
 
@@ -67,14 +68,18 @@ def write_vector(path, v):
         fh.write(text)
 
 
-# NumPy's reader of a .npy header, by format version.  Version 3.0 differs
-# from 2.0 only in decoding the header as UTF-8, not latin-1: the same text
-# for the ASCII header of any real dtype.
+# NumPy's reader of a .npy header, and the struct format of the header's
+# length before it, by format version.  Version 3.0 differs from 2.0 only in
+# decoding the header as UTF-8, not latin-1: the same text for the ASCII
+# header of any real dtype.
 _NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-    (3, 0): np.lib.format.read_array_header_2_0,
+    (1, 0): (np.lib.format.read_array_header_1_0, "<H"),
+    (2, 0): (np.lib.format.read_array_header_2_0, "<I"),
+    (3, 0): (np.lib.format.read_array_header_2_0, "<I"),
 }
+
+# The longest header NumPy's readers parse (their ``max_header_size``)
+_NPY_MAX_HEADER = 10000
 
 
 def _map_npy(path):
@@ -90,10 +95,11 @@ def _map_npy(path):
     string, an unknown version, a broken header, a dtype holding Python
     objects, or fewer data bytes than the header's shape; and also a
     shape whose byte count is negative (``np.load`` let that out as an
-    OverflowError) or past the address space, or a header that NumPy's
-    parsers, as in ``np.load``, let out as another exception.  An .npz
-    archive, or any file that starts as a zip file does, is refused
-    unopened."""
+    OverflowError) or past the address space, a header that NumPy's
+    parsers, as in ``np.load``, let out as another exception, or one that
+    is no Python 3 literal, which ``np.load`` reads as a Python 2 header
+    (``(10L, 30)``) with a UserWarning.  An .npz archive, or any file that
+    starts as a zip file does, is refused unopened."""
     with open(path, "rb") as fh:
         if fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06"):
             raise ValueError(f"{path} is an .npz archive, not a .npy array file")
@@ -104,11 +110,30 @@ def _map_npy(path):
             raise ValueError(f"{path} is not a .npy array file: {exc}") from None
 
 
+def _check_header_literal(fh, length_format):
+    """A ValueError unless the .npy header at ``fh``'s position, after its
+    length in ``length_format``, is a Python 3 literal.  NumPy's readers
+    retry any other header as a Python 2 one and, where that parses, warn;
+    a header shorter than its length or longer than NumPy parses is left
+    to NumPy's readers to refuse."""
+    size = struct.calcsize(length_format)
+    raw = fh.read(size)
+    if len(raw) < size:
+        return
+    (length,) = struct.unpack(length_format, raw)
+    header = fh.read(length) if length <= _NPY_MAX_HEADER else b""
+    if len(header) == length:
+        try:
+            ast.literal_eval(header.decode("latin1"))
+        except SyntaxError as exc:
+            raise ValueError(f"cannot parse the header: SyntaxError: {exc}") from None
+
+
 def _map_npy_data(fh):
     """``_map_npy`` of the open file ``fh``, with ``np.load``'s exceptions,
-    except that a header NumPy's parsers let out as ``tokenize.TokenError``
-    (an unclosed bracket), ``SyntaxError`` (a bad dtype string) or
-    ``TypeError`` (a bytes key beside the str ones) is a ValueError."""
+    except that a header that is no Python 3 literal (``_check_header_literal``),
+    or that NumPy's parsers let out as ``SyntaxError`` (a bad dtype string)
+    or ``TypeError`` (a bytes key beside the str ones), is a ValueError."""
     magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
     if not magic:
         raise EOFError("No data left in file")
@@ -121,9 +146,13 @@ def _map_npy_data(fh):
     version = np.lib.format.read_magic(fh)
     if version not in _NPY_HEADERS:
         raise ValueError(f"we only support format version (1,0), (2,0), and (3,0), not {version}")
+    read_header, length_format = _NPY_HEADERS[version]
+    start = fh.tell()
+    _check_header_literal(fh, length_format)
+    fh.seek(start)
     try:
-        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
-    except (TokenError, SyntaxError, TypeError) as exc:
+        shape, fortran_order, dtype = read_header(fh)
+    except (SyntaxError, TypeError) as exc:
         raise ValueError(f"cannot parse the header: {type(exc).__name__}: {exc}") from None
     if dtype.hasobject:
         raise ValueError("Array can't be memory-mapped: Python objects in dtype.")

@@ -54,6 +54,15 @@ assert tracer.spans[span][0] == "solver.solve"
 assert (report.iterations, report.converged) == (plain.iterations, plain.converged)
 assert report.state.x.tobytes() == plain.state.x.tobytes()
 assert names.count("operators.shrink") == report.iterations
+# EGAL's calls per iteration, as in _TRACED_BP: TracedCoupling's overrides
+# and the wrapped gradient see every product of the fused path
+k = report.iterations
+counts = {name: names.count(name) for name in (
+    "problem.apply_a", "problem.apply_b", "problem.apply_bt", "fused_logistic.gradient")}
+assert counts == {
+    "problem.apply_a": k, "problem.apply_b": 2 * k, "problem.apply_bt": 2 * k,
+    "fused_logistic.gradient": 2 * k,
+}, (k, counts)
 assert probes == {"coupling": 0, "data": 0}, probes
 print(report.iterations)
 """

@@ -356,6 +356,49 @@ def test_l1_prox_takes_a_numpy_scalar_weight_as_a_python_float(weight):
     assert np.array_equal(out, np.zeros(2))
 
 
+@pytest.mark.parametrize("gamma", [0.5, np.float64(0.5), 0.6, 1e-300],
+                         ids=["0.5", "np.float64(0.5)", "0.6", "1e-300"])
+@pytest.mark.parametrize("weights", [np.array([1e308, 1.0]), np.array([np.inf, 1e308]), 1e308],
+                         ids=["array", "array-with-inf", "scalar"])
+def test_l1_prox_threshold_that_overflows_is_inf_silently(weights, gamma):
+    # an array weight near the float64 limit, or a scalar one at a NumPy
+    # gamma, used to overflow in NumPy's division with a RuntimeWarning (an
+    # error here); a Python float's division gives inf silently
+    offset, lam = np.zeros(2), np.array([1.0, 3.0])
+    with np.errstate(over="ignore"):
+        want = soft_threshold(lam / gamma - offset, np.divide(weights, gamma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l1_prox(weights)(offset, lam, gamma)
+    assert out.tobytes() == want.tobytes()
+
+
+def _read_only(v):
+    v = np.array(v)
+    v.flags.writeable = False
+    return v
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_l1_prox_and_the_projector_never_write_into_their_arguments(kind):
+    # read-only arguments give the bytes of writable copies, and stay as they were
+    rng = np.random.default_rng(11)
+    prox = l1_prox(_weights(kind, 30))
+    for dtype in (np.float64, np.float32):
+        offset, lam = rng.standard_normal((2, 30)).astype(dtype)
+        offset[:3], lam[3:6] = -0.0, np.nan
+        held = (_read_only(offset), _read_only(lam))
+        before = [v.tobytes() for v in held]
+        assert prox(*held, 0.3).tobytes() == prox(offset.copy(), lam.copy(), 0.3).tobytes()
+        assert [v.tobytes() for v in held] == before
+    A = rng.standard_normal((8, 30))
+    proj = AffineProjector(_read_only(A), _read_only(rng.standard_normal(8)))
+    for w in (rng.standard_normal(30), rng.standard_normal(30).astype(np.float32)):
+        held = _read_only(w)
+        assert proj(held).tobytes() == proj(w.copy()).tobytes()
+        assert held.tobytes() == w.tobytes()
+
+
 def test_l1_prox_recomputes_the_threshold_when_gamma_changes():
     prox = l1_prox(1.0)
     zeros, ones = np.zeros(40), np.ones(40)

@@ -662,25 +662,27 @@ def test_a_problem_takes_its_sizes_from_its_coupling():
 
 
 def test_a_nan_only_in_x_plus_is_divergence():
-    # A reads the first two of three x entries, so a NaN in the third one
-    # reaches neither the residual nor (y, lam): only x+ itself carries it
+    # A reads the first two of three x entries, so a NaN or an infinity in
+    # the third one reaches neither the residual nor (y, lam): only x+
+    # itself carries it
     A = LinearMap((2, 3), lambda v: v[:2], lambda w: np.append(w, 0.0), 1.0)
     base = _l1_quadratic_problem(identity_map(2, -1.0), np.array([0.5, -1.0]), A=A)
     calls = []
 
-    def nan_at_step_3(*args):
+    def hidden_at_step_3(*args):
         calls.append(None)
         x = base.prox_block.solve_subproblem(*args)
         if len(calls) == 3:
-            x[2] = np.nan
+            x[2] = hidden
         return x
 
-    prob = replace(base, prox_block=replace(base.prox_block, solve_subproblem=nan_at_step_3))
-    for variant in VariantKind:
-        calls.clear()
-        with pytest.raises(DivergenceError) as exc:
-            solve(prob, SolverConfig(variant=variant, tol=0.0, max_iters=10))
-        assert (exc.value.variant, exc.value.iteration) == (variant, 3)
+    prob = replace(base, prox_block=replace(base.prox_block, solve_subproblem=hidden_at_step_3))
+    for hidden in (np.nan, np.inf, -np.inf):
+        for variant in VariantKind:
+            calls.clear()
+            with pytest.raises(DivergenceError) as exc:
+                solve(prob, SolverConfig(variant=variant, tol=0.0, max_iters=10))
+            assert (exc.value.variant, exc.value.iteration) == (variant, 3), hidden
 
 
 @pytest.mark.parametrize("variant", list(VariantKind))

@@ -1124,11 +1124,13 @@ _EDIT_FILES = {
 # the bytes of a saved A.npy that hold its header
 _NPY_HEADER = 128
 # edits of a bp 30 x 10 A.npy header that NumPy's header parsers let out
-# as another exception than a ValueError
+# as another exception than a ValueError, or load with a warning
 _PINNED_EDITS = {
     "flip-byte10-to-0x7a-TokenError": ("bp", "A.npy", "flip", 10, 0),  # "{" becomes "z"
     "flip-byte21-to-0x2c-SyntaxError": ("bp", "A.npy", "flip", 21, 4),  # dtype "<f8" becomes ",f8"
     "insert-byte11-0x42-TypeError": ("bp", "A.npy", "insert", 11, 0x42),  # a key B'descr'
+    # a Python 2 shape "(10L, 30)": NumPy filters the L out and warns
+    "insert-byte63-0x4c-UserWarning": ("bp", "A.npy", "insert", 63, 0x4C),
 }
 
 
@@ -1179,13 +1181,12 @@ def _edits(draw):
     return kind, name, op, position, draw(st.integers(0, 255))
 
 
-# a header NumPy had to filter as a Python 2 one loads with this warning
-@pytest.mark.filterwarnings("ignore:Reading `.npy` or `.npz` file required additional header parsing")
 @settings(max_examples=300, deadline=None)
 @given(_edits())
 @example(_PINNED_EDITS["flip-byte10-to-0x7a-TokenError"])
 @example(_PINNED_EDITS["flip-byte21-to-0x2c-SyntaxError"])
 @example(_PINNED_EDITS["insert-byte11-0x42-TypeError"])
+@example(_PINNED_EDITS["insert-byte63-0x4c-UserWarning"])
 def test_a_one_byte_edit_loads_or_raises_a_value_or_os_error_naming_a_file(fuzzed, edit):
     with tempfile.TemporaryDirectory() as tmp:
         d, inst = _edited_copy(fuzzed, edit, Path(tmp) / "inst")
