@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectral_norm_sq
+from .linalg import blas_threads, spectral_norm_sq
 from .operators import l1_prox
 from .problem import (
     Coupling, LinearMap, ProxBlock, SmoothBlock, TwoBlockProblem, _check_bound,
@@ -228,6 +228,11 @@ def _loss(data, z):
     return float(np.mean(_softplus(-(data @ z))))
 
 
+# The margins are read in row panels of about this many bytes, half of a
+# 2 MiB L2 cache, when the augmented matrix holds more than one panel.
+_PANEL_BYTES = 1 << 20
+
+
 def _logistic_gradient(data):
     """The gradient in z of ``_loss(data, z)``, one product each way with
     the augmented matrix: ``z -> (data.T @ (1 - sigmoid(data @ z))) / -m``.
@@ -238,13 +243,37 @@ def _logistic_gradient(data):
     read-only 0-d arrays, since a ufunc converts a Python number on every
     call (about 0.3 us each).  For one sample it is ``data.T.__matmul__``:
     there ``data.T.dot`` can give -0.0 where ``@`` gives +0.0.
+
+    When the matrix holds more than one panel of ``_PANEL_BYTES`` (rows per
+    panel a multiple of 64, at least 64) and ``blas_threads()`` is 1, the
+    margins are filled panel by panel from the bottom up, so the rows that
+    ``data.T.dot`` read last are still in cache when they are read again.
+    The bits stay: each margin is one row's dot product, and OpenBLAS's
+    one-thread gemv computes it by the same kernel in any panel, as long
+    as each panel starts on a multiple of its row group of 4 and no panel
+    is a single row, which numpy hands to a dot product instead (a last
+    row alone joins the panel above).  At more threads, or when the count
+    cannot be asked, the margins are one product: there, panels change
+    how OpenBLAS splits the rows between threads, and the bits.
     """
+    m = data.shape[0]
     margins = data.dot
-    back = data.T.__matmul__ if data.shape[0] == 1 else data.T.dot
-    neg_m = frozen_copy(-data.shape[0])
+    back = data.T.__matmul__ if m == 1 else data.T.dot
+    neg_m = frozen_copy(-m)
+    rows = max(64, _PANEL_BYTES // (data.shape[1] * data.itemsize) // 64 * 64)
+    # the panels' first rows below m - 1, so that no panel is one row alone
+    starts = range(0, m - 1, rows)
+    bounds = zip(starts, [*starts[1:], m]) if len(starts) > 1 else ()
+    panels = [(data[a:b].dot, a, b) for a, b in bounds][::-1]
 
     def gradient(z):
-        return back(_ONE - _sigmoid(margins(z))) / neg_m
+        if panels and blas_threads() == 1:
+            t = np.empty(m)
+            for dot, a, b in panels:
+                dot(z, t[a:b])
+        else:
+            t = margins(z)
+        return back(_ONE - _sigmoid(t)) / neg_m
 
     return gradient
 
@@ -266,22 +295,25 @@ def fused_coupling(n):
     """``B = -[I 0; L 0]`` of the split x = y, w = L y, shape (2n-1) x (n+1),
     with ``(L v)_j = v_j - v_{j+1}`` and a zero intercept column.
 
-    Each product writes its parts into one fresh output array.
+    Each product writes its parts into one fresh output array, the sums
+    in place through the ufuncs' output argument (``out[1:n] += w`` would
+    pay a copy of the view onto itself).
     lmax(B^T B) = 1 + lmax(L^T L) = 3 + 2cos(pi/n): L^T L is the path
     Laplacian, eigenvalues 2 - 2cos(k pi/n) for k < n (Strang, "The
     Discrete Cosine Transform", SIAM Review 1999)."""
 
     def matvec(z):
         out = np.empty((2 * n - 1,) + z.shape[1:])
-        np.negative(z[:n], out=out[:n])
-        np.subtract(z[1:n], z[: n - 1], out=out[n:])
+        np.negative(z[:n], out[:n])
+        np.subtract(z[1:n], z[: n - 1], out[n:])
         return out
 
     def rmatvec(v):
         out = np.empty((n + 1,) + v.shape[1:])
-        np.negative(v[:n], out=out[:n])
-        out[1:n] += v[n:]
-        out[: n - 1] -= v[n:]
+        np.negative(v[:n], out[:n])
+        w, upper, lower = v[n:], out[1:n], out[: n - 1]
+        np.add(upper, w, upper)
+        np.subtract(lower, w, lower)
         out[n] = 0.0
         return out
 

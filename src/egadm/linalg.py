@@ -9,7 +9,12 @@ eigenvalue keeps a relative error of a few units in the last place
 
 The eigenvalue comes from ``scipy.linalg.eigh``'s "evr" driver, asked
 for the top index only, without eigenvectors.
+
+``blas_threads`` asks the OpenBLAS that numpy's products run in how many
+threads it uses now.
 """
+
+import functools
 
 import numpy as np
 
@@ -60,3 +65,46 @@ def spectral_norm_sq(mat):
     if not np.isfinite(lmax):
         raise ValueError("lmax(M^T M) overflows float64")
     return lmax
+
+
+# ``openblas_get_num_threads`` as OpenBLAS builds name it: plain, and with
+# the prefix and 64-bit-integer suffix of the scipy-openblas that numpy's
+# wheels bundle (``scipy_openblas_get_num_threads64_``)
+_THREAD_COUNT_SYMBOLS = tuple(
+    f"{prefix}openblas_get_num_threads{suffix}" for prefix in ("", "scipy_") for suffix in ("", "64_")
+)
+
+
+@functools.cache
+def _openblas_thread_count():
+    """OpenBLAS's ``get_num_threads`` as a ctypes function, or None.
+
+    It is looked up through numpy's own extension module: the dynamic
+    linker then searches that module and the libraries it was linked with,
+    so the function found is the one of the OpenBLAS numpy calls, not of
+    another copy in the process (scipy's wheels bundle their own).  None
+    when numpy was built on another BLAS, or where a symbol cannot be
+    looked up this way.  Resolved on the first call only, so a process
+    that never asks pays nothing for it."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _THREAD_COUNT_SYMBOLS:
+        func = getattr(lib, name, None)
+        if func is not None:
+            func.restype, func.argtypes = ctypes.c_int, ()
+            return func
+    return None
+
+
+def blas_threads():
+    """The number of threads numpy's OpenBLAS runs a product in now
+    (``OPENBLAS_NUM_THREADS`` at start-up, or the count set since), or None
+    when there is no OpenBLAS to ask.  About 0.3 us a call after the first."""
+    count = _openblas_thread_count()
+    return None if count is None else count()

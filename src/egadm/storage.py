@@ -26,6 +26,8 @@ line must hold one number.  Each JSON value must have its type: ``n``,
 ValueError naming the file and the key.
 A fused ``meta.json`` also holds ``lipschitz`` and a crc32 of the data
 and it, checked on load; older ones lack both and compute it on use.
+A basis-pursuit ``meta.json`` holds ``data_crc32``, a crc32 of A and b,
+checked on load; older ones lack it and load unchecked.
 Every value in A and in the vector files must be finite, and every label
 -1 or +1.  Saving an instance with a non-finite ``c_true``, A or vector
 is a ValueError naming the field, and writes nothing.
@@ -298,11 +300,19 @@ def _layout_files(kind):
     return pattern | {f"{field}.txt" for field in _KINDS[kind][2]}
 
 
+def _crc32(*values):
+    """``zlib.crc32`` of the values' little-endian float64 bytes, one after
+    another."""
+    crc = 0
+    for v in values:
+        crc = zlib.crc32(np.asarray(v, dtype="<f8"), crc)
+    return crc
+
+
 def _lipschitz_keys(data, lipschitz):
-    """meta.json's ``lipschitz`` and its ``lipschitz_crc32``: ``zlib.crc32`` of
-    ``data``'s little-endian float64 bytes, continued over the constant's."""
-    crc = zlib.crc32(np.array(lipschitz, "<f8"), zlib.crc32(np.asarray(data, dtype="<f8")))
-    return {"lipschitz": lipschitz, "lipschitz_crc32": crc}
+    """meta.json's ``lipschitz`` and its ``lipschitz_crc32``: ``_crc32`` of
+    the augmented data and the constant."""
+    return {"lipschitz": lipschitz, "lipschitz_crc32": _crc32(data, lipschitz)}
 
 
 def _save(inst, directory, kind):
@@ -325,6 +335,8 @@ def _save(inst, directory, kind):
     if kind == "fused_logistic":
         with contextlib.suppress(ValueError):  # an overflowing Gram matrix: a solve reports it
             meta |= _lipschitz_keys(inst.aux.data, inst.lipschitz)
+    else:
+        meta["data_crc32"] = _crc32(A, inst.b)
     _write_meta(d / "meta.json", meta | {key: t(getattr(inst, key)) for key, t in scalars.items()})
     if kind == "fused_logistic":
         _write_meta(
@@ -350,7 +362,8 @@ def load_instance(directory):
     Files are read in the order meta.json, pattern.json, A, vectors.  The
     labels are checked once, by the instance's constructor: its
     ``LabelError`` becomes a ValueError naming ``labels.txt``; a stored
-    Lipschitz constant is checked last, against the instance's data."""
+    Lipschitz constant, or a bp directory's ``data_crc32``, is checked
+    last, against the instance's data."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
@@ -378,7 +391,10 @@ def load_instance(directory):
             raise ValueError(f"{meta_path} key 'lipschitz' must be nonnegative, got {lipschitz!r}")
         if not 0 <= meta.typed("lipschitz_crc32", int) < 2**32:
             raise ValueError(f"{meta_path} key 'lipschitz_crc32' must lie in [0, 2**32), got {crc!r}")
-        if _lipschitz_keys(inst.aux.data, float(lipschitz))["lipschitz_crc32"] != crc:
+        if _crc32(inst.aux.data, float(lipschitz)) != crc:
             raise ValueError(f"{meta_path} key 'lipschitz_crc32' does not match the data and lipschitz")
         vars(inst)["lipschitz"] = float(lipschitz)  # the cached property's own slot
+    if pattern is None and "data_crc32" in meta:
+        if _crc32(inst.A, inst.b) != meta.typed("data_crc32", int):
+            raise ValueError(f"{meta_path} key 'data_crc32' does not match A and b")
     return inst

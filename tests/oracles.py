@@ -15,10 +15,15 @@ out in the solver's operation order, which the solver must match bit
 for bit.  ``next_state`` is no oracle but the solver itself: the one
 iteration the transcription and hand-computation tests compare with.
 ``dense_map`` is no oracle either: it wraps a dense test matrix as the
-``LinearMap`` a ``Coupling`` takes.
+``LinearMap`` a ``Coupling`` takes; nor is ``run_pinned``, which runs
+code in a fresh interpreter at one BLAS thread.
 """
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -223,6 +228,19 @@ def masked_sigmoid(t):
     return out
 
 
+def fused_coupling_rmatvec(v):
+    """``B.T @ v`` for the fused coupling ``B = -[I 0; L 0]`` of a chain of
+    ``n = (len(v) + 1) // 2`` coefficients, written with ``__setitem__``
+    updates: ``-v[:n]``, then ``v[n:]`` added to entries 1..n-1 and
+    subtracted from entries 0..n-2, and a zero intercept entry."""
+    n = (v.shape[0] + 1) // 2
+    out = np.zeros((n + 1,) + v.shape[1:])
+    out[:n] = -v[:n]
+    out[1:n] += v[n:]
+    out[: n - 1] -= v[n:]
+    return out
+
+
 def logistic_gradient(data, z):
     """The average logistic loss's gradient at the stacked point ``z`` for
     the augmented data matrix ``data``, as one formula written with ``@``
@@ -337,3 +355,30 @@ def loadtxt_vector(path):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(path, dtype=float, ndmin=1)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pinned_variables():
+    """``PINNED_THREADS``, the BLAS and OpenMP thread variables that
+    ``bench/run.py`` sets to 1, read from its source: importing it would
+    set them in this process."""
+    tree = ast.parse((_ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PINNED_THREADS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("bench/run.py assigns no PINNED_THREADS")
+
+
+def run_pinned(code, timeout=120):
+    """``code`` run in a fresh interpreter with every thread variable that
+    ``bench/run.py`` pins set to 1, as it runs, and ``src`` and
+    ``tests`` first on ``sys.path``.  Returns the ``CompletedProcess``,
+    its output as text."""
+    env = os.environ | {var: "1" for var in _pinned_variables()}
+    prelude = f"import sys; sys.path[:0] = [{str(_ROOT / 'src')!r}, {str(_ROOT / 'tests')!r}]\n"
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=timeout,
+    )

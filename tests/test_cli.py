@@ -140,14 +140,16 @@ def test_solve_overflowing_instance_exits_one(tmp_path, capsys):
 
 
 def test_solve_rank_deficient_bp_instance_exits_one(tmp_path, capsys):
-    # row 0 of this saved A copied into row 1: the solve must refuse it, not
-    # report a point off {y : A y = b} as converged
+    # row 0 of this saved A copied into row 1, and saved again with its
+    # checksum: the solve must refuse it, not report a point off
+    # {y : A y = b} as converged
     out = tmp_path / "inst"
     main(["gen", "bp", "--n", "100", "--m", "20", "--s", "2", "--seed", "7",
           "--out", str(out)])
-    A = np.load(out / "A.npy")
+    inst = storage.load_instance(out)
+    A = inst.A.copy()
     A[1] = A[0]
-    np.save(out / "A.npy", A)
+    storage.save_bp_instance(dataclasses.replace(inst, A=A), out)
     capsys.readouterr()
     rc = main(["solve", str(out)])
     captured = capsys.readouterr()

@@ -14,8 +14,9 @@ from egadm.operators import l1_prox
 from egadm.problem import kkt_lipschitz_bound, lagrangian
 from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, solve
 from oracles import (
-    central_diff_gradient, fused_midpoint_transcription, jacobi_eigenvalues, logistic_gradient,
-    masked_sigmoid, next_state, soft_threshold, traced_call,
+    central_diff_gradient, fused_coupling_rmatvec, fused_midpoint_transcription,
+    jacobi_eigenvalues, logistic_gradient, masked_sigmoid, next_state, run_pinned,
+    soft_threshold, traced_call,
 )
 
 
@@ -161,6 +162,105 @@ def test_the_solvers_logistic_gradient_gives_the_bits_of_its_formula(case):
     assert inst.smooth_block.gradient(z).tobytes() == want.tobytes()
 
 
+class _DotLog(np.ndarray):
+    """An array whose ``dot``, and its views', logs the shape of the array
+    it was called on in ``log``."""
+
+    log = []
+
+    def dot(self, *args):
+        _DotLog.log.append(self.shape)
+        return np.asarray(self).dot(*args)
+
+
+@pytest.mark.parametrize(("count", "margins"), [
+    (1, [(44, 10), (64, 10), (64, 10), (64, 10), (64, 10)]),
+    (2, [(300, 10)]),
+    (None, [(300, 10)]),
+])
+def test_the_margins_are_read_in_panels_at_one_blas_thread_only(monkeypatch, count, margins):
+    # rows of 64 at the smallest panel: five panels, the partial one first
+    rng = np.random.default_rng(3)
+    aux = fl.LogisticAux.from_data(rng.standard_normal((300, 9)), rng.choice([-1.0, 1.0], 300))
+    monkeypatch.setattr(fl, "_PANEL_BYTES", 1)
+    monkeypatch.setattr(fl, "blas_threads", lambda: count)
+    monkeypatch.setattr(_DotLog, "log", [])
+    gradient = fl._logistic_gradient(aux.data.view(_DotLog))
+    z = rng.standard_normal(10)
+    got = gradient(z)
+    assert _DotLog.log == margins + [(10, 300)]
+    if count != 1:
+        assert got.tobytes() == logistic_gradient(aux.data, z).tobytes()
+
+
+# At one BLAS thread: the gradient of each (m, n, panel bytes) case, panels
+# or not, against the one-formula oracle; ``probed`` counts the gradients
+# that asked for the thread count, which only a multi-panel matrix does.
+_PANELLED_GRADIENTS = """
+import numpy as np
+from egadm import fused_logistic as fl
+from oracles import logistic_gradient
+
+probed = []
+live = fl.blas_threads
+fl.blas_threads = lambda: probed.append(1) or live()
+rng = np.random.default_rng(0)
+for m, n, panel_bytes in CASES:
+    fl._PANEL_BYTES = panel_bytes
+    aux = fl.LogisticAux.from_data(rng.standard_normal((m, n)), rng.choice([-1.0, 1.0], m))
+    gradient = fl._logistic_gradient(aux.data)
+    probed.clear()
+    points = [np.zeros(n + 1), rng.standard_normal(n + 1), 300.0 * rng.standard_normal(n + 1)]
+    for z in points:
+        assert gradient(z).tobytes() == logistic_gradient(aux.data, z).tobytes(), (m, n)
+    print(m, n, len(probed) // len(points))
+"""
+_PANEL_CASES = {
+    # (m, n, panel bytes): 1 where the margins are read in panels, else 0
+    (130, 7, 4096): 1,   # 64, 64 and a partial 2 rows; m % 4 == 2
+    (129, 7, 4096): 1,   # 64 and 65: the last row alone joins the panel above
+    (203, 40, 1): 1,     # rows of 64 at the smallest panel; a last panel of 11
+    (500, 1000, 1 << 20): 1,  # the benchmark's size at the module's panel
+    (701, 2000, 1 << 20): 1,  # 64-row panels of 16 KiB rows, m % 4 == 1
+    (65, 7, 1): 0,       # one panel: 64 rows and the last one
+    (63, 7, 1): 0,       # fewer rows than a panel
+    (1, 7, 1): 0,        # one sample
+}
+
+
+def test_the_panelled_gradient_gives_the_oracles_bits_at_one_blas_thread():
+    proc = run_pinned(f"CASES = {list(_PANEL_CASES)!r}\n" + _PANELLED_GRADIENTS)
+    assert proc.returncode == 0, proc.stderr
+    want = "".join(f"{m} {n} {probed}\n" for (m, n, _), probed in _PANEL_CASES.items())
+    assert proc.stdout == want
+
+
+_GATE_6_DIGESTS = """
+import hashlib
+from egadm import fused_logistic as fl
+
+def digest(state):
+    arrays = (state.x, state.y, state.lam, state.y_mid, state.lam_mid)
+    return hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
+
+inst = fl.generate_simple_pattern(1000, 6)
+cfg = fl.FusedLogisticConfig(alpha=5e-4, beta=5e-2)
+live, probed = fl.blas_threads, []
+fl.blas_threads = lambda: probed.append(live()) or probed[-1]
+panels = fl.solve_fused(inst, cfg, tol=1e-5, max_iters=150)
+fl.blas_threads = lambda: None
+one_product = fl.solve_fused(inst, cfg, tol=1e-5, max_iters=150)
+print(set(probed), digest(panels.state) == digest(one_product.state))
+"""
+
+
+def test_a_gate_6_solve_ends_in_the_same_state_with_panels_or_one_product():
+    # the gate-6 instance, EGAL, for its first 150 iterations
+    proc = run_pinned(_GATE_6_DIGESTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{1} True\n"
+
+
 _residuals = arrays(
     np.float64, st.integers(1, 20),
     elements=st.floats(allow_nan=True, allow_infinity=True, width=64),
@@ -297,21 +397,26 @@ def test_difference_matrix_consistency():
     assert (B @ z) @ u == pytest.approx(z @ (B.T @ u), rel=1e-12)
 
 
+def _with_signed_zeros(rng, a):
+    """``a`` with about half its entries set to +0.0 or -0.0."""
+    zeros = rng.random(a.shape) < 0.5
+    a[zeros] = rng.choice([-0.0, 0.0], int(np.count_nonzero(zeros)))
+    return a
+
+
 def test_fused_coupling_products_equal_the_concatenated_forms_bit_for_bit():
+    # with signed zeros among the entries, where the sign of a zero sum
+    # follows its operands' signs: -0.0 + -0.0 is -0.0, -0.0 + 0.0 is +0.0
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 50):
         B = fl.fused_coupling(n)
         for shape in ((), (3,)):
-            z = rng.standard_normal((n + 1,) + shape)
-            v = rng.standard_normal((2 * n - 1,) + shape)
-            v[0] = -0.0
-            fwd = np.concatenate([-z[:n], z[1:n] - z[: n - 1]])
-            back = np.zeros((n + 1,) + shape)
-            back[:n] = -v[:n]
-            back[1:n] += v[n:]
-            back[: n - 1] -= v[n:]
-            assert (B @ z).tobytes() == fwd.tobytes()
-            assert (B.T @ v).tobytes() == back.tobytes()
+            for _ in range(5):
+                z = _with_signed_zeros(rng, rng.standard_normal((n + 1,) + shape))
+                v = _with_signed_zeros(rng, rng.standard_normal((2 * n - 1,) + shape))
+                fwd = np.concatenate([-z[:n], z[1:n] - z[: n - 1]])
+                assert (B @ z).tobytes() == fwd.tobytes()
+                assert (B.T @ v).tobytes() == fused_coupling_rmatvec(v).tobytes()
 
 
 def test_difference_matrix_nonpositive_on_monotone_input():

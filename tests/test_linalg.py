@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from egadm.linalg import spectral_norm_sq
-from oracles import c_ordered_spectral_norm_sq, jacobi_eigenvalues, traced_call
+from egadm.linalg import blas_threads, spectral_norm_sq
+from oracles import c_ordered_spectral_norm_sq, jacobi_eigenvalues, run_pinned, traced_call
 
 
 def test_spectral_norm_identity():
@@ -125,3 +125,36 @@ def test_spectral_norm_solves_the_gram_matrix_in_place(shape):
     lmax, _, peak = traced_call(spectral_norm_sq, mat)
     assert lmax == c_ordered_spectral_norm_sq(mat)
     assert gram_bytes < peak < 1.25 * gram_bytes
+
+
+def test_blas_threads_is_one_under_the_pin_and_a_count_or_none_otherwise():
+    proc = run_pinned("from egadm.linalg import blas_threads; print(repr(blas_threads()))")
+    assert proc.stdout == "1\n", proc.stderr
+    count = blas_threads()
+    assert count is None or (type(count) is int and count >= 1)
+
+
+_LAZY_PROBE = """
+import numpy as np
+import egadm.cli
+from egadm import fused_logistic as fl, linalg
+
+def resolved():
+    return linalg._openblas_thread_count.cache_info().currsize
+
+imported = resolved()
+inst = fl.generate_block_pattern(130, 150, 0)
+fl.solve_fused(inst, fl.FusedLogisticConfig(), max_iters=20)
+solved = resolved()
+fl._PANEL_BYTES = 1
+fl._logistic_gradient(inst.aux.data)(np.zeros(131))
+print(imported, solved, resolved())
+"""
+
+
+def test_the_thread_count_is_first_asked_by_a_gradient_that_reads_panels():
+    # importing the CLI and a solve whose matrix is one panel never look up
+    # OpenBLAS; the first gradient over several panels does
+    proc = run_pinned(_LAZY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 1\n"

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -795,6 +796,18 @@ _EDITS = {
         _FUSED, _lipschitz_one_ulp_up, ValueError,
         "{d}/meta.json key 'lipschitz_crc32' does not match the data and lipschitz",
     ),
+    "data_crc32-string": (
+        _BP, _meta(data_crc32="1"), ValueError,
+        "{d}/meta.json key 'data_crc32' must be a JSON integer, got '1'",
+    ),
+    "data_crc32-after-an-A-entry-changes": (
+        _BP, _save_A(lambda A: _with_entry(A, A[-1, 0] + 1.0)), ValueError,
+        "{d}/meta.json key 'data_crc32' does not match A and b",
+    ),
+    "data_crc32-after-a-b-entry-changes": (
+        _BP, _vector_lines("b.txt", slice(-1), "0.5\n"), ValueError,
+        "{d}/meta.json key 'data_crc32' does not match A and b",
+    ),
     "n-too-large": (
         _BOTH, _meta(n=1000), ValueError,
         "A.npy shape ({m}, {n}) disagrees with meta.json's ({m}, 1000)",
@@ -999,6 +1012,21 @@ def test_a_fused_directory_without_the_lipschitz_keys_computes_it_on_first_use(s
     assert "lipschitz" in vars(loaded)
 
 
+def test_a_bp_directory_holds_the_crc32_of_A_and_b(saved):
+    d, inst = saved["bp"]
+    want = zlib.crc32(inst.b.astype("<f8").tobytes(), zlib.crc32(inst.A.astype("<f8").tobytes()))
+    assert json.loads((d / "meta.json").read_text())["data_crc32"] == want
+
+
+def test_a_bp_directory_without_data_crc32_loads_unchecked(saved, tmp_path):
+    # every directory written before the key was
+    d, inst = _copy(saved, "bp", tmp_path / "inst")
+    _meta(data_crc32=_DROP)(d, inst)
+    loaded = storage.load_instance(d)
+    assert loaded.A.tobytes() == inst.A.tobytes()
+    assert loaded.b.tobytes() == inst.b.tobytes()
+
+
 _PAIRS = [
     (kind, first, second)
     for kind in ("bp", "fused")
@@ -1132,6 +1160,9 @@ _PINNED_EDITS = {
     # a Python 2 shape "(10L, 30)": NumPy filters the L out and warns
     "insert-byte63-0x4c-UserWarning": ("bp", "A.npy", "insert", 63, 0x4C),
 }
+# a space inserted in the same place, "(10 , 30)": a header NumPy reads as
+# it was, before data that start one byte late, so every value of A moves
+_SHIFTED_DATA = ("bp", "A.npy", "insert", 63, 0x20)
 
 
 @pytest.fixture(scope="module")
@@ -1170,6 +1201,13 @@ def test_a_header_numpy_cannot_parse_is_a_value_error_naming_A_npy(fuzzed, tmp_p
         storage.load_instance(d)
 
 
+def test_a_bp_matrix_whose_data_moved_a_byte_is_refused_by_its_crc(fuzzed, tmp_path):
+    d, _ = _edited_copy(fuzzed, _SHIFTED_DATA, tmp_path / "inst")
+    message = f"{d / 'meta.json'} key 'data_crc32' does not match A and b"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        storage.load_instance(d)
+
+
 @st.composite
 def _edits(draw):
     kind = draw(st.sampled_from(sorted(_EDIT_FILES)))
@@ -1187,6 +1225,7 @@ def _edits(draw):
 @example(_PINNED_EDITS["flip-byte21-to-0x2c-SyntaxError"])
 @example(_PINNED_EDITS["insert-byte11-0x42-TypeError"])
 @example(_PINNED_EDITS["insert-byte63-0x4c-UserWarning"])
+@example(_SHIFTED_DATA)
 def test_a_one_byte_edit_loads_or_raises_a_value_or_os_error_naming_a_file(fuzzed, edit):
     with tempfile.TemporaryDirectory() as tmp:
         d, inst = _edited_copy(fuzzed, edit, Path(tmp) / "inst")
@@ -1196,7 +1235,10 @@ def test_a_one_byte_edit_loads_or_raises_a_value_or_os_error_naming_a_file(fuzze
             assert any(f in str(exc) for f in _FILES), (edit, exc)
             return
     assert type(loaded) is type(inst)
+    # a crc32 in meta.json covers the data: the augmented matrix and the
+    # stored constant's bits in a fused one, A and b in a bp one
+    assert loaded.A.tobytes() == inst.A.tobytes(), edit
     if edit[0] == "fused":
-        # the stored constant's crc32 covers the augmented data, so A and the labels
-        assert loaded.A.tobytes() == inst.A.tobytes(), edit
         assert loaded.labels.tobytes() == inst.labels.tobytes(), edit
+    else:
+        assert loaded.b.tobytes() == inst.b.tobytes(), edit
