@@ -116,9 +116,20 @@ class LinearMap:
         return np.asarray(self.matvec(np.eye(self.shape[1])), dtype=dtype)
 
 
+def _plus_identity(v):
+    """``I @ v``: v itself, no copy."""
+    return v
+
+
 def identity_map(n, sign=1.0):
-    """``sign * I`` of size n, sign +1 or -1 (no bool): products return v or -v."""
-    ops = {1.0: lambda v: v, -1.0: np.negative}
+    """``sign * I`` of size n, sign +1 or -1 (no bool): products return v or -v.
+
+    The products are module-level callables that ``solver._run``
+    recognises on a plain ``Coupling``: an ``A`` whose product is
+    ``_plus_identity`` is not called, and a ``B`` whose products are
+    ``np.negative`` is folded into the sums that use it, ``u + B v``
+    written as ``u - v`` and ``u - B^T v`` as ``u + v``, the same bits."""
+    ops = {1.0: _plus_identity, -1.0: np.negative}
     if isinstance(sign, (bool, np.bool_)) or sign not in ops:
         raise ValueError(f"identity_map sign must be +1 or -1, got {sign!r}")
     op = ops[sign]

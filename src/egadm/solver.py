@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .problem import (
-    _check_bound, _check_dimensions, _check_gamma, frozen_copy, kkt_lipschitz_bound, lagrangian,
+    _check_bound, _check_dimensions, _check_gamma, _plus_identity, frozen_copy, kkt_lipschitz_bound,
+    lagrangian,
 )
 
 #: Residual magnitude past which an iterate counts as diverged.
@@ -63,7 +64,14 @@ class VariantKind(enum.Enum):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate went non-finite or the residual exceeded the limit."""
+    """An iterate went non-finite or the residual exceeded the limit.
+
+    Each step tests two scalars: the residual's 2-norm, which must not
+    exceed ``DIVERGENCE_LIMIT``, and ``x+ . 1 + y+ . 1 + lam+ . 1``, which
+    must be finite.  A NaN or an infinity in any entry of x+, y+ or lam+
+    reaches that sum, the entries no product reads included (the fused
+    intercept, which B never reads, or an x entry A drops), so the step
+    that makes one raises, before it is yielded."""
 
     def __init__(self, variant, iteration):
         super().__init__(
@@ -121,12 +129,56 @@ class IterateState:
 @dataclass(slots=True)
 class StepInfo:
     """Per-iteration diagnostics used by stop rules and monitors; like
-    ``IterateState``, never mutated by its readers."""
+    ``IterateState``, never mutated by its readers.
+
+    ``movement`` is the 2-norm of the step in (y, lam).  The infos
+    ``iterate`` yields compute it on its first read and keep it, because
+    most stop rules rarely read it: ``default_stop_rule`` reads it only
+    once the residual is below ``tol``, and ``fused_logistic.stop_rule``
+    never does.  A step that records the certificate computes it at once,
+    as the certificate needs its square.  Either way it is the Python
+    float it always was, bit for bit."""
 
     residual: np.ndarray
     residual_norm: float      # 2-norm of ``residual``
     movement: float
     certificate: Optional[float] = None
+
+
+# the slot that holds a StepInfo's movement, which the deferred subclass fills
+_MOVEMENT_SLOT = StepInfo.movement
+
+
+def _dist_sq(y, y_next, lam, lam_next):
+    """``||y+ - y||^2 + ||lam+ - lam||^2``, each 2-norm as ``np.linalg.norm``
+    takes it, ``sqrt(v.dot(v))``, and squared with ``** 2`` as in
+    ``np.linalg.norm(v) ** 2``: ``r * r`` rounds differently for about 1 r
+    in 1700."""
+    dy, dlam = y_next - y, lam_next - lam
+    return math.sqrt(dy.dot(dy)) ** 2 + math.sqrt(dlam.dot(dlam)) ** 2
+
+
+class _DeferredStepInfo(StepInfo):
+    """The StepInfo of a step that recorded no certificate: ``_run`` makes
+    it with ``object.__new__`` and sets ``_step`` to the step's ``(y, y+,
+    lam, lam+)`` in place of a movement, which the first read computes,
+    ``sqrt(_dist_sq(*_step))``, into ``StepInfo``'s own slot.  It keeps
+    StepInfo's ``__init__``, so ``dataclasses.replace`` copies one."""
+
+    __slots__ = ("_step",)
+
+    @property
+    def movement(self):
+        try:
+            return _MOVEMENT_SLOT.__get__(self)
+        except AttributeError:
+            movement = math.sqrt(_dist_sq(*self._step))
+            _MOVEMENT_SLOT.__set__(self, movement)
+            return movement
+
+    @movement.setter
+    def movement(self, value):
+        _MOVEMENT_SLOT.__set__(self, value)
 
 
 @dataclass
@@ -184,18 +236,33 @@ def _run(problem, config, gamma, state):
     operand on every call, about 0.3 us each at these sizes, and the
     product is the same, bit for bit.  ``solve_subproblem`` and the
     certificate keep the Python float.
+
+    The bound products are then looked at once.  Where ``apply_b`` and
+    ``apply_bt`` are ``np.negative`` itself, the ``-I`` that
+    ``identity_map(n, -1.0)`` gives a plain ``Coupling`` (basis pursuit's
+    ``x - y = 0``), each sum that uses them is one subtraction or
+    addition: ``ax + B y_mid`` is ``ax - y_mid`` and ``u - B^T v`` is
+    ``u + v``, at both pulls and in the certificate's ``F`` top.  These
+    are exact IEEE identities, signed zeros included; only a NaN's sign
+    could differ, and a step with a NaN raises before it is yielded.  The
+    x-step's ``offset = B y`` is still one negation per step.  Where
+    ``apply_a`` is ``identity_map``'s ``+I`` product it is not called.
+    A step that records no certificate yields a StepInfo that computes
+    its movement on first read (see ``StepInfo``).
     """
     c = problem.coupling
     apply_a, apply_b, apply_bt = c.apply_a, c.apply_b, c.apply_bt
+    fold_b = apply_b is np.negative and apply_bt is np.negative
+    a_is_identity = apply_a is _plus_identity
     b, b_is_zero = c.b, c.b_is_zero
     solve_subproblem = problem.prox_block.solve_subproblem
     gradient, project = problem.smooth_block.gradient, problem.smooth_block.project
     variant = config.variant
     extragradient, augmented = variant.extragradient, variant.augmented
     monitor = _records_certificate(config)
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, new = math.sqrt, math.isfinite, object.__new__
     g = frozen_copy(gamma)
-    ones = np.ones(c.A.shape[1])
+    ones_x, ones_y, ones_lam = (np.ones(k) for k in (c.A.shape[1], c.B.shape[1], c.b.shape[0]))
 
     while True:
         y, lam = state.y, state.lam
@@ -204,7 +271,7 @@ def _run(problem, config, gamma, state):
         if not b_is_zero:
             offset = offset - b
         x_next = solve_subproblem(offset, lam, gamma)
-        ax_next = apply_a(x_next)
+        ax_next = x_next if a_is_identity else apply_a(x_next)
         # the residual at the current y and lam - gamma * resid_k, which is
         # the augmented pull and the extragradient lam_mid; GL reads neither
         if augmented or extragradient:
@@ -212,9 +279,14 @@ def _run(problem, config, gamma, state):
             lam_mid = lam - g * resid_k
         # grad_y of the (augmented) Lagrangian takes B^T of lam, or of
         # lam - gamma * resid_k for the augmented variants
-        bt_pull = apply_bt(lam_mid if augmented else lam)
-        y_mid = project(y - g * (gradient(y) - bt_pull))
-        resid_mid = ax_next + apply_b(y_mid)
+        pulled = lam_mid if augmented else lam
+        if fold_b:
+            y_mid = project(y - g * (gradient(y) + pulled))
+            resid_mid = ax_next - y_mid
+        else:
+            bt_pull = apply_bt(pulled)
+            y_mid = project(y - g * (gradient(y) - bt_pull))
+            resid_mid = ax_next + apply_b(y_mid)
         if not b_is_zero:
             resid_mid = resid_mid - b
         step_mid = g * resid_mid
@@ -222,38 +294,41 @@ def _run(problem, config, gamma, state):
         if extragradient:
             grad_mid = gradient(y_mid)
             pull = lam_mid - step_mid if augmented else lam_mid
-            g_mid = grad_mid - apply_bt(pull)
+            g_mid = grad_mid + pull if fold_b else grad_mid - apply_bt(pull)
             y_next = project(y - g * g_mid)
         else:
             # Plain-gradient variants end at (y_mid, lam_next); the midpoint
             # fields repeat that pair so downstream code has one shape to handle.
             y_next, lam_mid = y_mid, lam_next
 
-        # 2-norms as ``np.linalg.norm`` takes them: ``sqrt(v.dot(v))``
+        # the 2-norm as ``np.linalg.norm`` takes it: ``sqrt(v.dot(v))``
         resid_norm = sqrt(resid_mid.dot(resid_mid))
-        dy, dlam = y_next - y, lam_next - lam
-        # ``** 2`` as in ``np.linalg.norm(v) ** 2``: ``r * r`` rounds
-        # differently for about 1 r in 1700
-        dist_sq = sqrt(dy.dot(dy)) ** 2 + sqrt(dlam.dot(dlam)) ** 2
-        movement = sqrt(dist_sq)
-        # A NaN or inf in the residual, y+, lam+ or x+ reaches one of these
-        # scalars, and NaN fails every comparison.  ``x_next.dot(ones)``
-        # sums x+ in one BLAS call, about half the time of ``np.add.reduce``.
+        # A NaN or inf in the residual, x+, y+ or lam+ reaches one of these
+        # scalars, and NaN fails every comparison.  Each ``v.dot(ones)``
+        # sums v in one BLAS call, about half the time of ``np.add.reduce``;
+        # Python floats add to inf on overflow, with no warning.
         if not (resid_norm <= DIVERGENCE_LIMIT
-                and isfinite(movement + float(x_next.dot(ones)))):
+                and isfinite(float(x_next.dot(ones_x)) + float(y_next.dot(ones_y))
+                             + float(lam_next.dot(ones_lam)))):
             raise DivergenceError(variant, state.k + 1)
 
-        certificate = None
+        state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
         if monitor:
             # F(x+, z_mid) from the values above: its bottom is resid_mid, its
             # top is g_mid without the augmented pull, which for EGAL is
             # grad_mid - B^T lam_mid with B^T lam_mid the first pull's product
-            f_top = grad_mid - bt_pull if augmented else g_mid
+            if augmented:
+                f_top = grad_mid + lam_mid if fold_b else grad_mid - bt_pull
+            else:
+                f_top = g_mid
             inner = float(f_top.dot(y_mid - y_next)) + float(resid_mid.dot(lam_mid - lam_next))
-            certificate = gamma * inner - 0.5 * dist_sq
-
-        state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
-        yield state, StepInfo(resid_mid, resid_norm, movement, certificate)
+            dist_sq = _dist_sq(y, y_next, lam, lam_next)
+            info = StepInfo(resid_mid, resid_norm, sqrt(dist_sq), gamma * inner - 0.5 * dist_sq)
+        else:
+            info = new(_DeferredStepInfo)
+            info.residual, info.residual_norm, info.certificate = resid_mid, resid_norm, None
+            info._step = (y, y_next, lam, lam_next)
+        yield state, info
 
 
 def iterate(problem, config, init=None):

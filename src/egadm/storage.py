@@ -27,7 +27,9 @@ ValueError naming the file and the key.
 A fused ``meta.json`` also holds ``lipschitz`` and a crc32 of the data
 and it, checked on load; older ones lack both and compute it on use.
 A basis-pursuit ``meta.json`` holds ``data_crc32``, a crc32 of A and b,
-checked on load; older ones lack it and load unchecked.
+checked on load; older ones lack it and load unchecked.  Both kinds'
+``meta.json`` hold ``xhat_crc32``, a crc32 of xhat, checked last on
+load; older ones lack it and load unchecked.
 Every value in A and in the vector files must be finite, and every label
 -1 or +1.  Saving an instance with a non-finite ``c_true``, A or vector
 is a ValueError naming the field, and writes nothing.
@@ -337,6 +339,7 @@ def _save(inst, directory, kind):
             meta |= _lipschitz_keys(inst.aux.data, inst.lipschitz)
     else:
         meta["data_crc32"] = _crc32(A, inst.b)
+    meta["xhat_crc32"] = _crc32(inst.xhat)
     _write_meta(d / "meta.json", meta | {key: t(getattr(inst, key)) for key, t in scalars.items()})
     if kind == "fused_logistic":
         _write_meta(
@@ -363,7 +366,8 @@ def load_instance(directory):
     labels are checked once, by the instance's constructor: its
     ``LabelError`` becomes a ValueError naming ``labels.txt``; a stored
     Lipschitz constant, or a bp directory's ``data_crc32``, is checked
-    last, against the instance's data."""
+    against the instance's data, and then ``xhat_crc32`` against its
+    xhat.  A directory that lacks a crc key loads without that check."""
     d = Path(directory)
     meta_path = d / "meta.json"
     if not meta_path.is_file():
@@ -397,4 +401,6 @@ def load_instance(directory):
     if pattern is None and "data_crc32" in meta:
         if _crc32(inst.A, inst.b) != meta.typed("data_crc32", int):
             raise ValueError(f"{meta_path} key 'data_crc32' does not match A and b")
+    if "xhat_crc32" in meta and _crc32(inst.xhat) != meta.typed("xhat_crc32", int):
+        raise ValueError(f"{meta_path} key 'xhat_crc32' does not match xhat")
     return inst

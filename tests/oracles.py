@@ -19,7 +19,6 @@ iteration the transcription and hand-computation tests compare with.
 code in a fresh interpreter at one BLAS thread.
 """
 
-import ast
 import json
 import os
 import subprocess
@@ -34,6 +33,7 @@ from scipy.io import mmwrite
 from egadm.linalg import spectral_norm_sq
 from egadm.problem import LinearMap, frozen_copy, lagrangian
 from egadm.solver import iterate
+from ledger import pinned_variables
 
 
 def dense_map(mat):
@@ -360,23 +360,12 @@ def loadtxt_vector(path):
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _pinned_variables():
-    """``PINNED_THREADS``, the BLAS and OpenMP thread variables that
-    ``bench/run.py`` sets to 1, read from its source: importing it would
-    set them in this process."""
-    tree = ast.parse((_ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PINNED_THREADS"]:
-            return ast.literal_eval(node.value)
-    raise LookupError("bench/run.py assigns no PINNED_THREADS")
-
-
 def run_pinned(code, timeout=120):
     """``code`` run in a fresh interpreter with every thread variable that
     ``bench/run.py`` pins set to 1, as it runs, and ``src`` and
     ``tests`` first on ``sys.path``.  Returns the ``CompletedProcess``,
     its output as text."""
-    env = os.environ | {var: "1" for var in _pinned_variables()}
+    env = os.environ | {var: "1" for var in pinned_variables()}
     prelude = f"import sys; sys.path[:0] = [{str(_ROOT / 'src')!r}, {str(_ROOT / 'tests')!r}]\n"
     return subprocess.run(
         [sys.executable, "-c", prelude + code],

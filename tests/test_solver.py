@@ -1,6 +1,9 @@
 import itertools
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -685,6 +688,30 @@ def test_a_nan_only_in_x_plus_is_divergence():
             assert (exc.value.variant, exc.value.iteration) == (variant, 3), hidden
 
 
+def test_a_nan_only_in_the_fused_intercept_of_y_plus_is_divergence():
+    # B reads y's n coefficients but not its last entry, the intercept, so
+    # a NaN there reaches neither the residual nor lam+: only y+ carries it
+    base = fl.as_problem(fl.generate_block_pattern(130, 12, 0), fl.FusedLogisticConfig())
+    calls = []
+
+    def nan_intercept_at_step_3(w):
+        # y+ is a step's last projection: the start makes one, then each
+        # step one, or two for the extragradient variants
+        calls.append(None)
+        y = base.smooth_block.project(w).copy()
+        if len(calls) == 1 + 3 * steps:
+            y[-1] = np.nan
+        return y
+
+    prob = replace(base, smooth_block=replace(base.smooth_block, project=nan_intercept_at_step_3))
+    for variant in VariantKind:
+        steps = 2 if variant.extragradient else 1
+        calls.clear()
+        with pytest.raises(DivergenceError) as exc:
+            solve(prob, SolverConfig(variant=variant, tol=0.0, max_iters=10))
+        assert (exc.value.variant, exc.value.iteration) == (variant, 3)
+
+
 @pytest.mark.parametrize("variant", list(VariantKind))
 def test_a_residual_past_the_divergence_limit_stops_the_first_iteration(variant):
     # x + y = 0 in one dimension from y = lam = 0, with an x-step that
@@ -821,6 +848,72 @@ def test_monitored_iteration_reuses_the_products_it_computed():
                 assert _calls_per_iteration(prob, cfg) == want, (name, variant, monitor)
 
 
+def _overridden(prob):
+    """``prob`` on a ``Coupling`` subclass whose ``apply_*`` overrides
+    return ``super()``'s products: the loop calls every product."""
+    c = prob.coupling
+    return replace(prob, coupling=_CountingCoupling(A=c.A, B=c.B, b=c.b))
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_a_folded_minus_identity_gives_the_bits_of_the_products_it_skips(variant):
+    # on a plain Coupling over identity_map(n, -1.0) the loop writes
+    # u + B v as u - v and u - B^T v as u + v, and skips A = identity_map(n)
+    problems = {
+        "bp": bp.as_problem(bp.generate(60, 15, 2, 4)),
+        "minus_identity_nonzero_b": _l1_quadratic_problem(identity_map(2, -1.0), np.array([0.5, -1.0])),
+        "fused_blocks": fl.as_problem(fl.generate_block_pattern(150, 40, 2), fl.FusedLogisticConfig()),
+    }
+    for name, prob in problems.items():
+        assert (prob.coupling.apply_b is np.negative) == (name != "fused_blocks")
+        for monitor in (False, True):
+            cfg = SolverConfig(variant=variant, monitor_certificate=monitor)
+            runs = [itertools.islice(iterate(p, cfg), 300) for p in (prob, _overridden(prob))]
+            for (state, info), (ref, ref_info) in zip(*runs, strict=True):
+                where = (name, monitor, state.k)
+                for f in ("x", "y", "lam", "y_mid", "lam_mid"):
+                    assert getattr(state, f).tobytes() == getattr(ref, f).tobytes(), (where, f)
+                assert info.residual.tobytes() == ref_info.residual.tobytes(), where
+                got = (info.residual_norm, info.movement, info.certificate)
+                want = (ref_info.residual_norm, ref_info.movement, ref_info.certificate)
+                assert list(map(_bits, got)) == list(map(_bits, want)), where
+            assert state.k == 300
+
+
+@pytest.mark.parametrize("variant", list(VariantKind))
+def test_a_fused_solve_under_its_stop_rule_never_computes_a_movement(monkeypatch, variant):
+    computed = []
+    dist_sq = solver_module._dist_sq
+
+    def counted(*step):
+        computed.append(None)
+        return dist_sq(*step)
+
+    monkeypatch.setattr(solver_module, "_dist_sq", counted)
+    inst, penalties = fl.generate_block_pattern(150, 40, 2), fl.FusedLogisticConfig()
+    assert fl.solve_fused(inst, penalties, variant, max_iters=300).iterations > 0
+    assert not computed
+    # the infos of a run under the same rule, read afterwards: each read
+    # computes the bits of the reference step once, and a second read
+    # returns the float the first one kept
+    prob, rule = inst.as_problem(penalties), inst.stop_rule(1e-4)
+    cfg = SolverConfig(variant=variant)
+    gamma = resolve_gamma(prob, cfg)
+    start = initial_state(prob)
+    y, lam, steps = start.y, start.lam, []
+    for state, info in itertools.islice(iterate(prob, cfg), 40):
+        rule(info)
+        steps.append((y, lam, info))
+        y, lam = state.y, state.lam
+    assert not computed
+    for k, (y, lam, info) in enumerate(steps, start=1):
+        movement = reference_advance(prob, variant, gamma, False, y, lam)[2]
+        assert type(info.movement) is float and _bits(info.movement) == _bits(movement), k
+        assert info.movement is info.movement and len(computed) == k
+        copy = replace(info, certificate=-1.0)
+        assert (_bits(copy.movement), copy.certificate, len(computed)) == (_bits(movement), -1.0, k)
+
+
 def test_a_running_iterator_keeps_the_callables_it_looked_up(monkeypatch):
     prob = bp.as_problem(bp.generate(60, 15, 2, 4))
     cfg = SolverConfig(variant=VariantKind.EGAL)
@@ -905,3 +998,13 @@ def test_each_instance_names_its_front_ends_stop_rule():
     assert fl.FusedLogisticInstance.stop_rule is fl.stop_rule
     assert bp.generate(30, 8, 2, 1).stop_rule is default_stop_rule
     assert fl.generate_block_pattern(130, 20, 1).stop_rule is fl.stop_rule
+
+
+def test_the_iterate_ledger_holds_its_recorded_bits():
+    # tests/ledger.py pins its own BLAS threads, so it runs in a fresh
+    # interpreter; it exits 3 on an environment it holds no record for
+    ledger = Path(__file__).resolve().parent / "ledger.py"
+    proc = subprocess.run([sys.executable, str(ledger)], capture_output=True, text=True, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip(proc.stdout.strip())
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -808,6 +808,14 @@ _EDITS = {
         _BP, _vector_lines("b.txt", slice(-1), "0.5\n"), ValueError,
         "{d}/meta.json key 'data_crc32' does not match A and b",
     ),
+    "xhat_crc32-string": (
+        _BOTH, _meta(xhat_crc32="1"), ValueError,
+        "{d}/meta.json key 'xhat_crc32' must be a JSON integer, got '1'",
+    ),
+    "xhat_crc32-after-an-xhat-entry-changes": (
+        _BOTH, _vector_lines("xhat.txt", slice(-1), "0.5\n"), ValueError,
+        "{d}/meta.json key 'xhat_crc32' does not match xhat",
+    ),
     "n-too-large": (
         _BOTH, _meta(n=1000), ValueError,
         "A.npy shape ({m}, {n}) disagrees with meta.json's ({m}, 1000)",
@@ -1027,6 +1035,24 @@ def test_a_bp_directory_without_data_crc32_loads_unchecked(saved, tmp_path):
     assert loaded.b.tobytes() == inst.b.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["bp", "fused"])
+def test_a_directory_holds_the_crc32_of_xhat(saved, kind):
+    d, inst = saved[kind]
+    want = zlib.crc32(inst.xhat.astype("<f8").tobytes())
+    assert json.loads((d / "meta.json").read_text())["xhat_crc32"] == want
+
+
+@pytest.mark.parametrize("kind", ["bp", "fused"])
+def test_a_directory_without_xhat_crc32_loads_unchecked(saved, tmp_path, kind):
+    # every directory written before the key was, an edited xhat.txt included
+    d, inst = _copy(saved, kind, tmp_path / "inst")
+    _meta(xhat_crc32=_DROP)(d, inst)
+    _vector_lines("xhat.txt", slice(-1), "0.5\n")(d, inst)
+    loaded = storage.load_instance(d)
+    assert loaded.xhat[-1] == 0.5
+    assert loaded.xhat[:-1].tobytes() == inst.xhat[:-1].tobytes()
+
+
 _PAIRS = [
     (kind, first, second)
     for kind in ("bp", "fused")
@@ -1201,6 +1227,19 @@ def test_a_header_numpy_cannot_parse_is_a_value_error_naming_A_npy(fuzzed, tmp_p
         storage.load_instance(d)
 
 
+@pytest.mark.parametrize("kind", ["bp", "fused"])
+def test_an_xhat_whose_first_line_was_rewritten_is_refused_by_its_crc(fuzzed, tmp_path, kind):
+    # the planted vector sets the bp row's ``err``: 0.25 written over the
+    # first line of xhat.txt, which keeps one number per line
+    d, _ = _copy(fuzzed, kind, tmp_path / "inst")
+    lines = (d / "xhat.txt").read_text().splitlines(keepends=True)
+    assert lines[0] != "0.25\n"
+    (d / "xhat.txt").write_text("".join(["0.25\n"] + lines[1:]))
+    message = f"{d / 'meta.json'} key 'xhat_crc32' does not match xhat"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        storage.load_instance(d)
+
+
 def test_a_bp_matrix_whose_data_moved_a_byte_is_refused_by_its_crc(fuzzed, tmp_path):
     d, _ = _edited_copy(fuzzed, _SHIFTED_DATA, tmp_path / "inst")
     message = f"{d / 'meta.json'} key 'data_crc32' does not match A and b"
@@ -1236,8 +1275,10 @@ def test_a_one_byte_edit_loads_or_raises_a_value_or_os_error_naming_a_file(fuzze
             return
     assert type(loaded) is type(inst)
     # a crc32 in meta.json covers the data: the augmented matrix and the
-    # stored constant's bits in a fused one, A and b in a bp one
+    # stored constant's bits in a fused one, A and b in a bp one, and xhat
+    # in both
     assert loaded.A.tobytes() == inst.A.tobytes(), edit
+    assert loaded.xhat.tobytes() == inst.xhat.tobytes(), edit
     if edit[0] == "fused":
         assert loaded.labels.tobytes() == inst.labels.tobytes(), edit
     else:
