@@ -170,7 +170,10 @@ def cmd_bench(args):
     expected = 3 if args.problem == "bp" else 2
     dims = []
     for spec_str in args.dims:
-        parts = tuple(int(p) for p in spec_str.split(","))
+        try:
+            parts = tuple(int(p) for p in spec_str.split(","))
+        except ValueError:
+            parts = ()
         if len(parts) != expected:
             raise SystemExit(
                 f"--dims for {args.problem} needs {expected} comma-separated integers"

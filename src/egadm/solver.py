@@ -126,29 +126,6 @@ class IterateState:
     k: int
 
 
-@dataclass(slots=True)
-class StepInfo:
-    """Per-iteration diagnostics used by stop rules and monitors; like
-    ``IterateState``, never mutated by its readers.
-
-    ``movement`` is the 2-norm of the step in (y, lam).  The infos
-    ``iterate`` yields compute it on its first read and keep it, because
-    most stop rules rarely read it: ``default_stop_rule`` reads it only
-    once the residual is below ``tol``, and ``fused_logistic.stop_rule``
-    never does.  A step that records the certificate computes it at once,
-    as the certificate needs its square.  Either way it is the Python
-    float it always was, bit for bit."""
-
-    residual: np.ndarray
-    residual_norm: float      # 2-norm of ``residual``
-    movement: float
-    certificate: Optional[float] = None
-
-
-# the slot that holds a StepInfo's movement, which the deferred subclass fills
-_MOVEMENT_SLOT = StepInfo.movement
-
-
 def _dist_sq(y, y_next, lam, lam_next):
     """``||y+ - y||^2 + ||lam+ - lam||^2``, each 2-norm as ``np.linalg.norm``
     takes it, ``sqrt(v.dot(v))``, and squared with ``** 2`` as in
@@ -158,27 +135,26 @@ def _dist_sq(y, y_next, lam, lam_next):
     return math.sqrt(dy.dot(dy)) ** 2 + math.sqrt(dlam.dot(dlam)) ** 2
 
 
-class _DeferredStepInfo(StepInfo):
-    """The StepInfo of a step that recorded no certificate: ``_run`` makes
-    it with ``object.__new__`` and sets ``_step`` to the step's ``(y, y+,
-    lam, lam+)`` in place of a movement, which the first read computes,
-    ``sqrt(_dist_sq(*_step))``, into ``StepInfo``'s own slot.  It keeps
-    StepInfo's ``__init__``, so ``dataclasses.replace`` copies one."""
+@dataclass(slots=True)
+class StepInfo:
+    """Per-iteration diagnostics used by stop rules and monitors; like
+    ``IterateState``, never mutated by its readers.
 
-    __slots__ = ("_step",)
+    ``step`` is the step's ``(y, y+, lam, lam+)``, and ``movement``, its
+    2-norm in (y, lam), is computed from it on each read: every reader
+    reads it at most once per step, and most not at all
+    (``default_stop_rule`` only once the residual is below ``tol``,
+    ``fused_logistic.stop_rule`` never).  It is the same Python float on
+    every read, bit for bit."""
+
+    residual: np.ndarray
+    residual_norm: float      # 2-norm of ``residual``
+    step: tuple
+    certificate: Optional[float] = None
 
     @property
     def movement(self):
-        try:
-            return _MOVEMENT_SLOT.__get__(self)
-        except AttributeError:
-            movement = math.sqrt(_dist_sq(*self._step))
-            _MOVEMENT_SLOT.__set__(self, movement)
-            return movement
-
-    @movement.setter
-    def movement(self, value):
-        _MOVEMENT_SLOT.__set__(self, value)
+        return math.sqrt(_dist_sq(*self.step))
 
 
 @dataclass
@@ -247,8 +223,9 @@ def _run(problem, config, gamma, state):
     could differ, and a step with a NaN raises before it is yielded.  The
     x-step's ``offset = B y`` is still one negation per step.  Where
     ``apply_a`` is ``identity_map``'s ``+I`` product it is not called.
-    A step that records no certificate yields a StepInfo that computes
-    its movement on first read (see ``StepInfo``).
+    Every step yields a StepInfo that holds its ``(y, y+, lam, lam+)``;
+    only a step that records the certificate computes the movement's
+    square, which the certificate needs.
     """
     c = problem.coupling
     apply_a, apply_b, apply_bt = c.apply_a, c.apply_b, c.apply_bt
@@ -260,7 +237,7 @@ def _run(problem, config, gamma, state):
     variant = config.variant
     extragradient, augmented = variant.extragradient, variant.augmented
     monitor = _records_certificate(config)
-    sqrt, isfinite, new = math.sqrt, math.isfinite, object.__new__
+    sqrt, isfinite = math.sqrt, math.isfinite
     g = frozen_copy(gamma)
     ones_x, ones_y, ones_lam = (np.ones(k) for k in (c.A.shape[1], c.B.shape[1], c.b.shape[0]))
 
@@ -313,6 +290,8 @@ def _run(problem, config, gamma, state):
             raise DivergenceError(variant, state.k + 1)
 
         state = IterateState(x_next, y_next, lam_next, y_mid, lam_mid, state.k + 1)
+        step = (y, y_next, lam, lam_next)
+        certificate = None
         if monitor:
             # F(x+, z_mid) from the values above: its bottom is resid_mid, its
             # top is g_mid without the augmented pull, which for EGAL is
@@ -322,13 +301,8 @@ def _run(problem, config, gamma, state):
             else:
                 f_top = g_mid
             inner = float(f_top.dot(y_mid - y_next)) + float(resid_mid.dot(lam_mid - lam_next))
-            dist_sq = _dist_sq(y, y_next, lam, lam_next)
-            info = StepInfo(resid_mid, resid_norm, sqrt(dist_sq), gamma * inner - 0.5 * dist_sq)
-        else:
-            info = new(_DeferredStepInfo)
-            info.residual, info.residual_norm, info.certificate = resid_mid, resid_norm, None
-            info._step = (y, y_next, lam, lam_next)
-        yield state, info
+            certificate = gamma * inner - 0.5 * _dist_sq(*step)
+        yield state, StepInfo(resid_mid, resid_norm, step, certificate)
 
 
 def iterate(problem, config, init=None):

@@ -319,12 +319,20 @@ def _lipschitz_keys(data, lipschitz):
 
 def _save(inst, directory, kind):
     """Write ``inst`` under ``directory``, after checking every value that
-    ``load_instance`` checks for finiteness, so a refused instance writes
-    nothing.  A file that another kind's layout or a format-1 save writes
-    (``A.mtx``) is deleted; every other file in the directory is left."""
+    ``load_instance`` checks for finiteness and every vector's length
+    against the ``m`` or ``n`` that ``meta.json`` records, so a refused
+    instance writes nothing.  A file that another kind's layout or a
+    format-1 save writes (``A.mtx``) is deleted; every other file in the
+    directory is left."""
     _, scalars, vectors = _KINDS[kind]
     if not math.isfinite(getattr(inst, "c_true", 0.0)):  # JSON has no NaN or infinity
         raise ValueError(f"cannot save a {kind} instance whose c_true is {inst.c_true!r}")
+    for field, key in vectors.items():
+        shape, length = np.shape(getattr(inst, field)), getattr(inst, key)
+        if shape != (length,):
+            raise ValueError(
+                f"cannot save a {kind} instance whose {field} has shape {shape}, not {key} = {length} entries"
+            )
     A = inst.A  # a fused instance rebuilds A on each access
     for field, values in [("A", A)] + [(f, getattr(inst, f)) for f in vectors]:
         if not np.isfinite(values).all():

@@ -1,13 +1,14 @@
-"""The iterate bit ledger: digests of fixed runs, written once per environment.
+"""The bit ledger: digests of fixed runs, written once per environment.
 
     python3 tests/ledger.py            # check the runs against tests/ledger.json
     python3 tests/ledger.py --write    # record them for this environment
 
-A cell is one run of ``iterate`` for a fixed number of steps.  Its entry
-is the sha256 of the final state's (x, y, lam, y_mid, lam_mid), each as
-little-endian float64 bytes, one after another, and the last StepInfo's
-``residual_norm``, ``movement`` and ``certificate`` as ``float.hex``
-strings (the certificate None where the run records none).  The cells:
+An iterate cell is one run of ``iterate`` for a fixed number of steps.
+Its entry is the sha256 of the final state's (x, y, lam, y_mid,
+lam_mid), each as little-endian float64 bytes, one after another, and
+the last StepInfo's ``residual_norm``, ``movement`` and ``certificate``
+as ``float.hex`` strings (the certificate None where the run records
+none).  A CLI cell runs ``egadm`` in this process.  The cells:
 
 - basis pursuit 100 x 20 x 2, seeds 0-3, all four variants, 300 steps at
   the automatic step size and 300 at gamma 0.1, and EGL and EGAL
@@ -15,7 +16,13 @@ strings (the certificate None where the run records none).  The cells:
 - the gate-7 fused instance (blocks 500 x 100, seed 0), GL and EGAL,
   200 steps;
 - the gate-6 fused instance (simple 1000 x 500, seed 6), GL and EGAL,
-  30 steps.
+  30 steps;
+- ``egadm gen`` of bp 100 x 20 x 5, fused blocks 500 x 100 and fused
+  simple 1000 x 500 at seeds 3, 41 and 977: the sha256 of every file it
+  writes;
+- ``egadm solve --monitor-lemma --emit-coef --max-iters 200`` of those
+  nine directories, GL and EGAL: the exit status, the JSON row without
+  ``seconds`` and the sha256 of the coefficient file.
 
 Digests depend on the BLAS and the CPU, and the gate-6 instance's
 digests differ at two BLAS threads, so the thread variables of
@@ -53,13 +60,17 @@ if __name__ == "__main__":  # before numpy loads its BLAS; an import changes not
     sys.path.insert(0, str(ROOT / "src"))
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from egadm import basis_pursuit as bp  # noqa: E402
+from egadm import cli  # noqa: E402
 from egadm import fused_logistic as fl  # noqa: E402
 from egadm.solver import SolverConfig, VariantKind, iterate  # noqa: E402
 
@@ -121,6 +132,47 @@ def digest(problem, config, steps):
     }
 
 
+GEN_SEEDS = (3, 41, 977)
+GEN_KINDS = (
+    ("bp100x20x5", ["bp", "--n", "100", "--m", "20", "--s", "5"]),
+    ("blocks500x100", ["fused", "--pattern", "blocks", "--n", "500", "--m", "100"]),
+    ("simple1000x500", ["fused", "--pattern", "simple", "--n", "1000", "--m", "500"]),
+)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _cli(argv):
+    """``egadm argv`` in this process: its exit status and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    return status, out.getvalue()
+
+
+def cli_digests(scratch):
+    """The gen and solve cells, each directory written under ``scratch``."""
+    got = {}
+    for (kind, flags), seed in itertools.product(GEN_KINDS, GEN_SEEDS):
+        name = f"{kind}-s{seed}"
+        inst = scratch / name
+        _cli(["gen", *flags, "--seed", str(seed), "--out", str(inst)])
+        got[f"gen-{name}"] = {f.name: _sha256(f) for f in sorted(inst.iterdir())}
+        for variant in ("gl", "egal"):
+            coef = scratch / f"{name}-{variant}.txt"
+            status, out = _cli(["solve", str(inst), "--variant", variant, "--monitor-lemma",
+                                "--emit-coef", str(coef), "--max-iters", "200"])
+            # a solve that fails before it solves prints no row and writes no file
+            row = json.loads(out) if out else None
+            if row is not None:
+                del row["seconds"]
+            coef_sha = _sha256(coef) if coef.exists() else None
+            got[f"solve-{name}-{variant}"] = {"exit": status, "row": row, "coef_sha256": coef_sha}
+    return got
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="record this environment's digests")
@@ -131,6 +183,8 @@ def main(argv=None):
         print(f"no ledger record for {env!r}; record one with: python3 tests/ledger.py --write")
         return EXIT_UNRECORDED
     got = {name: digest(*cell) for name, *cell in _cells()}
+    with tempfile.TemporaryDirectory() as scratch:
+        got.update(cli_digests(Path(scratch)))
     if args.write:
         ledger[env] = got
         LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n", encoding="utf-8")

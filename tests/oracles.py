@@ -15,8 +15,10 @@ out in the solver's operation order, which the solver must match bit
 for bit.  ``next_state`` is no oracle but the solver itself: the one
 iteration the transcription and hand-computation tests compare with.
 ``dense_map`` is no oracle either: it wraps a dense test matrix as the
-``LinearMap`` a ``Coupling`` takes; nor is ``run_pinned``, which runs
-code in a fresh interpreter at one BLAS thread.
+``LinearMap`` a ``Coupling`` takes; nor is ``step_moving``, the
+``StepInfo.step`` of a hand-built info with a given movement; nor is
+``run_pinned``, which runs code in a fresh interpreter at one BLAS
+thread.
 """
 
 import json
@@ -42,6 +44,14 @@ def dense_map(mat):
     ``M.T @ w``, bit for bit, and its ``norm_sq`` is exact to rounding."""
     M = frozen_copy(mat)
     return LinearMap(M.shape, M.dot, M.T.dot, spectral_norm_sq(M))
+
+
+def step_moving(movement):
+    """A ``StepInfo.step`` ``(y, y+, lam, lam+)`` whose movement is
+    ``movement`` exactly: y moves by it in its one entry and lam stays,
+    and ``sqrt(sqrt(v * v) ** 2)`` is v for every float v >= 0 whose
+    square neither overflows nor underflows."""
+    return (np.zeros(1), np.array([movement]), np.zeros(1), np.zeros(1))
 
 
 def soft_threshold(z, tau):

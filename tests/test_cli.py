@@ -345,6 +345,16 @@ def test_bench_rejects_bad_dims(tmp_path, capsys):
               "--variants", "egl", "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("problem, dims", [("bp", "100,20,2.5"), ("bp", "100,x,5"), ("fused", "30,")])
+def test_bench_names_the_flag_of_a_dims_part_that_is_no_integer(tmp_path, problem, dims):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", problem, "--dims", dims, "--instances", "1", "--out", str(out)])
+    count = 3 if problem == "bp" else 2
+    assert exc.value.code == f"--dims for {problem} needs {count} comma-separated integers"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2", "1.5"])
 def test_bench_rejects_an_instance_count_below_one(tmp_path, capsys, count):
     out = tmp_path / "x.csv"

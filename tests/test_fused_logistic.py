@@ -16,7 +16,7 @@ from egadm.solver import SolverConfig, StepInfo, VariantKind, initial_state, sol
 from oracles import (
     central_diff_gradient, fused_coupling_rmatvec, fused_midpoint_transcription,
     jacobi_eigenvalues, logistic_gradient, masked_sigmoid, next_state, run_pinned,
-    soft_threshold, traced_call,
+    soft_threshold, step_moving, traced_call,
 )
 
 
@@ -272,7 +272,7 @@ _residuals = arrays(
 @example(np.array([0.0, np.nan]), 1.0)
 @example(np.array([-0.0, -1e-3, 1e-3]), 1e-3)
 def test_the_fused_stop_rule_is_the_max_abs_residual_below_tol(r, tol):
-    stop = fl.stop_rule(tol)(StepInfo(r, 0.0, 0.0))
+    stop = fl.stop_rule(tol)(StepInfo(r, 0.0, step_moving(0.0)))
     assert bool(stop) == bool(np.abs(r).max() < tol)
     if np.isnan(r).any():  # a NaN residual never stops the run
         assert not stop
@@ -707,8 +707,8 @@ def test_solve_fused_is_solve_with_the_fused_stop_rule():
     assert np.array_equal(rep.state.x, ref.state.x)
     # the rule reads the largest residual component only, not the 2-norm
     below = fl.stop_rule(1e-3)
-    assert below(StepInfo(np.array([9e-4, -9e-4, 9e-4]), 1.6e-3, 1.0))
-    assert not below(StepInfo(np.array([0.0, -1e-3]), 1e-3, 0.0))
+    assert below(StepInfo(np.array([9e-4, -9e-4, 9e-4]), 1.6e-3, step_moving(1.0)))
+    assert not below(StepInfo(np.array([0.0, -1e-3]), 1e-3, step_moving(0.0)))
 
 
 def test_instance_keeps_read_only_copies_of_its_arrays():

@@ -31,6 +31,7 @@ from egadm.solver import (
 )
 from oracles import (
     bp_midpoint_transcription, dense_map, extragradient_certificate, next_state, reference_advance,
+    step_moving,
 )
 
 
@@ -736,7 +737,7 @@ def test_lemma_violations_count_certificates_above_the_slack(monkeypatch):
     def certificates(values):
         def fake_iterate(problem, config, init=None):
             for k, value in enumerate(values, start=1):
-                yield replace(state, k=k), StepInfo(np.ones(1), 1.0, 1.0, value)
+                yield replace(state, k=k), StepInfo(np.ones(1), 1.0, step_moving(1.0), value)
         return fake_iterate
 
     cfg = SolverConfig(variant=VariantKind.EGAL, monitor_certificate=True)
@@ -893,25 +894,30 @@ def test_a_fused_solve_under_its_stop_rule_never_computes_a_movement(monkeypatch
     inst, penalties = fl.generate_block_pattern(150, 40, 2), fl.FusedLogisticConfig()
     assert fl.solve_fused(inst, penalties, variant, max_iters=300).iterations > 0
     assert not computed
-    # the infos of a run under the same rule, read afterwards: each read
-    # computes the bits of the reference step once, and a second read
-    # returns the float the first one kept
-    prob, rule = inst.as_problem(penalties), inst.stop_rule(1e-4)
-    cfg = SolverConfig(variant=variant)
-    gamma = resolve_gamma(prob, cfg)
-    start = initial_state(prob)
-    y, lam, steps = start.y, start.lam, []
-    for state, info in itertools.islice(iterate(prob, cfg), 40):
-        rule(info)
-        steps.append((y, lam, info))
-        y, lam = state.y, state.lam
-    assert not computed
-    for k, (y, lam, info) in enumerate(steps, start=1):
-        movement = reference_advance(prob, variant, gamma, False, y, lam)[2]
-        assert type(info.movement) is float and _bits(info.movement) == _bits(movement), k
-        assert info.movement is info.movement and len(computed) == k
-        copy = replace(info, certificate=-1.0)
-        assert (_bits(copy.movement), copy.certificate, len(computed)) == (_bits(movement), -1.0, k)
+    # the infos of a run under the same rule, and of a monitored bp run on
+    # the folded B = -I path, read afterwards: every read of the movement,
+    # on a ``replace`` copy too, gives the bits of the reference step
+    runs = (
+        (inst.as_problem(penalties), SolverConfig(variant=variant), inst.stop_rule(1e-4)),
+        (bp.as_problem(bp.generate(60, 15, 2, 4)), SolverConfig(variant=variant, monitor_certificate=True), None),
+    )
+    for prob, cfg, rule in runs:
+        assert (prob.coupling.apply_b is np.negative) == (rule is None)
+        gamma = resolve_gamma(prob, cfg)
+        start = initial_state(prob)
+        y, lam, steps = start.y, start.lam, []
+        for state, info in itertools.islice(iterate(prob, cfg), 40):
+            if rule is not None:
+                rule(info)
+                assert not computed
+            steps.append((y, lam, info))
+            y, lam = state.y, state.lam
+        for k, (y, lam, info) in enumerate(steps, start=1):
+            _, _, movement, certificate = reference_advance(prob, variant, gamma, cfg.monitor_certificate, y, lam)
+            copy = replace(info, certificate=-1.0)
+            for read in (info.movement, info.movement, copy.movement):
+                assert type(read) is float and _bits(read) == _bits(movement), (rule, k)
+            assert (_bits(info.certificate), copy.certificate) == (_bits(certificate), -1.0), (rule, k)
 
 
 def test_a_running_iterator_keeps_the_callables_it_looked_up(monkeypatch):
@@ -987,10 +993,12 @@ def test_solve_without_a_stop_rule_runs_default_stop_rule(variant):
 
 def test_default_stop_rule_needs_both_the_residual_and_the_movement_below_tol():
     rule = default_stop_rule(1e-4)
-    assert rule(StepInfo(np.zeros(2), 9e-5, 9e-5))
-    assert not rule(StepInfo(np.zeros(2), 1e-4, 0.0))
-    assert not rule(StepInfo(np.zeros(2), 0.0, 1e-4))
-    assert not rule(StepInfo(np.zeros(2), np.nan, 0.0))
+    for movement in (9e-5, 0.0, 1e-4):
+        assert StepInfo(np.zeros(2), 0.0, step_moving(movement)).movement == movement
+    assert rule(StepInfo(np.zeros(2), 9e-5, step_moving(9e-5)))
+    assert not rule(StepInfo(np.zeros(2), 1e-4, step_moving(0.0)))
+    assert not rule(StepInfo(np.zeros(2), 0.0, step_moving(1e-4)))
+    assert not rule(StepInfo(np.zeros(2), np.nan, step_moving(0.0)))
 
 
 def test_each_instance_names_its_front_ends_stop_rule():

@@ -495,6 +495,26 @@ def test_save_refuses_a_non_finite_A_or_vector_and_writes_nothing(tmp_path, kind
     assert not (tmp_path / "inst").exists()
 
 
+@pytest.mark.parametrize("kind, field, length, key, want", [
+    ("bp", "b", 7, "m", 5), ("bp", "xhat", 9, "n", 8), ("fused", "xhat", 129, "n", 130),
+])
+def test_save_refuses_a_vector_of_a_length_loading_would_refuse(tmp_path, kind, field, length, key, want):
+    if kind == "bp":
+        A = np.random.default_rng(5).standard_normal((5, 8))
+        inst = bp.BasisPursuitInstance(A, np.ones(5), np.ones(8), s=1, seed=5)
+        save, name = storage.save_bp_instance, "basis_pursuit"
+    else:
+        inst = fl.generate_block_pattern(130, 20, 2)
+        save, name = storage.save_fused_instance, "fused_logistic"
+    resized = dataclasses.replace(inst, **{field: np.resize(getattr(inst, field), length)})
+    match = rf"^cannot save a {name} instance whose {field} has shape \({length},\), not {key} = {want} entries$"
+    with pytest.raises(ValueError, match=match):
+        save(resized, tmp_path / "inst")
+    assert not (tmp_path / "inst").exists()
+    # with every length right the same instance saves and loads back
+    assert storage.load_instance(save(inst, tmp_path / "inst")).xhat.tobytes() == inst.xhat.tobytes()
+
+
 def test_resaving_a_directory_leaves_exactly_the_files_of_its_kind(tmp_path):
     # a save leaves exactly its kind's files, whatever kind or format the
     # directory held before: no b.txt beside labels.txt, no A.mtx beside A.npy
